@@ -50,9 +50,10 @@ fn entry(m: &Measurement, flops_per_op: Option<f64>) -> Json {
 }
 
 /// The quantized-GEMM microkernel suite (single-threaded 256³): the f32
-/// reference, each native kernel through the exact dispatch entry the
-/// layers call, and the derived `speedup_*_vs_f32_1t` ratios that the
-/// bench-check / kernels-bench gates judge (a ratio below 1.0 fails).
+/// reference, each packable weight kind through the native kernel via the
+/// exact dispatch entry the layers call, and the derived
+/// `speedup_*_vs_f32_1t` ratios that the bench-check / kernels-bench gates
+/// judge (a ratio below 1.0 fails).
 ///
 /// Every operand sits on its format's grid with raw magnitudes inside
 /// the exactness certificate, so the native kernels produce bit-identical
@@ -127,20 +128,20 @@ fn qgemm_suite(b: &Bencher, push: &mut dyn FnMut(Json)) {
     let fixed16_ns = m.ns_per_op;
     push(entry(&m, Some(flops_q)));
 
+    // Binary Net (1,16): ±1 weights (a power-of-two scale, so they pack as
+    // the ±1 raw panel) against the fixed16 activations above.
     let bin = Binary::new();
-    let bcodec = BitCodec::Binary(bin);
     let mut r = rng::seeded(15);
-    let bacts: Vec<f32> = (0..q * q).map(|_| bin.decode(r.gen_bool(0.5))).collect();
     let bw: Vec<f32> = (0..q * q).map(|_| bin.decode(r.gen_bool(0.5))).collect();
-    let bplan = PackedWeights::pack(&bcodec, q, q, &bw).expect("binary weights pack");
+    let bplan = PackedWeights::pack(&BitCodec::Binary(bin), q, q, &bw).expect("binary pack");
     assert!(
-        matmul_on_grid(&bcodec, &bacts, q, q, false, &bplan, &mut out),
-        "binary certificate must hold at 256^3"
+        matmul_on_grid(&codec16, &acts16, q, q, false, &bplan, &mut out),
+        "binary×fixed16 certificate must hold at 256^3 with raws <= 255"
     );
-    let m = b.run("qgemm_256/binary_xnor_1t", || {
+    let m = b.run("qgemm_256/binary_fixed16_1t", || {
         black_box(matmul_on_grid(
-            &bcodec,
-            black_box(&bacts),
+            &codec16,
+            black_box(&acts16),
             q,
             q,
             false,
@@ -181,50 +182,11 @@ fn qgemm_suite(b: &Bencher, push: &mut dyn FnMut(Json)) {
     let pow2_ns = m.ns_per_op;
     push(entry(&m, Some(flops_q)));
 
-    // A 15-exponent span (codes 1..=16) is past the i16 view (spans ≤ 14)
-    // and lands on the two-panel shift-add microkernel. Certification at
-    // 256³ then requires unit activation raws: 2·2^15·256 = 2^24, the
-    // certificate's edge.
-    let mut r = rng::seeded(18);
-    let ww: Vec<f32> = (0..q * q)
-        .map(|_| p2.decode(r.gen_bool(0.5), r.gen_range(1u32..17)))
-        .collect();
-    let funit = Fixed::new(8, 0).unwrap();
-    let ucodec = BitCodec::Fixed(funit);
-    let uacts: Vec<f32> = (0..q * q)
-        .map(|_| if r.gen_bool(0.5) { 1.0 } else { -1.0 })
-        .collect();
-    let wplan = PackedWeights::pack(&BitCodec::PowerOfTwo(p2), q, q, &ww).expect("pow2 wide pack");
-    if let PackedWeights::Pow2(p) = &wplan {
-        assert!(
-            p.words16().is_none() && p.shift_add_panels().is_some(),
-            "span 15 must use the shift-add panel microkernel"
-        );
-    }
-    assert!(
-        matmul_on_grid(&ucodec, &uacts, q, q, false, &wplan, &mut out),
-        "wide-span pow2 certificate must hold at 256^3 with unit acts"
-    );
-    let m = b.run("qgemm_256/pow2_shift_wide_1t", || {
-        black_box(matmul_on_grid(
-            &ucodec,
-            black_box(&uacts),
-            q,
-            q,
-            false,
-            &wplan,
-            black_box(&mut out),
-        ));
-    });
-    let pow2_wide_ns = m.ns_per_op;
-    push(entry(&m, Some(flops_q)));
-
     for (name, ns) in [
         ("qgemm_256/speedup_fixed8_vs_f32_1t", fixed8_ns),
         ("qgemm_256/speedup_fixed16_vs_f32_1t", fixed16_ns),
         ("qgemm_256/speedup_binary_vs_f32_1t", binary_ns),
         ("qgemm_256/speedup_pow2_vs_f32_1t", pow2_ns),
-        ("qgemm_256/speedup_pow2_wide_vs_f32_1t", pow2_wide_ns),
     ] {
         push(Json::obj(vec![
             ("name", Json::str(name)),

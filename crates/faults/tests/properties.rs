@@ -6,11 +6,13 @@ use qnn_faults::{store, BufferKind, FaultInjector};
 use qnn_quant::{BitCodec, Fixed, Minifloat, PowerOfTwo};
 use qnn_tensor::rng::seeded;
 
-/// A representative container written through the real encoder.
-fn sample_container() -> Vec<u8> {
+/// A representative container written through the real encoder to
+/// `file`. Each test passes its own name: tests run in parallel, and two
+/// writes to one path let one test's rename take the other's file.
+fn sample_container(file: &str) -> Vec<u8> {
     let dir = std::env::temp_dir().join("qnn-faults-prop-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sample.qnnf");
+    let path = dir.join(file);
     let payload: Vec<u8> = (0u32..400)
         .map(|i| (i.wrapping_mul(31) >> 3) as u8)
         .collect();
@@ -22,7 +24,7 @@ fn sample_container() -> Vec<u8> {
 
 #[test]
 fn single_byte_corruption_detected_at_every_offset() {
-    let good = sample_container();
+    let good = sample_container("corruption.qnnf");
     assert!(store::decode(&good, store::KIND_TRAIN_CHECKPOINT).is_ok());
     let mut rng = seeded(2024);
     for i in 0..good.len() {
@@ -40,7 +42,7 @@ fn single_byte_corruption_detected_at_every_offset() {
 
 #[test]
 fn truncation_detected_at_every_prefix_length() {
-    let good = sample_container();
+    let good = sample_container("truncation.qnnf");
     for len in 0..good.len() {
         let err = store::decode(&good[..len], store::KIND_TRAIN_CHECKPOINT).unwrap_err();
         assert!(

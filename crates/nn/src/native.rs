@@ -1,19 +1,27 @@
 //! Native low-precision fast-path dispatch for inference.
 //!
-//! When a layer's inputs and weights are both quantized to formats with a
-//! packable [`BitCodec`], the Eval-mode forward pass can skip the simulated
-//! f32 GEMM and run the integer kernels in `qnn_tensor::qgemm` instead:
-//! fixed-point i8/i16 multiply-accumulate, XNOR+popcount for binary×binary,
-//! and shift-add for power-of-two weights.
+//! When a layer's inputs are quantized to fixed-point and its weights to a
+//! format that packs as i16 raws scaled by a power of two (fixed-point of
+//! at most 16 bits, binary with a power-of-two scale, or power-of-two with
+//! an exponent span of at most 14), the Eval-mode forward pass can skip the
+//! simulated f32 GEMM and run the one integer kernel in
+//! `qnn_tensor::qgemm` instead: a register-blocked i16 `vpmaddwd`
+//! microkernel over the weights' cached packed-B panel, with the
+//! requantize, bias and next-layer quantize fused into its tail. The
+//! committed `BENCH_kernels.json` (256³, 1 thread) times it at 4.31×
+//! (fixed8), 4.27× (fixed16) and 4.33× (pow2) the f32 GEMM, and binary ±1
+//! weights × fixed16 at 5.06× in a later run on a host whose f32 GEMM was
+//! slower.
 //!
 //! **The fast path never changes results.** Dispatch goes through
 //! [`qnn_quant::packed::matmul_on_grid`], which is gated on the exactness
-//! certificate: the kernels run only when every product and partial sum is
+//! certificate: the kernel runs only when every product and partial sum is
 //! exactly representable in both the integer accumulator and f32, in which
 //! case the simulated path's f32 arithmetic is itself exact and the two
-//! agree bit for bit. Anything else — off-grid values, formats wider than
-//! 16 bits, non-power-of-two binary scales, certificate overflow — falls
-//! back to the simulated GEMM. The trace counters `nn.fwd.flops.native` /
+//! agree bit for bit. Anything else — off-grid values, formats that do not
+//! pack (wider than 16 bits, non-power-of-two binary scales, wide pow2
+//! spans), non-fixed activations, certificate overflow — falls back to the
+//! simulated GEMM. The trace counters `nn.fwd.flops.native` /
 //! `nn.fwd.flops.simulated` record which path each layer's MACs took.
 //!
 //! The toggle: set `QNN_NATIVE=0` (or `off`/`false`) to disable dispatch

@@ -14,10 +14,26 @@ use qnn_nn::{set_native, ActivationCalibration, Mode, Network};
 use qnn_quant::{calibrate::Method, Precision};
 use qnn_tensor::rng::{derive_seed, seeded};
 use qnn_tensor::{par, Shape, Tensor};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Restores global toggles when a test body panics.
-struct Restore;
-impl Drop for Restore {
+/// Holds this file's test lock and restores the global toggles on drop,
+/// also when a test body panics. The tests share the process-global native
+/// override, worker count and trace collector, and cargo runs tests in
+/// parallel, so each test runs alone.
+struct Exclusive {
+    _lock: MutexGuard<'static, ()>,
+}
+
+fn exclusive() -> Exclusive {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that panicked still restored the toggles in `Drop`, so the
+    // lock's `()` is valid after poisoning.
+    Exclusive {
+        _lock: LOCK.lock().unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
+impl Drop for Exclusive {
     fn drop(&mut self) {
         set_native(None);
         par::set_threads(None);
@@ -65,7 +81,7 @@ fn assert_paths_agree(net: &mut Network, x: &Tensor, ctx: &str) {
 
 #[test]
 fn every_sweep_precision_is_bit_identical_across_paths() {
-    let _restore = Restore;
+    let _serial = exclusive();
     for precision in Precision::paper_sweep() {
         for seed in 0..3u64 {
             let mut net = Network::build(&lenet_spec(), derive_seed(0xd15, seed)).unwrap();
@@ -90,7 +106,7 @@ fn every_sweep_precision_is_bit_identical_across_paths() {
 fn narrow_fixed_formats_actually_dispatch_native() {
     // Bit equality alone would hold vacuously if the fast path never
     // fired; the trace counters prove it carries real forward MACs.
-    let _restore = Restore;
+    let _serial = exclusive();
     par::set_threads(Some(1));
     let mut net = Network::build(&lenet_spec(), 11).unwrap();
     let calib = batch(8, 21);
@@ -127,7 +143,7 @@ fn fused_output_quantizer_engages_and_matches_separate_pass() {
     use qnn_quant::{quantize_inplace_par, Fixed};
     use std::sync::Arc;
 
-    let _restore = Restore;
+    let _serial = exclusive();
     par::set_threads(Some(1));
     let f = Fixed::new(8, 6).unwrap();
     let q: QuantizerHandle = Arc::new(f);
@@ -163,7 +179,7 @@ fn fused_output_quantizer_engages_and_matches_separate_pass() {
 fn tracing_disables_quant_fusion_but_not_dispatch() {
     // Under an active trace the layers must keep the separate quantize
     // pass (it carries per-pass telemetry) while still running natively.
-    let _restore = Restore;
+    let _serial = exclusive();
     par::set_threads(Some(1));
     let mut net = Network::build(&lenet_spec(), 19).unwrap();
     let calib = batch(8, 29);
@@ -188,7 +204,7 @@ fn tracing_disables_quant_fusion_but_not_dispatch() {
 
 #[test]
 fn train_mode_and_cleared_precision_stay_simulated() {
-    let _restore = Restore;
+    let _serial = exclusive();
     let mut net = Network::build(&lenet_spec(), 13).unwrap();
     let calib = batch(8, 23);
     net.set_precision(
@@ -227,7 +243,7 @@ fn weight_mutation_invalidates_packed_plans() {
     // both paths have to agree on the *new* weights, not the packed old
     // ones. (Recalibration is not required for bit-identity: the packers
     // re-verify the quantized weights on-grid either way.)
-    let _restore = Restore;
+    let _serial = exclusive();
     par::set_threads(Some(1));
     let mut net = Network::build(&lenet_spec(), 17).unwrap();
     let donor = Network::build(&lenet_spec(), 18).unwrap();

@@ -2,12 +2,12 @@
 //! native low-precision fast path.
 //!
 //! The simulated path (`Quantizer::quantize` + f32 GEMM) is the semantic
-//! reference for every artifact in this repo, so the native kernels in
-//! `qnn_tensor::qgemm` may only be used when they provably produce the
+//! reference for every artifact in this repo, so the native kernel in
+//! `qnn_tensor::qgemm` may only be used when it provably produces the
 //! **same f32 bits**. This module supplies the three pieces that make that
 //! a theorem rather than a hope:
 //!
-//! 1. **Packers** that re-encode quantized f32 tensors into integer words
+//! 1. **Packers** that re-encode quantized f32 tensors into i16 raws
 //!    *through [`BitCodec`]* — the same encode/decode the fault injectors
 //!    use — and verify round-trip bit-identity per element. A value that is
 //!    not exactly on the format grid (or a format too wide to pack) makes
@@ -19,17 +19,28 @@
 //!    both the integer accumulator and f32. Then the sequential f32 dot the
 //!    simulated path computes *is* the integer dot times the scale, bit for
 //!    bit — see the function docs for the argument.
-//! 3. **Requantizers** that convert the integer accumulators back to f32
-//!    exactly (a single multiply by a power of two per element).
+//! 3. **The fused requantize** that converts the integer accumulators back
+//!    to f32 exactly (a single multiply by a power of two per element) and
+//!    then applies the layer's [`Epilogue`].
 //!
-//! All packed layouts are row-major with `k` (the reduction dimension)
-//! contiguous, matching the NT kernels in `qnn_tensor::qgemm`.
+//! There is one native route. Every packable weight tensor — fixed-point,
+//! binary with a power-of-two scale, or power-of-two with a narrow exponent
+//! span — is i16 raws scaled by a power of two ([`PackedWeights`]); the
+//! activations must be fixed-point; and every certified product runs the
+//! register-blocked i16 microkernel over the weights' packed-B panel.
+//! Activation raws are row-major with `k` (the reduction dimension)
+//! contiguous, the layout that kernel reads.
 
 use crate::{Binary, BitCodec, Fixed, PowerOfTwo, Quantizer, RoundMode};
 use qnn_tensor::qgemm;
 
 /// Trace counter: requantize (integer accumulator → f32) passes.
 const CTR_REQUANT: &str = "quant.requantize.calls";
+
+/// Widest used exponent span a power-of-two weight tensor may have and
+/// still pack: its largest raw, `2^14`, must fit an i16 word. Wider spans
+/// take the simulated path.
+const POW2_MAX_SPAN: i32 = 14;
 
 /// True when the AVX2 clones of the packing loops may run on this CPU.
 /// Mirrors the dispatch in `qnn_tensor::qgemm`: this crate targets baseline
@@ -40,39 +51,6 @@ const CTR_REQUANT: &str = "quant.requantize.calls";
 fn simd_ok() -> bool {
     static OK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *OK.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// Runtime-dispatched call of an `#[inline(always)]` loop body: through its
-/// AVX2 `#[target_feature]` clone when the CPU allows, else the plain
-/// instantiation.
-macro_rules! dispatch {
-    ($body:ident, $avx2:ident, ($($arg:expr),*)) => {{
-        #[cfg(target_arch = "x86_64")]
-        {
-            if simd_ok() {
-                // SAFETY: `simd_ok` verified AVX2 on this CPU, the only
-                // precondition of the target_feature wrapper.
-                unsafe { $avx2($($arg),*) }
-            } else {
-                $body($($arg),*)
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            $body($($arg),*)
-        }
-    }};
-}
-
-/// Declares the AVX2 clone of a loop body.
-macro_rules! avx2_clone {
-    ($name:ident = $body:ident ( $($arg:ident : $ty:ty),* ) -> $ret:ty) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $name($($arg: $ty),*) -> $ret {
-            $body($($arg),*)
-        }
-    };
 }
 
 /// The exponent `e` such that `s == 2^e` exactly, if `s` is a positive
@@ -109,8 +87,8 @@ pub fn pow2_scale_exp(s: f32) -> Option<i32> {
 ///   result is representable they return it exactly.
 ///
 /// Hence the simulated path's sequential f32 dot equals the integer dot
-/// scaled by `2^lsb_exp` — which is exactly what [`requantize_i32`]
-/// computes — and the two paths agree bit for bit.
+/// scaled by `2^lsb_exp` — which is exactly what the fused requantize of
+/// [`matmul_on_grid_fused`] computes — and the two paths agree bit for bit.
 pub fn dot_exact(max_a_raw: i64, max_w_raw: i64, k: usize, lsb_exp: i32) -> bool {
     if !(-149..=103).contains(&lsb_exp) || max_a_raw < 0 || max_w_raw < 0 {
         return false;
@@ -122,36 +100,6 @@ pub fn dot_exact(max_a_raw: i64, max_w_raw: i64, k: usize, lsb_exp: i32) -> bool
         .checked_mul(max_w_raw)
         .and_then(|p| p.checked_mul(k))
         .is_some_and(|total| total <= 1 << 24)
-}
-
-/// [`dot_exact`] extended to the two-panel shift-add pow2 path: the same
-/// dot computed as `lo + (hi << base_shift)` over two i16 residual panels.
-/// Beyond the base certificate it demands that the hi residuals fit i16
-/// (`max_w_raw >> base_shift <= i16::MAX`) and that the base shift cannot
-/// push a certified partial past i32 (`base_shift < 31`). Under
-/// [`dot_exact`]'s `Σ|a·w| <= 2^24` bound, both panel products and the
-/// shifted combine are partial sums of that same Σ, so no step can
-/// overflow and the reassembled accumulator equals the direct integer dot
-/// — which the base certificate already ties, bit for bit, to the
-/// simulated f32 reference.
-///
-/// The fused requantize epilogue adds **no further obligations**: the
-/// requantize multiply is the same exact power-of-two scaling
-/// [`requantize_i32`] performs (exact under the `lsb_exp` bounds above),
-/// and the bias add and output-precision snap that follow are the
-/// identical elementwise f32 operations the layer and network would
-/// otherwise run as separate whole-tensor passes — same values in, same
-/// ops, same bits out (see [`Epilogue`]).
-pub fn dot_exact_shift_add(
-    max_a_raw: i64,
-    max_w_raw: i64,
-    k: usize,
-    lsb_exp: i32,
-    base_shift: u32,
-) -> bool {
-    dot_exact(max_a_raw, max_w_raw, k, lsb_exp)
-        && base_shift < 31
-        && (max_w_raw >> base_shift) <= i16::MAX as i64
 }
 
 /// [`dot_exact`] tightened to an accumulator of only `acc_bits` bits
@@ -195,33 +143,6 @@ pub fn dot_exact_narrow_acc(
         .is_some_and(|total| total <= limit)
 }
 
-/// Converts i32 accumulators to f32 by scaling with `2^lsb_exp`. Exact
-/// under the [`dot_exact`] certificate: the product is computed in f64
-/// (24-bit significand × exact power of two) and narrowed to an f32 that
-/// represents it exactly.
-pub fn requantize_i32(acc: &[i32], lsb_exp: i32, out: &mut [f32]) {
-    let step = (lsb_exp as f64).exp2();
-    dispatch!(requant_body, requant_avx2, (acc, step, out));
-    qnn_trace::counter!(CTR_REQUANT, 1);
-}
-
-#[inline(always)]
-fn requant_body(acc: &[i32], step: f64, out: &mut [f32]) {
-    for (o, &s) in out.iter_mut().zip(acc.iter()) {
-        *o = (s as f64 * step) as f32;
-    }
-}
-avx2_clone!(requant_avx2 = requant_body(acc: &[i32], step: f64, out: &mut [f32]) -> ());
-
-/// [`requantize_i32`] for the i64 accumulators of the pow2 kernel.
-pub fn requantize_i64(acc: &[i64], lsb_exp: i32, out: &mut [f32]) {
-    let step = (lsb_exp as f64).exp2();
-    for (o, &s) in out.iter_mut().zip(acc.iter()) {
-        *o = (s as f64 * step) as f32;
-    }
-    qnn_trace::counter!(CTR_REQUANT, 1);
-}
-
 /// Encodes one value through `codec` and demands exact round-trip: the
 /// stored word must decode back to the *same bits*. Off-grid values (and
 /// `-0.0`, which no codec produces) yield `None`.
@@ -235,170 +156,53 @@ fn encode_on_grid(codec: &BitCodec, x: f32) -> Option<u64> {
     }
 }
 
-/// A fixed-point tensor packed as two's-complement i16 raws (the widest
-/// packable fixed format is 16 bits). Narrower formats use the same i16
-/// words: the `vpmaddwd`-shaped i16 kernel outruns a dedicated i8 kernel,
-/// so a second storage width would only add packing cost.
-#[derive(Debug, Clone)]
-pub struct PackedFixed {
+/// Encodes a `rows×cols` row-major tensor of values already on the grid of
+/// `format` as two's-complement i16 raws (the widest packable fixed format
+/// is 16 bits; narrower formats use the same words, since the
+/// `vpmaddwd`-shaped i16 kernel outruns a dedicated i8 kernel). With
+/// `transpose` the raws hold the **transpose**: packed row `j` is source
+/// column `j`, the layout of im2col patch matrices, whose reduction
+/// dimension is the *row* index. Returns `None` if the format is wider than
+/// 16 bits or any value fails the round-trip check.
+fn fixed_raws(
+    format: &Fixed,
     rows: usize,
     cols: usize,
-    frac_bits: i32,
-    max_abs_raw: i64,
-    words16: Vec<i16>,
-    /// Register-blocked microkernel panels of [`Self::words16`] — built
-    /// only for weight tensors (see [`Self::build_panel`]); activations are
-    /// packed fresh every call and read row-major, so a panel would be pure
-    /// overhead on their side.
-    panel: Option<qgemm::PanelB>,
-}
-
-impl PackedFixed {
-    /// Packs a `rows×cols` row-major tensor of values already on the grid
-    /// of `format`. Returns `None` if the format is wider than 16 bits or
-    /// any value fails the round-trip check.
-    pub fn pack(format: &Fixed, rows: usize, cols: usize, data: &[f32]) -> Option<Self> {
-        Self::pack_with(format, rows, cols, data, false)
+    data: &[f32],
+    transpose: bool,
+) -> Option<Vec<i16>> {
+    assert_eq!(data.len(), rows * cols, "packed tensor shape mismatch");
+    if format.word_bits() > 16 {
+        return None;
     }
-
-    /// Packs the **transpose** of a `rows×cols` row-major tensor: packed
-    /// row `j` holds source column `j`. Used for im2col patch matrices,
-    /// whose reduction dimension is the *row* index.
-    pub fn pack_transposed(format: &Fixed, rows: usize, cols: usize, data: &[f32]) -> Option<Self> {
-        Self::pack_with(format, rows, cols, data, true)
-    }
-
-    fn pack_with(
-        format: &Fixed,
-        rows: usize,
-        cols: usize,
-        data: &[f32],
-        transpose: bool,
-    ) -> Option<Self> {
-        assert_eq!(data.len(), rows * cols, "packed tensor shape mismatch");
-        let width = format.word_bits();
-        if width > 16 {
-            return None;
+    let pcols = if transpose { rows } else { cols };
+    let mut words = vec![0i16; data.len()];
+    // The loop bodies below do a per-element encode + round-trip check
+    // through `encode_f64_with_scale` / `decode_f64_with_scale` — the
+    // very kernels `BitCodec::Fixed`'s encode/decode narrow to i64, so
+    // this is still the single fault-codec encoding (see
+    // `packers_share_the_fault_codec`). The format's 2^frac scale is
+    // hoisted here so the `exp2` libm call runs once, not per element.
+    // One switch-free monomorphization of the loops per rounding mode —
+    // a switch inside the loop body is the one control-flow shape the
+    // auto-vectorizer rejects outright (see `Fixed::encode_f64_mode`).
+    let scale = format.scale_f64();
+    let off_grid = if let Some(flag) = fast_pack(format, data, &mut words, transpose) {
+        flag
+    } else {
+        match format.round_mode() {
+            RoundMode::NearestAway => run_pack::<{ RoundMode::AWAY }>(
+                format, scale, cols, pcols, data, &mut words, transpose,
+            ),
+            RoundMode::NearestEven => run_pack::<{ RoundMode::EVEN }>(
+                format, scale, cols, pcols, data, &mut words, transpose,
+            ),
+            RoundMode::Floor => run_pack::<{ RoundMode::FLOOR }>(
+                format, scale, cols, pcols, data, &mut words, transpose,
+            ),
         }
-        let (prows, pcols) = if transpose {
-            (cols, rows)
-        } else {
-            (rows, cols)
-        };
-        let mut words16 = vec![0i16; data.len()];
-        // The loop bodies below do a per-element encode + round-trip check
-        // through `encode_f64_with_scale` / `decode_f64_with_scale` — the
-        // very kernels `BitCodec::Fixed`'s encode/decode narrow to i64, so
-        // this is still the single fault-codec encoding (see
-        // `packers_share_the_fault_codec`). The format's 2^frac scale is
-        // hoisted here so the `exp2` libm call runs once, not per element.
-        // One switch-free monomorphization of the loops per rounding mode —
-        // a switch inside the loop body is the one control-flow shape the
-        // auto-vectorizer rejects outright (see `Fixed::encode_f64_mode`).
-        let scale = format.scale_f64();
-        let off_grid = if let Some(flag) = fast_pack(format, data, &mut words16, transpose) {
-            flag
-        } else {
-            match format.round_mode() {
-                RoundMode::NearestAway => run_pack::<{ RoundMode::AWAY }>(
-                    format,
-                    scale,
-                    cols,
-                    pcols,
-                    data,
-                    &mut words16,
-                    transpose,
-                ),
-                RoundMode::NearestEven => run_pack::<{ RoundMode::EVEN }>(
-                    format,
-                    scale,
-                    cols,
-                    pcols,
-                    data,
-                    &mut words16,
-                    transpose,
-                ),
-                RoundMode::Floor => run_pack::<{ RoundMode::FLOOR }>(
-                    format,
-                    scale,
-                    cols,
-                    pcols,
-                    data,
-                    &mut words16,
-                    transpose,
-                ),
-            }
-        };
-        if off_grid {
-            return None;
-        }
-        let max_abs_raw = words16
-            .iter()
-            .map(|&w| (w as i32).unsigned_abs())
-            .max()
-            .unwrap_or(0) as i64;
-        Some(PackedFixed {
-            rows: prows,
-            cols: pcols,
-            frac_bits: format.frac_bits(),
-            max_abs_raw,
-            words16,
-            panel: None,
-        })
-    }
-
-    /// Packs [`Self::words16`] into register-blocked microkernel panels
-    /// (see `qnn_tensor::qgemm::PanelB`). Called once per *weight* tensor
-    /// by [`PackedWeights::pack`] — the panel then lives as long as the
-    /// plan, amortizing over every batched forward and serve request.
-    pub fn build_panel(&mut self) {
-        self.panel = Some(qgemm::PanelB::pack(self.rows, self.cols, &self.words16));
-    }
-
-    /// The microkernel panel, when [`Self::build_panel`] has run.
-    pub fn panel(&self) -> Option<&qgemm::PanelB> {
-        self.panel.as_ref()
-    }
-
-    /// Builds the ±1 fixed-point view of a sign tensor: raw `+1` or `-1`
-    /// with `frac_bits = -scale_exp`, so a binary weight `±2^scale_exp`
-    /// participates in the fixed-point kernels unchanged.
-    fn from_signs(rows: usize, cols: usize, signs: &[bool], scale_exp: i32) -> Self {
-        let words16: Vec<i16> = signs.iter().map(|&neg| if neg { -1 } else { 1 }).collect();
-        PackedFixed {
-            rows,
-            cols,
-            frac_bits: -scale_exp,
-            max_abs_raw: 1,
-            words16,
-            panel: None,
-        }
-    }
-
-    /// Packed row count (the reduction dimension is [`Self::cols`]).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Packed column count — the length of each contiguous dot operand.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Fractional bits of the packed format: a raw `r` means `r · 2^-frac`.
-    pub fn frac_bits(&self) -> i32 {
-        self.frac_bits
-    }
-
-    /// Largest `|raw|` actually present — the certificate's operand bound.
-    pub fn max_abs_raw(&self) -> i64 {
-        self.max_abs_raw
-    }
-
-    /// The i16 words, row-major.
-    pub fn words16(&self) -> &[i16] {
-        &self.words16
-    }
+    };
+    (!off_grid).then_some(words)
 }
 
 /// Runtime-dispatched fixed-point pack loop, monomorphized over the
@@ -508,7 +312,7 @@ unsafe fn pack_avx2<const M: u8>(
 ///   sentinel) all land here.
 ///
 /// The flag agrees in every case and the stored words agree whenever the
-/// flag is clear (when set, `pack_with` discards the words entirely), so
+/// flag is clear (when set, `fixed_raws` discards the words entirely), so
 /// the two paths are interchangeable bit for bit.
 #[cfg(target_arch = "x86_64")]
 fn fast_pack(format: &Fixed, data: &[f32], words: &mut [i16], transpose: bool) -> Option<bool> {
@@ -593,352 +397,117 @@ unsafe fn pack_grid_avx2(format: &Fixed, data: &[f32], words: &mut [i16]) -> boo
     _mm256_movemask_epi8(bad) != 0
 }
 
-/// A binary (±scale) tensor packed both as XNOR sign planes and as ±1
-/// fixed-point words, so it can meet either a binary or a fixed-point
-/// opposite operand. Only power-of-two scales pack (see [`pow2_scale_exp`]).
-#[derive(Debug, Clone)]
-pub struct PackedBinary {
-    rows: usize,
-    cols: usize,
-    words_per_row: usize,
-    scale_exp: i32,
-    planes: Vec<u64>,
-    as_fixed: PackedFixed,
-}
-
-impl PackedBinary {
-    /// Packs a `rows×cols` row-major tensor of values that are exactly
-    /// `±scale` with `scale = 2^e`. Returns `None` for non-power-of-two
-    /// scales or off-grid values.
-    pub fn pack(format: &Binary, rows: usize, cols: usize, data: &[f32]) -> Option<Self> {
-        assert_eq!(data.len(), rows * cols, "packed tensor shape mismatch");
-        let scale_exp = pow2_scale_exp(format.scale())?;
-        // On-grid for a binary codec means bit-equal to `+scale` or
-        // `-scale` (the only two values `BitCodec::Binary` can decode);
-        // comparing bit patterns directly is the same check as the
-        // encode/decode round trip without the per-element calls.
-        let pos_bits = format.scale().to_bits();
-        let neg_bits = (-format.scale()).to_bits();
-        let mut signs = Vec::with_capacity(data.len());
-        for &x in data {
-            let bits = x.to_bits();
-            if bits == neg_bits {
-                signs.push(true);
-            } else if bits == pos_bits {
-                signs.push(false);
-            } else {
-                return None;
-            }
-        }
-        let words_per_row = cols.div_ceil(64);
-        let mut planes = vec![0u64; rows * words_per_row];
-        for (r, row) in signs.chunks_exact(cols.max(1)).enumerate().take(rows) {
-            qnn_tensor::qgemm::pack_sign_row(
-                row.iter().copied(),
-                &mut planes[r * words_per_row..(r + 1) * words_per_row],
-            );
-        }
-        let mut as_fixed = PackedFixed::from_signs(rows, cols, &signs, scale_exp);
-        // Binary tensors only pack as weights (activations go through
-        // `pack_act_planes`), so the ±1 fixed view always gets a panel.
-        as_fixed.build_panel();
-        Some(PackedBinary {
-            rows,
-            cols,
-            words_per_row,
-            scale_exp,
-            planes,
-            as_fixed,
+/// Binary `±2^e` weights as raws `±1` in units of `2^e`. `None` when the
+/// scale is not a power of two (see [`pow2_scale_exp`]) or a value is
+/// neither `+scale` nor `-scale`.
+fn binary_raws(format: &Binary, data: &[f32]) -> Option<(Vec<i16>, i32)> {
+    let scale_exp = pow2_scale_exp(format.scale())?;
+    // On-grid for a binary codec means bit-equal to `+scale` or `-scale`
+    // (the only two values `BitCodec::Binary` can decode); comparing bit
+    // patterns directly is the same check as the encode/decode round trip
+    // without the per-element calls.
+    let pos_bits = format.scale().to_bits();
+    let neg_bits = (-format.scale()).to_bits();
+    let raws = data
+        .iter()
+        .map(|x| match x.to_bits() {
+            b if b == pos_bits => Some(1),
+            b if b == neg_bits => Some(-1),
+            _ => None,
         })
-    }
-
-    /// Packed row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Elements per row (sign bits used per plane row).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `u64` words per plane row.
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
-    /// The scale exponent: values are `±2^scale_exp`.
-    pub fn scale_exp(&self) -> i32 {
-        self.scale_exp
-    }
-
-    /// The packed sign planes, row-major (1 = negative).
-    pub fn planes(&self) -> &[u64] {
-        &self.planes
-    }
-
-    /// The ±1 fixed-point view for mixed binary×fixed dispatch.
-    pub fn as_fixed(&self) -> &PackedFixed {
-        &self.as_fixed
-    }
+        .collect::<Option<Vec<i16>>>()?;
+    Some((raws, scale_exp))
 }
 
-/// Base shift of the two-panel shift-add decomposition for wide-span pow2
-/// weights: a relative exponent `e` lands in the **lo** residual table as
-/// `±2^e` when `e < 15`, else in the **hi** table as `±2^(e-15)`, and the
-/// kernel reassembles `acc = lo + (hi << 15)`. Both residuals fit i16
-/// (`2^14` max), so the inner loops are pure `vpmaddwd` adds over small
-/// residuals — the only shift is the one per-accumulator base shift.
-pub const POW2_PANEL_SHIFT: u32 = 15;
-
-/// A power-of-two weight tensor packed as relative exponent codes for the
-/// shift-add kernel: code `0` is a zero weight, `±q` is `±2^(q-1)` in units
-/// of `2^emin_used`.
-#[derive(Debug, Clone)]
-pub struct PackedPow2 {
-    rows: usize,
-    cols: usize,
-    emin_used: i32,
-    max_w_raw: i64,
-    codes: Vec<i8>,
-    words16: Option<Vec<i16>>,
-    words32: Option<Vec<i32>>,
-    /// Microkernel panel of `words16` (span ≤ 14).
-    panel16: Option<qgemm::PanelB>,
-    /// Shift-add residual panels `(lo, hi)` for spans 15..=29 (see
-    /// [`POW2_PANEL_SHIFT`]). Spans 30 keep the one-multiply i32 kernel,
-    /// span 31 the shift-add-chain codes kernel.
-    panels_sa: Option<Box<(qgemm::PanelB, qgemm::PanelB)>>,
-}
-
-impl PackedPow2 {
-    /// Packs a `rows×cols` row-major tensor of values on the grid of
-    /// `format`. Returns `None` if any value fails the round-trip check or
-    /// the used exponent span exceeds the kernel's shift budget (31).
-    pub fn pack(format: &PowerOfTwo, rows: usize, cols: usize, data: &[f32]) -> Option<Self> {
-        assert_eq!(data.len(), rows * cols, "packed tensor shape mismatch");
-        let codec = BitCodec::PowerOfTwo(*format);
-        let width = codec.width();
-        // First pass: validate and find the used exponent window.
-        let mut raws = Vec::with_capacity(data.len());
-        let mut emin_used = i32::MAX;
-        let mut emax_used = i32::MIN;
-        for &x in data {
-            let bits = encode_on_grid(&codec, x)?;
-            let sign = (bits >> (width - 1)) & 1 == 1;
-            let code = (bits & ((1u64 << (width - 1)) - 1)) as u32;
-            if code != 0 {
-                let e = format.min_exp() + code as i32 - 1;
-                emin_used = emin_used.min(e);
-                emax_used = emax_used.max(e);
-            }
-            raws.push((sign, code));
-        }
-        if emin_used > emax_used {
-            // All-zero tensor: any unit works, every code is 0.
-            emin_used = 0;
-            emax_used = 0;
-        }
-        let span = emax_used - emin_used;
-        if span > 31 {
-            return None;
-        }
-        let codes: Vec<i8> = raws
-            .into_iter()
-            .map(|(sign, code)| {
-                if code == 0 {
-                    0i8
+/// Power-of-two weights as raws `±2^(e-emin)` in units of `2^emin`, where
+/// `emin` is the smallest exponent in use (0 for an all-zero tensor).
+/// `None` when a value fails the round-trip check or the used exponent
+/// span exceeds [`POW2_MAX_SPAN`].
+fn pow2_raws(format: &PowerOfTwo, data: &[f32]) -> Option<(Vec<i16>, i32)> {
+    let codec = BitCodec::PowerOfTwo(*format);
+    let width = codec.width();
+    // Per weight: `None` for zero, else (negative, exponent).
+    let mut exps = Vec::with_capacity(data.len());
+    for &x in data {
+        let bits = encode_on_grid(&codec, x)?;
+        let code = (bits & ((1u64 << (width - 1)) - 1)) as i32;
+        let neg = (bits >> (width - 1)) & 1 == 1;
+        exps.push((code != 0).then(|| (neg, format.min_exp() + code - 1)));
+    }
+    let used = exps.iter().flatten().map(|&(_, e)| e);
+    let emin = used.clone().min().unwrap_or(0);
+    let emax = used.max().unwrap_or(0);
+    if emax - emin > POW2_MAX_SPAN {
+        return None;
+    }
+    let raws = exps
+        .iter()
+        .map(|w| match *w {
+            None => 0,
+            Some((neg, e)) => {
+                let mag = 1i16 << (e - emin);
+                if neg {
+                    -mag
                 } else {
-                    let q = (format.min_exp() + code as i32 - 1 - emin_used + 1) as i8;
-                    if sign {
-                        -q
-                    } else {
-                        q
-                    }
-                }
-            })
-            .collect();
-        let max_w_raw = if span == 0 && emin_used == 0 && emax_used == 0 {
-            // Either all-zero or genuinely single-exponent at e=0; 2^span
-            // is correct for both (zero tensor gives a zero dot anyway).
-            1
-        } else {
-            1i64 << span
-        };
-        // When every weight magnitude fits an i16 (span ≤ 14), also
-        // materialize the codes as plain fixed-point raws `±2^(q-1)`: the
-        // same integers the shift-add kernel would produce on the fly, but
-        // eligible for the far faster `vpmaddwd` i16 kernel. The 2^24
-        // certificate caps `acts·2^span·k`, so realistic dispatches satisfy
-        // this and the shift-add kernel serves only the wide-span tail.
-        let words16: Option<Vec<i16>> = (span <= 14).then(|| {
-            codes
-                .iter()
-                .map(|&q| {
-                    let mag = 1i32 << (q.unsigned_abs().wrapping_sub(1) & 31);
-                    (if q == 0 {
-                        0
-                    } else if q < 0 {
-                        -mag
-                    } else {
-                        mag
-                    }) as i16
-                })
-                .collect()
-        });
-        // Spans past the i16 view but within i32 (15..=30) materialize as
-        // i32 raws for the one-multiply wide kernel; only span 31 (where
-        // +2^31 has no i32 representation) is left to shift-add.
-        let words32 = (words16.is_none() && span <= 30).then(|| {
-            codes
-                .iter()
-                .map(|&q| {
-                    let mag = 1i32 << (q.unsigned_abs().wrapping_sub(1) & 31);
-                    if q == 0 {
-                        0
-                    } else if q < 0 {
-                        -mag
-                    } else {
-                        mag
-                    }
-                })
-                .collect()
-        });
-        let panel16 = words16.as_ref().map(|w| qgemm::PanelB::pack(rows, cols, w));
-        let panels_sa = (words16.is_none() && span <= 29).then(|| {
-            // Decompose each weight into exactly one residual bucket:
-            // `w = lo + hi·2^15` with the other bucket zero, so the two
-            // panel products sum (after the base shift) to the exact dot.
-            let mut lo = vec![0i16; codes.len()];
-            let mut hi = vec![0i16; codes.len()];
-            for (i, &q) in codes.iter().enumerate() {
-                if q != 0 {
-                    let e = q.unsigned_abs() as u32 - 1;
-                    let (dst, er) = if e < POW2_PANEL_SHIFT {
-                        (&mut lo, e)
-                    } else {
-                        (&mut hi, e - POW2_PANEL_SHIFT)
-                    };
-                    let mag = 1i16 << er;
-                    dst[i] = if q < 0 { -mag } else { mag };
+                    mag
                 }
             }
-            Box::new((
-                qgemm::PanelB::pack(rows, cols, &lo),
-                qgemm::PanelB::pack(rows, cols, &hi),
-            ))
-        });
-        Some(PackedPow2 {
-            rows,
-            cols,
-            emin_used,
-            max_w_raw,
-            codes,
-            words16,
-            words32,
-            panel16,
-            panels_sa,
         })
-    }
-
-    /// Packed row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Elements per row.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The exponent of the code unit: a code `±q` means `±2^(q-1+emin_used)`.
-    pub fn emin_used(&self) -> i32 {
-        self.emin_used
-    }
-
-    /// Largest weight magnitude in units of `2^emin_used` (`2^span`) — the
-    /// certificate's weight bound.
-    pub fn max_w_raw(&self) -> i64 {
-        self.max_w_raw
-    }
-
-    /// The relative exponent codes, row-major.
-    pub fn codes(&self) -> &[i8] {
-        &self.codes
-    }
-
-    /// The codes materialized as fixed-point raws `±2^(q-1)` in units of
-    /// `2^emin_used`, when the span fits an i16 word (span ≤ 14).
-    pub fn words16(&self) -> Option<&[i16]> {
-        self.words16.as_deref()
-    }
-
-    /// The wide-span materialization: the same raws in i32 words, present
-    /// exactly when the span is 15..=30 (too wide for the i16 view, still
-    /// representable in i32).
-    pub fn words32(&self) -> Option<&[i32]> {
-        self.words32.as_deref()
-    }
-
-    /// Microkernel panel of [`Self::words16`] (span ≤ 14).
-    pub fn panel16(&self) -> Option<&qgemm::PanelB> {
-        self.panel16.as_ref()
-    }
-
-    /// The shift-add residual panels `(lo, hi)` for spans 15..=29.
-    pub fn shift_add_panels(&self) -> Option<(&qgemm::PanelB, &qgemm::PanelB)> {
-        self.panels_sa.as_ref().map(|b| (&b.0, &b.1))
-    }
+        .collect();
+    Some((raws, emin))
 }
 
-/// A weight tensor packed for the native kernels in one of the three
-/// packed forms. Rows are output units; `cols` is the reduction length.
+/// A weight tensor packed for the native kernel: i16 raws, each `r`
+/// meaning `r · 2^lsb_exp`, stored once in the register-blocked
+/// microkernel's packed-B layout (`qnn_tensor::qgemm::PanelB`). The panel
+/// lives as long as the layer's plan, so packing amortizes over every
+/// batched forward and serve request. Rows are output units; `cols` is
+/// the reduction length.
+///
+/// Three weight kinds pack, each into the same integers the simulated path
+/// multiplies by:
+/// * fixed-point of at most 16 bits — its two's-complement raws;
+/// * binary `±2^e` — raws `±1`, `lsb_exp = e`;
+/// * power-of-two with a used exponent span of at most 14 — raws
+///   `±2^(e-emin)`, `lsb_exp = emin`.
 #[derive(Debug, Clone)]
-pub enum PackedWeights {
-    /// Two's-complement fixed-point raws (16 bits or narrower).
-    Fixed(PackedFixed),
-    /// Binary ±2^e weights: sign planes plus a ±1 fixed view.
-    Binary(PackedBinary),
-    /// Power-of-two weights as relative exponent codes.
-    Pow2(PackedPow2),
+pub struct PackedWeights {
+    lsb_exp: i32,
+    /// Largest `|raw|` present — the certificate's weight bound.
+    max_abs_raw: i64,
+    panel: qgemm::PanelB,
 }
 
 impl PackedWeights {
     /// Packs quantized weights under their codec. `None` when the codec
-    /// has no packed form (float32, minifloat, wide fixed) or any value
-    /// fails the on-grid round trip.
+    /// has no packed form (float32, minifloat, fixed wider than 16 bits),
+    /// a binary scale is not a power of two, a power-of-two span is too
+    /// wide, or any value fails the on-grid round trip; the layer then
+    /// takes the simulated path.
     pub fn pack(codec: &BitCodec, rows: usize, cols: usize, data: &[f32]) -> Option<Self> {
-        match codec {
-            BitCodec::Fixed(f) => PackedFixed::pack(f, rows, cols, data).map(|mut p| {
-                p.build_panel();
-                PackedWeights::Fixed(p)
-            }),
-            BitCodec::Binary(b) => {
-                PackedBinary::pack(b, rows, cols, data).map(PackedWeights::Binary)
-            }
-            BitCodec::PowerOfTwo(p) => {
-                PackedPow2::pack(p, rows, cols, data).map(PackedWeights::Pow2)
-            }
-            _ => None,
-        }
+        assert_eq!(data.len(), rows * cols, "packed tensor shape mismatch");
+        let (raws, lsb_exp) = match codec {
+            BitCodec::Fixed(f) => (fixed_raws(f, rows, cols, data, false)?, -f.frac_bits()),
+            BitCodec::Binary(b) => binary_raws(b, data)?,
+            BitCodec::PowerOfTwo(p) => pow2_raws(p, data)?,
+            _ => return None,
+        };
+        let max_abs_raw = raws.iter().map(|&w| i64::from(w).abs()).max().unwrap_or(0);
+        Some(PackedWeights {
+            lsb_exp,
+            max_abs_raw,
+            panel: qgemm::PanelB::pack(rows, cols, &raws),
+        })
     }
 
     /// Output-unit (row) count.
     pub fn rows(&self) -> usize {
-        match self {
-            PackedWeights::Fixed(p) => p.rows(),
-            PackedWeights::Binary(p) => p.rows(),
-            PackedWeights::Pow2(p) => p.rows(),
-        }
+        self.panel.n()
     }
 
     /// Reduction length each row dots against.
     pub fn cols(&self) -> usize {
-        match self {
-            PackedWeights::Fixed(p) => p.cols(),
-            PackedWeights::Binary(p) => p.cols(),
-            PackedWeights::Pow2(p) => p.cols(),
-        }
+        self.panel.k()
     }
 }
 
@@ -972,20 +541,6 @@ fn acts_raw_bound(f: &Fixed, acts: &[f32]) -> i64 {
     }
 }
 
-fn pack_fixed_acts(
-    f: &Fixed,
-    acts: &[f32],
-    m: usize,
-    k: usize,
-    transposed: bool,
-) -> Option<PackedFixed> {
-    if transposed {
-        PackedFixed::pack_transposed(f, k, m, acts)
-    } else {
-        PackedFixed::pack(f, m, k, acts)
-    }
-}
-
 /// The operations the fused microkernel tail applies to each output row
 /// after the exact integer→f32 requantize: an optional per-output-column
 /// bias add and an optional output-precision snap.
@@ -996,7 +551,7 @@ fn pack_fixed_acts(
 /// identical bits wherever they run, so fusing them into the kernel tail
 /// (while the tile is still cache-hot) changes when and where they
 /// execute — never the result. The exactness burden stays entirely on
-/// [`dot_exact`] / [`dot_exact_shift_add`].
+/// [`dot_exact`].
 #[derive(Clone, Copy, Default)]
 pub struct Epilogue<'a> {
     /// Per-output-column bias (length `n`), added after requantize.
@@ -1016,10 +571,6 @@ impl Epilogue<'_> {
         Self::default()
     }
 
-    fn is_empty(&self) -> bool {
-        self.bias.is_none() && self.out_quant.is_none()
-    }
-
     /// Applies the epilogue to one already-requantized output row.
     #[inline]
     fn apply_row(&self, row: &mut [f32]) {
@@ -1032,22 +583,13 @@ impl Epilogue<'_> {
             q.quantize_slice(row);
         }
     }
-
-    /// Applies the epilogue to a full `m×n` buffer — the tail pass the
-    /// non-panel fallback kernels use; bit-identical to the fused form.
-    fn apply_all(&self, n: usize, out: &mut [f32]) {
-        if self.is_empty() {
-            return;
-        }
-        for row in out.chunks_mut(n.max(1)) {
-            self.apply_row(row);
-        }
-    }
 }
 
-/// Requantize one accumulator row into `out` (exact power-of-two scaling,
-/// same arithmetic as [`requantize_i32`]) and run the epilogue on it — the
-/// closure body of every fused panel-kernel call.
+/// Requantizes one accumulator row into `out` by the exact power-of-two
+/// `step` and runs the epilogue on it — the closure body of the fused
+/// panel-kernel call. The product is computed in f64 (24-bit significand ×
+/// exact power of two) and narrowed to an f32 that represents it exactly
+/// under the [`dot_exact`] certificate.
 #[inline]
 fn emit_row(step: f64, epi: &Epilogue, acc: &[i32], out: &mut [f32]) {
     for (o, &s) in out.iter_mut().zip(acc.iter()) {
@@ -1056,81 +598,17 @@ fn emit_row(step: f64, epi: &Epilogue, acc: &[i32], out: &mut [f32]) {
     epi.apply_row(out);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fixed_times_fixed(
-    f: &Fixed,
-    acts: &[f32],
-    m: usize,
-    k: usize,
-    transposed: bool,
-    pw: &PackedFixed,
-    epi: &Epilogue,
-    out: &mut [f32],
-) -> bool {
-    let n = pw.rows();
-    let lsb = -(f.frac_bits() + pw.frac_bits());
-    if !dot_exact(acts_raw_bound(f, acts), pw.max_abs_raw(), k, lsb) {
-        return false;
-    }
-    let Some(pa) = pack_fixed_acts(f, acts, m, k, transposed) else {
-        return false;
-    };
-    // The i16 kernel serves both widths (its widening dot compiles to
-    // `vpmaddwd`, which the i8 kernel's sign-extension-heavy codegen never
-    // reaches); integer arithmetic makes the choice invisible to results.
-    // Weight tensors carry a register-blocked panel (built once per plan),
-    // which takes the microkernel path with the epilogue fused into the
-    // tile tail; panel-less weights fall back to the row-at-a-time kernel
-    // plus separate passes — same bits either way.
-    if let Some(panel) = pw.panel() {
-        let step = (lsb as f64).exp2();
-        qgemm::gemm_nt_i16_panel_emit(m, k, n, pa.words16(), panel, out, |_r, acc, orow| {
-            emit_row(step, epi, acc, orow)
-        });
-        qnn_trace::counter!(CTR_REQUANT, 1);
-    } else {
-        let mut acc = vec![0i32; m * n];
-        qgemm::gemm_nt_i16(m, k, n, pa.words16(), pw.words16(), &mut acc);
-        requantize_i32(&acc, lsb, out);
-        epi.apply_all(n, out);
-    }
-    true
-}
-
-/// Packs binary activations (`±scale` only) straight into XNOR sign
-/// planes — the act side of the fully-binarized arm needs neither the ±1
-/// fixed view nor a `PackedBinary`, and skipping both keeps the per-batch
-/// cost at one bit test per element.
-fn pack_act_planes(b: &Binary, m: usize, k: usize, acts: &[f32]) -> Option<Vec<u64>> {
-    let words = k.div_ceil(64);
-    let mut planes = vec![0u64; m * words];
-    let pos_bits = b.scale().to_bits();
-    let neg_bits = (-b.scale()).to_bits();
-    for (r, row) in acts.chunks_exact(k.max(1)).enumerate().take(m) {
-        let dst = &mut planes[r * words..(r + 1) * words];
-        for (i, &x) in row.iter().enumerate() {
-            let bits = x.to_bits();
-            if bits == neg_bits {
-                dst[i / 64] |= 1u64 << (i % 64);
-            } else if bits != pos_bits {
-                return None;
-            }
-        }
-    }
-    Some(planes)
-}
-
 /// Computes `out[i·n + j] = dot(acts_row_i, weight_row_j)` on the native
-/// kernels, **bit-identical** to the simulated sequential-f32 product, or
+/// kernel, **bit-identical** to the simulated sequential-f32 product, or
 /// returns `false` leaving `out` unspecified (caller must fall back).
 ///
 /// `acts` is the already-quantized activation slice: `m×k` row-major, or
 /// `k×m` when `acts_transposed` (the im2col patch layout — either way the
 /// reduction dimension is packed contiguous). `act_codec` is the codec of
-/// the quantizer that produced it. Dispatch fires only when [`dot_exact`]
-/// certifies the whole computation; everything else — off-grid values,
-/// unpackable formats, non-power-of-two binary activation scales —
-/// returns `false`.
+/// the quantizer that produced it. Dispatch fires only for fixed-point
+/// activations when [`dot_exact`] certifies the whole computation;
+/// everything else — off-grid values, other activation formats, shape
+/// mismatches — returns `false`.
 pub fn matmul_on_grid(
     act_codec: &BitCodec,
     acts: &[f32],
@@ -1175,102 +653,37 @@ pub fn matmul_on_grid_fused(
     if epi.bias.is_some_and(|b| b.len() != n) {
         return false;
     }
-    match (act_codec, plan) {
-        (BitCodec::Fixed(f), PackedWeights::Fixed(pw)) => {
-            fixed_times_fixed(f, acts, m, k, acts_transposed, pw, epi, out)
-        }
-        (BitCodec::Fixed(f), PackedWeights::Binary(pb)) => {
-            fixed_times_fixed(f, acts, m, k, acts_transposed, pb.as_fixed(), epi, out)
-        }
-        (BitCodec::Fixed(f), PackedWeights::Pow2(pp)) => {
-            let lsb = pp.emin_used() - f.frac_bits();
-            if !dot_exact(acts_raw_bound(f, acts), pp.max_w_raw(), k, lsb) {
-                return false;
-            }
-            let Some(pa) = pack_fixed_acts(f, acts, m, k, acts_transposed) else {
-                return false;
-            };
-            let step = (lsb as f64).exp2();
-            // Same integers every way (every view is the shift-add result
-            // precomputed per weight), so the choice is purely a throughput
-            // one: the `vpmaddwd` microkernel when the span fits i16, the
-            // two-panel shift-add microkernel for spans 15..=29, one i32
-            // multiply per element at span 30, and the shift-add chain
-            // only for the span-31 edge.
-            if let Some(panel) = pp.panel16() {
-                qgemm::gemm_nt_i16_panel_emit(
-                    m,
-                    k,
-                    n,
-                    pa.words16(),
-                    panel,
-                    out,
-                    |_r, acc, orow| emit_row(step, epi, acc, orow),
-                );
-                qnn_trace::counter!(CTR_REQUANT, 1);
-            } else if let Some((lo, hi)) = pp.shift_add_panels() {
-                if !dot_exact_shift_add(
-                    acts_raw_bound(f, acts),
-                    pp.max_w_raw(),
-                    k,
-                    lsb,
-                    POW2_PANEL_SHIFT,
-                ) {
-                    return false;
-                }
-                qgemm::gemm_nt_i16_panel2_emit(
-                    m,
-                    k,
-                    n,
-                    pa.words16(),
-                    lo,
-                    hi,
-                    POW2_PANEL_SHIFT,
-                    out,
-                    |_r, acc, orow| emit_row(step, epi, acc, orow),
-                );
-                qnn_trace::counter!(CTR_REQUANT, 1);
-            } else {
-                let mut acc = vec![0i32; m * n];
-                match pp.words32() {
-                    Some(w32) => qgemm::gemm_nt_pow2_wide(m, k, n, pa.words16(), w32, &mut acc),
-                    None => qgemm::gemm_nt_pow2(m, k, n, pa.words16(), pp.codes(), &mut acc),
-                }
-                requantize_i32(&acc, lsb, out);
-                epi.apply_all(n, out);
-            }
-            true
-        }
-        (BitCodec::Binary(ab), PackedWeights::Binary(pb)) => {
-            // Binary activations only pack row-major (there is no
-            // transposed sign packer); the im2col path falls back, which
-            // the paper's sweeps never hit (binary uses fixed16 acts).
-            if acts_transposed {
-                return false;
-            }
-            let Some(ea) = pow2_scale_exp(ab.scale()) else {
-                return false;
-            };
-            let lsb = ea + pb.scale_exp();
-            if !dot_exact(1, 1, k, lsb) {
-                return false;
-            }
-            let Some(planes) = pack_act_planes(ab, m, k, acts) else {
-                return false;
-            };
-            let mut acc = vec![0i32; m * n];
-            qgemm::gemm_nt_xnor(m, k, n, &planes, pb.planes(), &mut acc);
-            requantize_i32(&acc, lsb, out);
-            epi.apply_all(n, out);
-            true
-        }
-        _ => false,
+    // No precision in use binarizes its activations, so fixed-point is the
+    // only activation format the route takes.
+    let BitCodec::Fixed(f) = act_codec else {
+        return false;
+    };
+    let lsb = plan.lsb_exp - f.frac_bits();
+    if !dot_exact(acts_raw_bound(f, acts), plan.max_abs_raw, k, lsb) {
+        return false;
     }
+    let (rows, cols) = if acts_transposed { (k, m) } else { (m, k) };
+    let Some(pa) = fixed_raws(f, rows, cols, acts, acts_transposed) else {
+        return false;
+    };
+    let step = (lsb as f64).exp2();
+    qgemm::gemm_nt_i16_panel_emit(m, k, n, &pa, &plan.panel, out, |_r, acc, orow| {
+        emit_row(step, epi, acc, orow)
+    });
+    qnn_trace::counter!(CTR_REQUANT, 1);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The weight raws, row-major, read back out of the panel.
+    fn raws(p: &PackedWeights) -> Vec<i16> {
+        (0..p.rows())
+            .flat_map(|j| (0..p.cols()).map(move |kk| p.panel.read(j, kk)))
+            .collect()
+    }
 
     #[test]
     fn pow2_scale_exp_accepts_only_powers_of_two() {
@@ -1366,29 +779,31 @@ mod tests {
     fn fixed_pack_round_trips_and_rejects_off_grid() {
         let f = Fixed::new(8, 4).unwrap();
         let vals: Vec<f32> = (-8i64..8).map(|i| f.decode(i * 3)).collect();
-        let p = PackedFixed::pack(&f, 4, 4, &vals).unwrap();
-        assert_eq!(p.frac_bits(), 4);
-        assert_eq!(p.max_abs_raw(), 24);
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(p.words16()[i] as f32 / 16.0, v);
+        let p = PackedWeights::pack(&BitCodec::Fixed(f), 4, 4, &vals).unwrap();
+        assert_eq!(p.lsb_exp, -4);
+        assert_eq!(p.max_abs_raw, 24);
+        for (&w, &v) in raws(&p).iter().zip(&vals) {
+            assert_eq!(w as f32 / 16.0, v);
         }
         // 0.1 is not on the Q4.4 grid.
         let mut bad = vals.clone();
         bad[3] = 0.1;
-        assert!(PackedFixed::pack(&f, 4, 4, &bad).is_none());
+        assert!(fixed_raws(&f, 4, 4, &bad, false).is_none());
         // -0.0 is not a codec output.
         let mut negz = vals;
         negz[0] = -0.0;
-        assert!(PackedFixed::pack(&f, 4, 4, &negz).is_none());
+        assert!(fixed_raws(&f, 4, 4, &negz, false).is_none());
     }
 
     #[test]
     fn fixed_pack_rejects_wide_formats_but_packs_16() {
         let f32fmt = Fixed::new(32, 16).unwrap();
-        assert!(PackedFixed::pack(&f32fmt, 1, 1, &[1.0]).is_none());
+        assert!(fixed_raws(&f32fmt, 1, 1, &[1.0], false).is_none());
         let f16 = Fixed::new(16, 8).unwrap();
-        let p = PackedFixed::pack(&f16, 1, 2, &[1.5, -2.0]).unwrap();
-        assert_eq!(p.words16(), &[384, -512]);
+        assert_eq!(
+            fixed_raws(&f16, 1, 2, &[1.5, -2.0], false).unwrap(),
+            [384, -512]
+        );
     }
 
     #[test]
@@ -1396,73 +811,47 @@ mod tests {
         let f = Fixed::new(8, 2).unwrap();
         // 2×3 row-major: [a b c; d e f] → packed rows are columns.
         let vals = [1.0, 2.0, 3.0, -1.0, -2.0, -3.0];
-        let p = PackedFixed::pack_transposed(&f, 2, 3, &vals).unwrap();
-        assert_eq!((p.rows(), p.cols()), (3, 2));
-        assert_eq!(p.words16(), &[4, -4, 8, -8, 12, -12]);
+        assert_eq!(
+            fixed_raws(&f, 2, 3, &vals, true).unwrap(),
+            [4, -4, 8, -8, 12, -12]
+        );
     }
 
     #[test]
-    fn binary_pack_planes_and_fixed_view_agree() {
+    fn binary_pack_is_the_unit_raw_view() {
         let b = Binary::with_scale(0.5).unwrap();
         let vals = [0.5, -0.5, -0.5, 0.5, 0.5, 0.5];
-        let p = PackedBinary::pack(&b, 2, 3, &vals).unwrap();
-        assert_eq!(p.scale_exp(), -1);
-        assert_eq!(p.words_per_row(), 1);
-        assert_eq!(p.planes()[0], 0b110);
-        assert_eq!(p.planes()[1], 0b000);
-        assert_eq!(p.as_fixed().words16(), &[1, -1, -1, 1, 1, 1]);
-        assert_eq!(p.as_fixed().frac_bits(), 1);
+        let p = PackedWeights::pack(&BitCodec::Binary(b), 2, 3, &vals).unwrap();
+        assert_eq!((p.rows(), p.cols()), (2, 3));
+        assert_eq!(raws(&p), [1, -1, -1, 1, 1, 1]);
+        assert_eq!((p.lsb_exp, p.max_abs_raw), (-1, 1));
         // Non-power-of-two scale cannot pack.
         let b2 = Binary::with_scale(0.3).unwrap();
-        assert!(PackedBinary::pack(&b2, 1, 1, &[0.3]).is_none());
+        assert!(PackedWeights::pack(&BitCodec::Binary(b2), 1, 1, &[0.3]).is_none());
     }
 
     #[test]
-    fn pow2_pack_codes_are_relative_to_used_window() {
+    fn pow2_pack_raws_are_relative_to_used_window() {
         let p2 = PowerOfTwo::new(6, 0).unwrap();
-        // Values 2^0, -2^-2, 0 → emin_used = -2, codes 3, -1, 0.
+        // Values 2^0, -2^-2, 0 → emin = -2, raws 4, -1, 0.
         let vals = [1.0, -0.25, 0.0];
-        let p = PackedPow2::pack(&p2, 1, 3, &vals).unwrap();
-        assert_eq!(p.emin_used(), -2);
-        assert_eq!(p.max_w_raw(), 4);
-        assert_eq!(p.codes(), &[3, -1, 0]);
-    }
-
-    #[test]
-    fn pow2_pack_materializes_by_span() {
-        // Span ≤ 14 → i16 view; 15..=30 → i32 view; 31 → codes only
-        // (+2^31 has no i32 representation); > 31 → refuses to pack.
-        let p6 = PowerOfTwo::new(6, 30).unwrap();
-        let narrow = PackedPow2::pack(&p6, 1, 2, &[1.0, 1024.0]).unwrap(); // span 10
-        assert!(narrow.words16().is_some() && narrow.words32().is_none());
-
-        let mid = PackedPow2::pack(&p6, 1, 2, &[1.0, (20f32).exp2()]).unwrap(); // span 20
-        assert!(mid.words16().is_none());
-        assert_eq!(mid.words32(), Some(&[1i32, 1 << 20][..]));
-
-        let p7 = PowerOfTwo::new(7, 32).unwrap();
-        let edge = PackedPow2::pack(&p7, 1, 2, &[1.0, (31f32).exp2()]).unwrap(); // span 31
-        assert!(edge.words16().is_none() && edge.words32().is_none());
-        assert_eq!(edge.codes(), &[1, 32]);
-
-        assert!(PackedPow2::pack(&p7, 1, 2, &[1.0, (32f32).exp2()]).is_none()); // span 32
+        let p = PackedWeights::pack(&BitCodec::PowerOfTwo(p2), 1, 3, &vals).unwrap();
+        assert_eq!((p.lsb_exp, p.max_abs_raw), (-2, 4));
+        assert_eq!(raws(&p), [4, -1, 0]);
     }
 
     #[test]
     fn requantize_is_exact_under_certificate() {
         let acc = [3i32, -5, 0, (1 << 24), -(1 << 24)];
         let mut out = [0.0f32; 5];
-        requantize_i32(&acc, -10, &mut out);
+        emit_row((-10f64).exp2(), &Epilogue::none(), &acc, &mut out);
         for (i, &a) in acc.iter().enumerate() {
             assert_eq!(out[i].to_bits(), (a as f32 / 1024.0).to_bits());
         }
         // Subnormal edge: 3 · 2^-149.
         let mut tiny = [0.0f32; 1];
-        requantize_i32(&[3], -149, &mut tiny);
+        emit_row((-149f64).exp2(), &Epilogue::none(), &[3], &mut tiny);
         assert_eq!(tiny[0].to_bits(), f32::from_bits(3).to_bits());
-        let mut big = [0.0f32; 1];
-        requantize_i64(&[1 << 24], 103, &mut big);
-        assert!(big[0].is_finite());
     }
 
     #[test]
@@ -1473,9 +862,9 @@ mod tests {
         let codec = BitCodec::Fixed(f);
         let v = f.decode(37);
         let flipped = codec.flip(v, 2);
-        let p = PackedFixed::pack(&f, 1, 2, &[v, flipped]).unwrap();
+        let words = fixed_raws(&f, 1, 2, &[v, flipped], false).unwrap();
         assert_eq!(
-            p.words16()[0] ^ p.words16()[1],
+            words[0] ^ words[1],
             0b100,
             "packed words must differ in exactly the flipped stored bit"
         );

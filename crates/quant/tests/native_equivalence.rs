@@ -9,14 +9,13 @@
 //! must be invariant to how rows are partitioned.
 //!
 //! The suites also pin the *honesty* of the certificate: formats or
-//! operands the kernels cannot compute exactly (fixed32, rail-magnitude
-//! fixed16 products, non-power-of-two binary scales, `-0.0` activations)
-//! must be declined — `matmul_on_grid` returns `false` / `pack` returns
-//! `None` — rather than computed approximately.
+//! operands the kernel cannot compute exactly (fixed32, rail-magnitude
+//! fixed16 products, non-power-of-two binary scales, pow2 exponent spans
+//! past 14, binary activations, `-0.0` activations) must be declined —
+//! `matmul_on_grid` returns `false` / `pack` returns `None` — rather than
+//! computed approximately.
 
-use qnn_quant::packed::{
-    dot_exact, dot_exact_shift_add, matmul_on_grid, matmul_on_grid_fused, Epilogue, PackedWeights,
-};
+use qnn_quant::packed::{matmul_on_grid, matmul_on_grid_fused, Epilogue, PackedWeights};
 use qnn_quant::{Binary, BitCodec, Fixed, PowerOfTwo, Quantizer};
 use qnn_tensor::par;
 use qnn_tensor::rng::{derive_seed, seeded, Rng};
@@ -200,9 +199,10 @@ fn fixed32_is_never_packed() {
 fn pow2_weights_bit_identical_or_honest() {
     // Table III row Powers of Two (6,16): pow2 weights against fixed
     // activations. A narrow exponent band keeps the certificate in range
-    // (native asserted); the full 6-bit window can push the shifted
-    // magnitude past 2^24, where only an honest fallback is acceptable —
-    // but if the kernel does fire, bits must still match.
+    // (native asserted); the full 6-bit window usually spans more than the
+    // 14 exponents that pack, or pushes the shifted magnitude past 2^24,
+    // where only an honest fallback is acceptable — but if the kernel does
+    // fire, bits must still match.
     cases(0x4e4, |rng| {
         let p = PowerOfTwo::new(6, rng.gen_range(-4i32..5)).unwrap();
         let wcodec = BitCodec::PowerOfTwo(p);
@@ -226,13 +226,14 @@ fn pow2_weights_bit_identical_or_honest() {
             })
             .collect();
         let acts = fixed_values(rng, &fa, m * k, 64);
-        let plan = PackedWeights::pack(&wcodec, n, k, &weights).expect("pow2 weights must pack");
         let reference = reference_nt(m, k, n, &acts, transposed, &weights);
-        match run_native(&acodec, &acts, m, k, transposed, &plan) {
+        let native = PackedWeights::pack(&wcodec, n, k, &weights)
+            .and_then(|plan| run_native(&acodec, &acts, m, k, transposed, &plan));
+        match native {
             Some(native) => assert_bits_eq(&native, &reference, "pow2"),
             None => assert!(
                 !narrow,
-                "narrow-band pow2 weights must pass the certificate"
+                "narrow-band pow2 weights must pack and pass the certificate"
             ),
         }
     });
@@ -258,41 +259,6 @@ fn binary_weights_bit_identical() {
         let reference = reference_nt(m, k, n, &acts, transposed, &weights);
         assert_bits_eq(&native, &reference, "binary×fixed");
     });
-}
-
-#[test]
-fn binary_binary_xnor_bit_identical() {
-    // Fully binarized product: both operands ±2^e, which dispatches to the
-    // XNOR+popcount plane kernel. Certificate is (1,1,k) — always exact.
-    cases(0x4e6, |rng| {
-        let ea = rng.gen_range(-3i32..4);
-        let ew = rng.gen_range(-3i32..4);
-        let ba = Binary::with_scale((ea as f32).exp2()).unwrap();
-        let bw = Binary::with_scale((ew as f32).exp2()).unwrap();
-        let acodec = BitCodec::Binary(ba);
-        let wcodec = BitCodec::Binary(bw);
-        let m = rng.gen_range(1usize..6);
-        // Cross u64 plane boundaries: k up to 130.
-        let k = rng.gen_range(1usize..131);
-        let n = rng.gen_range(1usize..6);
-        let acts: Vec<f32> = (0..m * k).map(|_| ba.decode(rng.gen_bool(0.5))).collect();
-        let weights: Vec<f32> = (0..n * k).map(|_| bw.decode(rng.gen_bool(0.5))).collect();
-        let plan = PackedWeights::pack(&wcodec, n, k, &weights).expect("binary weights must pack");
-        let native = run_native(&acodec, &acts, m, k, false, &plan)
-            .expect("binary×binary certificate must hold");
-        let reference = reference_nt(m, k, n, &acts, false, &weights);
-        assert_bits_eq(&native, &reference, "binary×binary");
-    });
-}
-
-#[test]
-fn non_pow2_binary_scale_is_rejected() {
-    // A binary scale that is not a power of two cannot be folded into the
-    // exponent-only requantize step; packing must refuse it.
-    let b = Binary::with_scale(0.3).unwrap();
-    let codec = BitCodec::Binary(b);
-    let weights: Vec<f32> = (0..8).map(|i| b.decode(i % 2 == 0)).collect();
-    assert!(PackedWeights::pack(&codec, 2, 4, &weights).is_none());
 }
 
 #[test]
@@ -389,9 +355,17 @@ fn fused_epilogue_matches_separate_passes_across_codecs() {
                 let wcodec = BitCodec::PowerOfTwo(p);
                 let fa = Fixed::new(8, rng.gen_range(0i32..6)).unwrap();
                 let acodec = BitCodec::Fixed(fa);
+                // The top 15 exponents (span 14, the widest that packs)
+                // plus zero.
                 let hi_code = (p.max_exp() - p.min_exp()) as u32 + 1;
                 let weights: Vec<f32> = (0..n * k)
-                    .map(|_| p.decode(rng.gen_bool(0.5), rng.gen_range(0..hi_code + 1)))
+                    .map(|_| {
+                        let code = match rng.gen_range(0u32..16) {
+                            0 => 0,
+                            c => hi_code - 15 + c,
+                        };
+                        p.decode(rng.gen_bool(0.5), code)
+                    })
                     .collect();
                 let acts = fixed_values(rng, &fa, m * k, 64);
                 let plan = PackedWeights::pack(&wcodec, n, k, &weights).unwrap();
@@ -409,8 +383,9 @@ fn fused_epilogue_matches_separate_passes_across_codecs() {
             _ => {
                 let b = Binary::with_scale((rng.gen_range(-3i32..4) as f32).exp2()).unwrap();
                 let wcodec = BitCodec::Binary(b);
-                let acodec = BitCodec::Binary(b);
-                let acts: Vec<f32> = (0..m * k).map(|_| b.decode(rng.gen_bool(0.5))).collect();
+                let fa = Fixed::new(16, rng.gen_range(4i32..10)).unwrap();
+                let acodec = BitCodec::Fixed(fa);
+                let acts = fixed_values(rng, &fa, m * k, 256);
                 let weights: Vec<f32> = (0..n * k).map(|_| b.decode(rng.gen_bool(0.5))).collect();
                 let plan = PackedWeights::pack(&wcodec, n, k, &weights).unwrap();
                 assert_fused_matches_separate(
@@ -421,56 +396,10 @@ fn fused_epilogue_matches_separate_passes_across_codecs() {
                     transposed,
                     &plan,
                     rng,
-                    "fused xnor",
+                    "fused binary×fixed16",
                 );
             }
         }
-    });
-}
-
-#[test]
-fn wide_span_pow2_uses_shift_add_panels_bit_identically() {
-    // Spans 15..=29 have no i16 view; they must take the two-panel
-    // shift-add microkernel (asserted non-vacuously) and still match the
-    // f32 reference bit for bit under the extended certificate.
-    cases(0x4e9, |rng| {
-        let p = PowerOfTwo::new(6, rng.gen_range(-2i32..3)).unwrap();
-        let wcodec = BitCodec::PowerOfTwo(p);
-        let fa = Fixed::new(8, rng.gen_range(2i32..6)).unwrap();
-        let acodec = BitCodec::Fixed(fa);
-        let m = rng.gen_range(1usize..6);
-        let k = rng.gen_range(2usize..8);
-        let n = rng.gen_range(1usize..6);
-        // Force the used-exponent span into the shift-add band; |a|raw ≤ 2
-        // and k ≤ 7 keep `dot_exact` satisfied through its conservative
-        // activation bound ((2+1) · 2^19 · 7 < 2^24).
-        let span = rng.gen_range(15u32..20);
-        let hi_code = (p.max_exp() - p.min_exp()) as u32 + 1;
-        let lo_code = hi_code - span;
-        let mut weights: Vec<f32> = (0..n * k)
-            .map(|_| {
-                let code = rng.gen_range(lo_code..hi_code + 1);
-                p.decode(rng.gen_bool(0.5), code)
-            })
-            .collect();
-        weights[0] = p.decode(false, lo_code);
-        weights[n * k - 1] = p.decode(true, hi_code);
-        let acts = fixed_values(rng, &fa, m * k, 1);
-        let plan = PackedWeights::pack(&wcodec, n, k, &weights).expect("wide pow2 must pack");
-        match &plan {
-            PackedWeights::Pow2(pp) => {
-                assert!(pp.words16().is_none(), "span {span} must not fit i16");
-                assert!(
-                    pp.shift_add_panels().is_some(),
-                    "span {span} must build shift-add panels"
-                );
-            }
-            _ => panic!("pow2 weights must pack as Pow2"),
-        }
-        let native = run_native(&acodec, &acts, m, k, false, &plan)
-            .expect("|a|raw ≤ 1 keeps the wide-span certificate");
-        let reference = reference_nt(m, k, n, &acts, false, &weights);
-        assert_bits_eq(&native, &reference, &format!("shift-add span {span}"));
     });
 }
 
@@ -495,26 +424,6 @@ fn fused_epilogue_rejects_mismatched_bias() {
 }
 
 #[test]
-fn shift_add_certificate_extends_dot_exact() {
-    // `dot_exact_shift_add` must imply `dot_exact` and additionally bound
-    // the base shift and the down-shifted residual magnitude.
-    assert!(dot_exact(1, 1 << 20, 8, -10));
-    assert!(dot_exact_shift_add(1, 1 << 20, 8, -10, 15));
-    // Rejections unique to the shift-add form:
-    assert!(
-        !dot_exact_shift_add(1, 1 << 20, 8, -10, 31),
-        "a 31-bit base shift overflows the i32 accumulator recombination"
-    );
-    assert!(
-        !dot_exact_shift_add(1, 1 << 20, 8, -10, 4),
-        "residual 2^16 after a 4-bit shift exceeds the i16 panel word"
-    );
-    // The base certificate still gates: same operands, k too large.
-    assert!(!dot_exact(1 << 8, 1 << 20, 8, -10));
-    assert!(!dot_exact_shift_add(1 << 8, 1 << 20, 8, -10, 15));
-}
-
-#[test]
 fn float32_and_minifloat_have_no_packed_form() {
     // The remaining Table III row (Floating-Point (32,32)) and the
     // minifloat codec never dispatch natively.
@@ -524,4 +433,69 @@ fn float32_and_minifloat_have_no_packed_form() {
     let q: &dyn Quantizer = &mf;
     let snapped: Vec<f32> = weights.iter().map(|&x| q.quantize_value(x)).collect();
     assert!(PackedWeights::pack(&BitCodec::Minifloat(mf), 2, 2, &snapped).is_none());
+}
+
+/// What the one native route must do with a case at its boundary.
+enum Route {
+    /// Packs and runs native, bit-identical to the reference.
+    Native,
+    /// `PackedWeights::pack` returns `None`.
+    NoPack,
+    /// Packs, but `matmul_on_grid` declines the activations.
+    Declined,
+}
+
+#[test]
+fn native_route_boundary() {
+    // The native route takes i16 weight raws scaled by a power of two
+    // against fixed-point activations; everything past that must be
+    // declined, never approximated.
+    use Route::*;
+    let (m, k, n) = (3usize, 4usize, 2usize);
+    let p6 = BitCodec::PowerOfTwo(PowerOfTwo::new(6, 0).unwrap()); // exponents -30..=0
+    let p7 = BitCodec::PowerOfTwo(PowerOfTwo::new(7, 0).unwrap()); // exponents -62..=0
+    let half = Binary::with_scale(0.5).unwrap();
+    let odd = Binary::with_scale(0.3).unwrap();
+    let fa = Fixed::new(8, 0).unwrap();
+
+    // Alternating-sign weights whose used exponents run from 0 down to -span.
+    let pow2 = |span: i32| -> Vec<f32> {
+        (0..(n * k) as i32)
+            .map(|i| (-(span * i / 7) as f32).exp2() * if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect()
+    };
+    let signs =
+        |b: Binary, len: usize| -> Vec<f32> { (0..len).map(|i| b.decode(i % 3 == 0)).collect() };
+    let (bh, bo) = (BitCodec::Binary(half), BitCodec::Binary(odd));
+    // (case, weight codec, weights, binary activations?, expected route)
+    let table = [
+        ("pow2 span 14", p6, pow2(14), false, Native),
+        ("pow2 span 15", p6, pow2(15), false, NoPack),
+        ("pow2 span 30", p6, pow2(30), false, NoPack),
+        ("pow2 span 31", p7, pow2(31), false, NoPack),
+        ("binary acts", bh, signs(half, n * k), true, Declined),
+        ("binary scale 0.3", bo, signs(odd, n * k), false, NoPack),
+    ];
+    for (label, wcodec, weights, binary_acts, route) in table {
+        let (acodec, acts) = if binary_acts {
+            (bh, signs(half, m * k))
+        } else {
+            let raws = (0..m * k).map(|i| fa.decode(i as i64 % 3 - 1));
+            (BitCodec::Fixed(fa), raws.collect())
+        };
+        match (route, PackedWeights::pack(&wcodec, n, k, &weights)) {
+            (NoPack, plan) => assert!(plan.is_none(), "{label}: must not pack"),
+            (Declined, Some(plan)) => assert!(
+                run_native(&acodec, &acts, m, k, false, &plan).is_none(),
+                "{label}: must be declined"
+            ),
+            (Native, Some(plan)) => {
+                let native = run_native(&acodec, &acts, m, k, false, &plan)
+                    .unwrap_or_else(|| panic!("{label}: must run native"));
+                let reference = reference_nt(m, k, n, &acts, false, &weights);
+                assert_bits_eq(&native, &reference, label);
+            }
+            (_, None) => panic!("{label}: must pack"),
+        }
+    }
 }

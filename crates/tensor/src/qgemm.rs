@@ -1,40 +1,46 @@
-//! Native low-precision GEMM kernels over pre-encoded integer words.
+//! The native low-precision GEMM kernel over pre-encoded integer words.
 //!
-//! These are the compute cores behind the quantized fast path: instead of
+//! This is the compute core behind the quantized fast path: instead of
 //! snapping values to the format grid and multiplying in f32 (the
 //! Ristretto-style simulation in `qnn-quant`), callers pre-encode both
-//! operands into narrow two's-complement words (or bit planes / exponent
-//! codes) and the kernels accumulate in wide integers — i8×i8 and i16×i16
-//! into i32, power-of-two shift-add into i64, and binary×binary as
-//! XNOR + `count_ones` over packed `u64` planes.
+//! operands as two's-complement i16 raws and the kernel accumulates in
+//! i32. Every packable weight kind — fixed-point, binary `±2^e` and narrow
+//! power-of-two — reaches it as i16 raws scaled by a power of two, so one
+//! kernel serves them all: a register-blocked 4×16 microkernel over a
+//! packed-B panel ([`PanelB`]) built on `vpmaddwd`, with the requantize
+//! epilogue fused into its row tail ([`gemm_nt_i16_panel_emit`]). The
+//! committed `BENCH_kernels.json` (256³, 1 thread, through the dispatch
+//! entry in `qnn_quant::packed`) times it at 4.31× (fixed8), 4.27×
+//! (fixed16) and 4.33× (pow2) the f32 GEMM, and binary ±1 weights ×
+//! fixed16 at 5.06× in a later run on a host whose f32 GEMM was slower.
 //!
-//! All kernels compute the **NT** product `C[i][j] = dot(A.row(i), B.row(j))`
+//! The kernels compute the **NT** product `C[i][j] = dot(A.row(i), B.row(j))`
 //! — both operands are k-contiguous, which is the layout the dense layer
 //! (activations × weightsᵀ) and the im2col'd convolution (weights × colsᵀ)
-//! both want, and the one the auto-vectorizer handles best.
+//! both want. [`gemm_nt_i16`] is the plain row-at-a-time reference the
+//! microkernel is tested against.
 //!
 //! ## Exactness contract
 //!
 //! Integer arithmetic is associative, so unlike the f32 GEMM in
 //! [`crate::gemm`] these kernels are bit-identical at any thread count *and*
 //! any summation order by construction. The caller must guarantee
-//! `Σ_k |A[i][k] · B[j][k]| <= i32::MAX` for every output of the i8/i16
-//! kernels (the quantized dispatch enforces the far stricter `<= 2^24`
-//! certificate from `qnn_quant::packed`, which also makes the final
-//! requantize-to-f32 exact). Under that bound no partial sum can overflow —
-//! not even reassociated SIMD partials — so debug and release builds agree.
+//! `Σ_k |A[i][k] · B[j][k]| <= i32::MAX` for every output (the quantized
+//! dispatch enforces the far stricter `<= 2^24` certificate from
+//! `qnn_quant::packed`, which also makes the final requantize-to-f32
+//! exact). Under that bound no partial sum can overflow — not even
+//! reassociated SIMD partials — so debug and release builds agree.
 //!
 //! ## SIMD dispatch
 //!
-//! rustc's default x86-64 baseline is SSE2 with no hardware `popcnt`, which
-//! leaves ~5x on the table for the XNOR kernel and ~2x for the i16 kernel.
-//! Each inner loop is written once as a safe `#[inline(always)]` body and
-//! instantiated twice: a plain safe wrapper, and a
-//! `#[target_feature(enable = "avx2,popcnt")]` wrapper selected at runtime
-//! via `is_x86_feature_detected!`. Both wrappers run the *same* Rust code on
-//! the same integers, so feature detection can never change results. The
-//! `unsafe` at the call site is the narrow, standard obligation of
-//! `target_feature` dispatch: the features were verified on this CPU.
+//! rustc's default x86-64 baseline is SSE2, which leaves the 256-bit
+//! `vpmaddwd` on the table. The microkernel is written twice over the same
+//! tile walk and panel reads: a plain scalar instantiation, and a
+//! `#[target_feature(enable = "avx2")]` one selected at runtime via
+//! `is_x86_feature_detected!`. Both run the same integer products, so
+//! feature detection can never change results. The `unsafe` at the call
+//! site is the narrow, standard obligation of `target_feature` dispatch:
+//! the feature was verified on this CPU.
 
 use crate::par;
 
@@ -42,33 +48,29 @@ use crate::par;
 const CTR_CALLS: &str = "tensor.qgemm.calls";
 /// Trace counter: packed multiply-accumulate operations (`m·k·n`).
 const CTR_PACKED_OPS: &str = "tensor.qgemm.packed_ops";
-/// Trace counter: `u64` popcount operations issued by the XNOR kernel.
-const CTR_POPCOUNTS: &str = "tensor.qgemm.popcounts";
 
 /// Output rows per parallel work unit. Fixed (not derived from the thread
 /// count) so the partition is deterministic; integer math makes any
 /// partition bit-identical anyway.
 const ROWS_PER_TASK: usize = 8;
 
-/// True when the AVX2 + POPCNT fast wrappers may be used on this CPU.
+/// True when the AVX2 microkernel may be used on this CPU.
 #[cfg(target_arch = "x86_64")]
 fn simd_ok() -> bool {
     static OK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *OK.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
-    })
+    *OK.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-/// Expands to a runtime-dispatched call of an `#[inline(always)]` kernel
-/// body: on x86-64 with AVX2+POPCNT, through a `#[target_feature]` clone of
-/// the body; otherwise the plain safe instantiation. Same code either way.
+/// Expands to a runtime-dispatched call of a kernel body: on x86-64 with
+/// AVX2, through its `#[target_feature]` instantiation; otherwise the plain
+/// safe one. Same integer results either way.
 macro_rules! dispatch {
     ($body:ident, $avx2:ident, ($($arg:expr),*)) => {{
         #[cfg(target_arch = "x86_64")]
         {
             if simd_ok() {
-                // SAFETY: `simd_ok` verified avx2+popcnt on this CPU, which
-                // is the only precondition of the target_feature wrapper.
+                // SAFETY: `simd_ok` verified avx2 on this CPU, which is the
+                // only precondition of the target_feature wrapper.
                 unsafe { $avx2($($arg),*) }
             } else {
                 $body($($arg),*)
@@ -81,276 +83,24 @@ macro_rules! dispatch {
     }};
 }
 
-/// Declares the AVX2+POPCNT clone of a kernel body.
-macro_rules! avx2_clone {
-    ($name:ident = $body:ident ( $($arg:ident : $ty:ty),* )) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,popcnt")]
-        unsafe fn $name($($arg: $ty),*) {
-            $body($($arg),*);
-        }
-    };
-}
-
-fn check_nt_dims<A, B, C>(m: usize, k: usize, n: usize, a: &[A], b: &[B], c: &[C]) {
+/// `C[i][j] = Σ_k A[i][k]·B[j][k]` over i16 words with i32 accumulation,
+/// one output at a time — the reference the panel microkernel is tested
+/// against.
+///
+/// `a` is `m×k` row-major, `b` is `n×k` row-major (i.e. Bᵀ), `c` is
+/// `m×n`. Caller contract: `Σ_k |A[i][k]·B[j][k]| <= i32::MAX` for every
+/// output (see module docs).
+pub fn gemm_nt_i16(m: usize, k: usize, n: usize, a: &[i16], b: &[i16], c: &mut [i32]) {
     assert_eq!(a.len(), m * k, "A must be m*k");
     assert_eq!(b.len(), n * k, "B must be n*k (row-major transposed)");
     assert_eq!(c.len(), m * n, "C must be m*n");
-}
-
-// ---------------------------------------------------------------------------
-// i8 / i16 fixed-point kernels
-// ---------------------------------------------------------------------------
-
-/// Widening dot-product rows body, shared by the i8 and i16 kernels.
-/// Processes the row-chunk `a_rows` (each row `k` long) against all `n`
-/// rows of `b`, writing into the matching chunk of `c`.
-macro_rules! int_rows_body {
-    ($name:ident, $t:ty) => {
-        #[inline(always)]
-        fn $name(k: usize, n: usize, a_rows: &[$t], b: &[$t], c: &mut [i32]) {
-            for (ar, crow) in a_rows.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
-                for (cv, br) in crow.iter_mut().zip(b.chunks_exact(k)) {
-                    let mut acc = 0i32;
-                    for (&x, &y) in ar.iter().zip(br.iter()) {
-                        acc += x as i32 * y as i32;
-                    }
-                    *cv = acc;
-                }
-            }
-        }
-    };
-}
-
-int_rows_body!(rows_i8, i8);
-int_rows_body!(rows_i16, i16);
-avx2_clone!(rows_i8_avx2 = rows_i8(k: usize, n: usize, a_rows: &[i8], b: &[i8], c: &mut [i32]));
-avx2_clone!(rows_i16_avx2 = rows_i16(k: usize, n: usize, a_rows: &[i16], b: &[i16], c: &mut [i32]));
-
-macro_rules! int_gemm {
-    ($(#[$doc:meta])* $name:ident, $t:ty, $body:ident, $avx2:ident) => {
-        $(#[$doc])*
-        pub fn $name(m: usize, k: usize, n: usize, a: &[$t], b: &[$t], c: &mut [i32]) {
-            check_nt_dims(m, k, n, a, b, c);
-            qnn_trace::counter!(CTR_CALLS, 1);
-            qnn_trace::counter!(CTR_PACKED_OPS, (m * k * n) as u64);
-            if k == 0 {
-                c.fill(0);
-                return;
-            }
-            par::for_each_chunk_mut(c, ROWS_PER_TASK * n, |ci, chunk| {
-                let rows = chunk.len() / n;
-                let start = ci * ROWS_PER_TASK;
-                let a_rows = &a[start * k..(start + rows) * k];
-                dispatch!($body, $avx2, (k, n, a_rows, b, chunk));
-            });
-        }
-    };
-}
-
-int_gemm!(
-    /// `C[i][j] = Σ_k A[i][k]·B[j][k]` over i8 words with i32 accumulation.
-    ///
-    /// `a` is `m×k` row-major, `b` is `n×k` row-major (i.e. Bᵀ), `c` is
-    /// `m×n`. Caller contract: `Σ_k |A[i][k]·B[j][k]| <= i32::MAX` for every
-    /// output (see module docs).
-    gemm_nt_i8, i8, rows_i8, rows_i8_avx2
-);
-int_gemm!(
-    /// `C[i][j] = Σ_k A[i][k]·B[j][k]` over i16 words with i32 accumulation.
-    ///
-    /// Same layout and caller contract as [`gemm_nt_i8`].
-    gemm_nt_i16, i16, rows_i16, rows_i16_avx2
-);
-
-// ---------------------------------------------------------------------------
-// Binary XNOR-popcount kernel
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn rows_xnor(words: usize, n: usize, k_bits: i32, a_rows: &[u64], b: &[u64], c: &mut [i32]) {
-    for (ar, crow) in a_rows.chunks_exact(words).zip(c.chunks_exact_mut(n)) {
-        for (cv, br) in crow.iter_mut().zip(b.chunks_exact(words)) {
-            let mut diff = 0u32;
-            for (&x, &y) in ar.iter().zip(br.iter()) {
-                diff += (x ^ y).count_ones();
-            }
-            *cv = k_bits - 2 * diff as i32;
+    for (i, crow) in c.chunks_exact_mut(n.max(1)).enumerate() {
+        let ar = &a[i * k..(i + 1) * k];
+        for (j, cv) in crow.iter_mut().enumerate() {
+            let br = &b[j * k..(j + 1) * k];
+            *cv = ar.iter().zip(br).map(|(&x, &y)| x as i32 * y as i32).sum();
         }
     }
-}
-avx2_clone!(
-    rows_xnor_avx2 =
-        rows_xnor(words: usize, n: usize, k_bits: i32, a_rows: &[u64], b: &[u64], c: &mut [i32])
-);
-
-/// Binary×binary GEMM over sign planes: `C[i][j] = Σ_k s(A)·s(B)` where
-/// each element is ±1, stored as one bit per element (1 = negative).
-///
-/// `a` is `m×words` and `b` is `n×words` of packed `u64` planes, each row
-/// holding `k_bits` sign bits little-endian within words; `c` is `m×n`.
-/// The dot product of ±1 vectors is `k - 2·popcount(a XOR b)`. Padding
-/// bits beyond `k_bits` must be **equal** in both operands (the packers
-/// zero them), so they XOR to 0 and contribute nothing.
-///
-/// The result is the dot product in units of `scale_a · scale_b`; the
-/// caller applies that scale in the requantize step.
-pub fn gemm_nt_xnor(m: usize, k_bits: usize, n: usize, a: &[u64], b: &[u64], c: &mut [i32]) {
-    let words = k_bits.div_ceil(64);
-    assert_eq!(a.len(), m * words, "A must be m*ceil(k/64) words");
-    assert_eq!(b.len(), n * words, "B must be n*ceil(k/64) words");
-    assert_eq!(c.len(), m * n, "C must be m*n");
-    assert!(k_bits <= i32::MAX as usize, "k_bits too large");
-    qnn_trace::counter!(CTR_CALLS, 1);
-    qnn_trace::counter!(CTR_PACKED_OPS, (m * k_bits * n) as u64);
-    qnn_trace::counter!(CTR_POPCOUNTS, (m * n * words) as u64);
-    if words == 0 {
-        c.fill(0);
-        return;
-    }
-    let kb = k_bits as i32;
-    par::for_each_chunk_mut(c, ROWS_PER_TASK * n, |ci, chunk| {
-        let rows = chunk.len() / n;
-        let start = ci * ROWS_PER_TASK;
-        let a_rows = &a[start * words..(start + rows) * words];
-        dispatch!(rows_xnor, rows_xnor_avx2, (words, n, kb, a_rows, b, chunk));
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Power-of-two shift-add kernel
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn rows_pow2(k: usize, n: usize, a_rows: &[i16], codes: &[i8], c: &mut [i32]) {
-    for (ar, crow) in a_rows.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
-        for (cv, wr) in crow.iter_mut().zip(codes.chunks_exact(k)) {
-            let mut acc = 0i32;
-            for (&x, &q) in ar.iter().zip(wr.iter()) {
-                // q = 0 encodes a zero weight; q > 0 is +2^(q-1) relative
-                // to the window floor, q < 0 the negated magnitude.
-                // Branch-free select chain: random exponent codes make the
-                // branchy form mispredict nearly every element, and this
-                // shape vectorizes (AVX2 `vpsllvd` + blends). For q = 0 the
-                // shift amount is a masked don't-care; the final select
-                // discards the lane, and `<<` on i32 drops overflowed
-                // value bits deterministically either way.
-                let code = q as i32;
-                let sh = code.unsigned_abs().wrapping_sub(1) & 31;
-                let shifted = (x as i32) << sh;
-                let signed = if code < 0 { -shifted } else { shifted };
-                acc += if code == 0 { 0 } else { signed };
-            }
-            *cv = acc;
-        }
-    }
-}
-avx2_clone!(
-    rows_pow2_avx2 = rows_pow2(k: usize, n: usize, a_rows: &[i16], codes: &[i8], c: &mut [i32])
-);
-
-/// Fixed-point × power-of-two GEMM as shift-add — the software mirror of
-/// the paper's shifter/sign-mux WB variant (no multiplier at all).
-///
-/// `a` is `m×k` fixed-point raws; `codes` is `n×k` relative exponent codes
-/// (`0` → weight is exactly zero, `±q` → weight is `±2^(q-1)` in units of
-/// `2^emin_used`, with `q-1 <= 31`). `c` is `m×n`, in units of
-/// `step_a · 2^emin_used`. Caller contract: `Σ_k |A[i][k]| · 2^(q-1)` must
-/// stay `<= i32::MAX` for every output (the dispatch certificate bounds it
-/// by `2^24`), so the i32 accumulator is exact under any summation order.
-pub fn gemm_nt_pow2(m: usize, k: usize, n: usize, a: &[i16], codes: &[i8], c: &mut [i32]) {
-    check_nt_dims(m, k, n, a, codes, c);
-    qnn_trace::counter!(CTR_CALLS, 1);
-    qnn_trace::counter!(CTR_PACKED_OPS, (m * k * n) as u64);
-    if k == 0 {
-        c.fill(0);
-        return;
-    }
-    par::for_each_chunk_mut(c, ROWS_PER_TASK * n, |ci, chunk| {
-        let rows = chunk.len() / n;
-        let start = ci * ROWS_PER_TASK;
-        let a_rows = &a[start * k..(start + rows) * k];
-        dispatch!(rows_pow2, rows_pow2_avx2, (k, n, a_rows, codes, chunk));
-    });
-}
-
-#[inline(always)]
-fn rows_pow2_wide(k: usize, n: usize, a_rows: &[i16], w: &[i32], c: &mut [i32]) {
-    // Weight-row outer loop: each 4-byte-wide `w` row is read once and
-    // reused against the whole (≤ ROWS_PER_TASK-row, L1-resident) A
-    // chunk, instead of streaming all of `w` per A row — the i32 words
-    // are twice the traffic of the i16 kernels. The chunk is widened to
-    // i32 once up front (no per-element sign-extension inside the hot
-    // loop), and four A rows share each weight load through four
-    // independent accumulators, which the vectorizer keeps in registers.
-    // Integer adds reassociate freely, so none of this can change bits.
-    let rows = a_rows.len().checked_div(k).unwrap_or(0);
-    let aw: Vec<i32> = a_rows.iter().map(|&x| x as i32).collect();
-    for (j, wr) in w.chunks_exact(k).enumerate() {
-        let mut r = 0;
-        while r + 4 <= rows {
-            let a0 = &aw[r * k..(r + 1) * k];
-            let a1 = &aw[(r + 1) * k..(r + 2) * k];
-            let a2 = &aw[(r + 2) * k..(r + 3) * k];
-            let a3 = &aw[(r + 3) * k..(r + 4) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0i32, 0i32, 0i32, 0i32);
-            let quads = a0.iter().zip(a1.iter()).zip(a2.iter().zip(a3.iter()));
-            for (((&x0, &x1), (&x2, &x3)), &wv) in quads.zip(wr.iter()) {
-                s0 += x0 * wv;
-                s1 += x1 * wv;
-                s2 += x2 * wv;
-                s3 += x3 * wv;
-            }
-            c[r * n + j] = s0;
-            c[(r + 1) * n + j] = s1;
-            c[(r + 2) * n + j] = s2;
-            c[(r + 3) * n + j] = s3;
-            r += 4;
-        }
-        while r < rows {
-            let ar = &aw[r * k..(r + 1) * k];
-            let mut acc = 0i32;
-            for (&x, &wv) in ar.iter().zip(wr.iter()) {
-                acc += x * wv;
-            }
-            c[r * n + j] = acc;
-            r += 1;
-        }
-    }
-}
-avx2_clone!(
-    rows_pow2_wide_avx2 =
-        rows_pow2_wide(k: usize, n: usize, a_rows: &[i16], w: &[i32], c: &mut [i32])
-);
-
-/// Fixed-point × wide-span power-of-two GEMM over *materialised* weight
-/// raws: `w` holds each weight as `±2^(q-1)` in an `i32` word (exponents
-/// up to 30, which the `i8` code form can't widen into an `i16` view).
-///
-/// One multiply per element — `vpmovsxwd` + `vpmulld` under AVX2 —
-/// instead of the shift/negate/select chain of [`gemm_nt_pow2`], which
-/// this replaces for every span the raws fit (≤ 30); the shift-add
-/// kernel remains only for span 31. Same layout and caller contract as
-/// [`gemm_nt_pow2`]: `Σ_k |A[i][k]·w[j][k]| <= i32::MAX` per output, so
-/// the i32 accumulation is exact under any summation order.
-pub fn gemm_nt_pow2_wide(m: usize, k: usize, n: usize, a: &[i16], w: &[i32], c: &mut [i32]) {
-    check_nt_dims(m, k, n, a, w, c);
-    qnn_trace::counter!(CTR_CALLS, 1);
-    qnn_trace::counter!(CTR_PACKED_OPS, (m * k * n) as u64);
-    if k == 0 {
-        c.fill(0);
-        return;
-    }
-    par::for_each_chunk_mut(c, ROWS_PER_TASK * n, |ci, chunk| {
-        let rows = chunk.len() / n;
-        let start = ci * ROWS_PER_TASK;
-        let a_rows = &a[start * k..(start + rows) * k];
-        dispatch!(
-            rows_pow2_wide,
-            rows_pow2_wide_avx2,
-            (k, n, a_rows, w, chunk)
-        );
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -479,7 +229,8 @@ fn panel_rows_i16(k: usize, n: usize, a_rows: &[i16], panel: &[i16], c: &mut [i3
 /// Under the caller contract (`Σ_k |A[i][k]·B[j][k]| <= i32::MAX` per
 /// output) no `vpmaddwd` pair-sum or `vpaddd` partial can overflow — every
 /// partial is bounded by the sum of absolute products — so the result is
-/// bit-identical to [`panel_rows_i16`] and to the row-at-a-time kernels.
+/// bit-identical to [`panel_rows_i16`] and to the row-at-a-time reference
+/// [`gemm_nt_i16`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn panel_rows_i16_avx2(k: usize, n: usize, a_rows: &[i16], panel: &[i16], c: &mut [i32]) {
@@ -625,114 +376,13 @@ pub fn gemm_nt_i16_panel_emit<F>(
     });
 }
 
-/// Two-panel shift-add variant for wide-span power-of-two weights:
-/// `acc[i][j] = lo[i][j] + (hi[i][j] << shift)` where `lo`/`hi` are panel
-/// microkernel products over the residual tables (see
-/// `qnn_quant::packed::PackedPow2`). The shared base shift is applied once
-/// per accumulator — the inner loops are pure `vpmaddwd` adds over small
-/// residuals, no per-element multiplies by wide constants.
-///
-/// Caller contract: `Σ_k |A[i][k]| · (|lo| + |hi|·2^shift) <= i32::MAX`
-/// per output (the dispatch certificate bounds it by `2^24`), which also
-/// bounds both partial products, so every step is exact.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_i16_panel2_emit<F>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i16],
-    lo: &PanelB,
-    hi: &PanelB,
-    shift: u32,
-    out: &mut [f32],
-    emit: F,
-) where
-    F: Fn(usize, &[i32], &mut [f32]) + Sync,
-{
-    assert_eq!(a.len(), m * k, "A must be m*k");
-    assert_eq!((lo.n, lo.k), (n, k), "lo panel shape mismatch");
-    assert_eq!((hi.n, hi.k), (n, k), "hi panel shape mismatch");
-    assert_eq!(out.len(), m * n, "out must be m*n");
-    assert!(shift < 32, "base shift must fit an i32");
-    qnn_trace::counter!(CTR_CALLS, 1);
-    qnn_trace::counter!(CTR_PACKED_OPS, 2 * (m * k * n) as u64);
-    par::for_each_chunk_mut(out, ROWS_PER_TASK * n, |ci, chunk| {
-        let rows = chunk.len() / n;
-        let start = ci * ROWS_PER_TASK;
-        let a_rows = if k > 0 {
-            &a[start * k..(start + rows) * k]
-        } else {
-            &[][..]
-        };
-        let mut acc = vec![0i32; rows * n];
-        let mut acc_hi = vec![0i32; rows * n];
-        if k > 0 {
-            panel_chunk_i16(k, n, a_rows, lo, &mut acc);
-            panel_chunk_i16(k, n, a_rows, hi, &mut acc_hi);
-        }
-        for (lo_v, hi_v) in acc.iter_mut().zip(acc_hi.iter()) {
-            *lo_v += hi_v << shift;
-        }
-        for (i, (arow, orow)) in acc
-            .chunks_exact(n)
-            .zip(chunk.chunks_exact_mut(n))
-            .enumerate()
-        {
-            emit(start + i, arow, orow);
-        }
-    });
-}
-
-/// Packs one row of `±1` signs (`true` = negative) into little-endian
-/// `u64` plane words, zero-padding the tail. Shared by the weight/act
-/// packers in `qnn-quant` and the benches.
-pub fn pack_sign_row(signs: impl ExactSizeIterator<Item = bool>, out: &mut [u64]) {
-    out.fill(0);
-    let n = signs.len();
-    assert_eq!(out.len(), n.div_ceil(64), "plane row length mismatch");
-    for (i, neg) in signs.enumerate() {
-        if neg {
-            out[i / 64] |= 1u64 << (i % 64);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded;
 
-    fn ref_nt_i32<T: Copy + Into<i32>>(m: usize, k: usize, n: usize, a: &[T], b: &[T]) -> Vec<i32> {
-        let mut c = vec![0i32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i32;
-                for kk in 0..k {
-                    acc += a[i * k + kk].into() * b[j * k + kk].into();
-                }
-                c[i * n + j] = acc;
-            }
-        }
-        c
-    }
-
     #[test]
-    fn i8_matches_reference() {
-        let mut rng = seeded(11);
-        let (m, k, n) = (13, 37, 9);
-        let a: Vec<i8> = (0..m * k)
-            .map(|_| rng.gen_range(-127i64..128) as i8)
-            .collect();
-        let b: Vec<i8> = (0..n * k)
-            .map(|_| rng.gen_range(-127i64..128) as i8)
-            .collect();
-        let mut c = vec![0i32; m * n];
-        gemm_nt_i8(m, k, n, &a, &b, &mut c);
-        assert_eq!(c, ref_nt_i32(m, k, n, &a, &b));
-    }
-
-    #[test]
-    fn i16_matches_reference_and_threads_agree() {
+    fn panel_matches_reference_and_threads_agree() {
         let mut rng = seeded(12);
         let (m, k, n) = (33, 64, 17);
         let a: Vec<i16> = (0..m * k)
@@ -741,119 +391,25 @@ mod tests {
         let b: Vec<i16> = (0..n * k)
             .map(|_| rng.gen_range(-255i64..256) as i16)
             .collect();
-        let reference = ref_nt_i32(m, k, n, &a, &b);
+        let mut reference = vec![0i32; m * n];
+        gemm_nt_i16(m, k, n, &a, &b, &mut reference);
+        let panel = PanelB::pack(n, k, &b);
         for t in [1usize, 4] {
             crate::par::set_threads(Some(t));
             let mut c = vec![0i32; m * n];
-            gemm_nt_i16(m, k, n, &a, &b, &mut c);
+            gemm_nt_i16_panel(m, k, n, &a, &panel, &mut c);
             assert_eq!(c, reference, "threads={t}");
         }
         crate::par::set_threads(None);
     }
 
     #[test]
-    fn xnor_matches_sign_dot() {
-        let mut rng = seeded(13);
-        for &k in &[1usize, 63, 64, 65, 130] {
-            let (m, n) = (6, 5);
-            let sa: Vec<bool> = (0..m * k).map(|_| rng.gen_range(0i64..2) == 1).collect();
-            let sb: Vec<bool> = (0..n * k).map(|_| rng.gen_range(0i64..2) == 1).collect();
-            let words = k.div_ceil(64);
-            let mut a = vec![0u64; m * words];
-            let mut b = vec![0u64; n * words];
-            for i in 0..m {
-                pack_sign_row(
-                    sa[i * k..(i + 1) * k].iter().copied(),
-                    &mut a[i * words..(i + 1) * words],
-                );
-            }
-            for j in 0..n {
-                pack_sign_row(
-                    sb[j * k..(j + 1) * k].iter().copied(),
-                    &mut b[j * words..(j + 1) * words],
-                );
-            }
-            let mut c = vec![0i32; m * n];
-            gemm_nt_xnor(m, k, n, &a, &b, &mut c);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0i32;
-                    for kk in 0..k {
-                        let x = if sa[i * k + kk] { -1 } else { 1 };
-                        let y = if sb[j * k + kk] { -1 } else { 1 };
-                        acc += x * y;
-                    }
-                    assert_eq!(c[i * n + j], acc, "k={k} i={i} j={j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pow2_matches_reference() {
-        let mut rng = seeded(14);
-        // Ranges sized so every |Σ x·2^(q-1)| stays well under i32::MAX,
-        // matching the caller contract (the dispatch certificate is far
-        // stricter still).
-        let (m, k, n) = (7, 29, 11);
-        let a: Vec<i16> = (0..m * k)
-            .map(|_| rng.gen_range(-500i64..501) as i16)
-            .collect();
-        let codes: Vec<i8> = (0..n * k)
-            .map(|_| rng.gen_range(-15i64..16) as i8)
-            .collect();
-        let mut c = vec![0i32; m * n];
-        gemm_nt_pow2(m, k, n, &a, &codes, &mut c);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i64;
-                for kk in 0..k {
-                    let q = codes[j * k + kk] as i64;
-                    let x = a[i * k + kk] as i64;
-                    acc += match q.cmp(&0) {
-                        std::cmp::Ordering::Greater => x << (q - 1),
-                        std::cmp::Ordering::Less => -(x << (-q - 1)),
-                        std::cmp::Ordering::Equal => 0,
-                    };
-                }
-                assert_eq!(c[i * n + j] as i64, acc, "i={i} j={j}");
-            }
-        }
-    }
-
-    #[test]
-    fn pow2_wide_matches_the_shift_add_kernel() {
-        // The materialised-raw kernel and the shift-add kernel are two
-        // evaluations of the same integer dot product — equal outputs on
-        // any certified input, including exponents past the i16 range.
-        let mut rng = seeded(19);
-        let (m, k, n) = (9, 31, 8);
-        let a: Vec<i16> = (0..m * k).map(|_| rng.gen_range(-2i64..3) as i16).collect();
-        let codes: Vec<i8> = (0..n * k)
-            .map(|_| rng.gen_range(-20i64..21) as i8)
-            .collect();
-        let w: Vec<i32> = codes
-            .iter()
-            .map(|&q| {
-                let mag = 1i32 << (q.unsigned_abs().wrapping_sub(1) & 31);
-                match q.cmp(&0) {
-                    std::cmp::Ordering::Greater => mag,
-                    std::cmp::Ordering::Less => -mag,
-                    std::cmp::Ordering::Equal => 0,
-                }
-            })
-            .collect();
-        let mut shift = vec![0i32; m * n];
-        gemm_nt_pow2(m, k, n, &a, &codes, &mut shift);
-        let mut wide = vec![0i32; m * n];
-        gemm_nt_pow2_wide(m, k, n, &a, &w, &mut wide);
-        assert_eq!(wide, shift);
-    }
-
-    #[test]
     fn empty_k_zeroes_output() {
         let mut c = vec![7i32; 6];
         gemm_nt_i16(2, 0, 3, &[], &[], &mut c);
+        assert!(c.iter().all(|&v| v == 0));
+        let mut c = vec![7i32; 6];
+        gemm_nt_i16_panel(2, 0, 3, &[], &PanelB::pack(3, 0, &[]), &mut c);
         assert!(c.iter().all(|&v| v == 0));
     }
 }
