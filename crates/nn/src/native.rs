@@ -8,10 +8,10 @@
 //! `qnn_tensor::qgemm` instead: a register-blocked i16 `vpmaddwd`
 //! microkernel over the weights' cached packed-B panel, with the
 //! requantize, bias and next-layer quantize fused into its tail. The
-//! committed `BENCH_kernels.json` (256³, 1 thread) times it at 4.31×
-//! (fixed8), 4.27× (fixed16) and 4.33× (pow2) the f32 GEMM, and binary ±1
-//! weights × fixed16 at 5.06× in a later run on a host whose f32 GEMM was
-//! slower.
+//! committed `BENCH_kernels.json` (256³, 1 thread) times it at 2.02×
+//! (fixed8), 2.25× (fixed16), 1.80× (binary ±1 weights × fixed16) and
+//! 2.37× (pow2) the f32 GEMM, measured against that GEMM's vectorized
+//! AVX2 build.
 //!
 //! **The fast path never changes results.** Dispatch goes through
 //! [`qnn_quant::packed::matmul_on_grid`], which is gated on the exactness

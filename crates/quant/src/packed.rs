@@ -42,17 +42,6 @@ const CTR_REQUANT: &str = "quant.requantize.calls";
 /// take the simulated path.
 const POW2_MAX_SPAN: i32 = 14;
 
-/// True when the AVX2 clones of the packing loops may run on this CPU.
-/// Mirrors the dispatch in `qnn_tensor::qgemm`: this crate targets baseline
-/// x86-64, so vector widths beyond SSE2 are only reachable through
-/// `#[target_feature]` wrappers selected at runtime. Both instantiations
-/// compile the *same* element-wise body, so results are bit-identical.
-#[cfg(target_arch = "x86_64")]
-fn simd_ok() -> bool {
-    static OK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *OK.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
 /// The exponent `e` such that `s == 2^e` exactly, if `s` is a positive
 /// normal power of two. Binary scales that are not powers of two (e.g. the
 /// calibrated mean-|w| scale) make the fast path inexact, so they return
@@ -162,8 +151,10 @@ fn encode_on_grid(codec: &BitCodec, x: f32) -> Option<u64> {
 /// `vpmaddwd`-shaped i16 kernel outruns a dedicated i8 kernel). With
 /// `transpose` the raws hold the **transpose**: packed row `j` is source
 /// column `j`, the layout of im2col patch matrices, whose reduction
-/// dimension is the *row* index. Returns `None` if the format is wider than
-/// 16 bits or any value fails the round-trip check.
+/// dimension is the *row* index. The values are then transposed to
+/// row-major once, up front, so both layouts run the same row-major
+/// packers. Returns `None` if the format is wider than 16 bits or any
+/// value fails the round-trip check.
 fn fixed_raws(
     format: &Fixed,
     rows: usize,
@@ -175,7 +166,13 @@ fn fixed_raws(
     if format.word_bits() > 16 {
         return None;
     }
-    let pcols = if transpose { rows } else { cols };
+    let transposed;
+    let data = if transpose {
+        transposed = transpose_f32(rows, cols, data);
+        &transposed[..]
+    } else {
+        data
+    };
     let mut words = vec![0i16; data.len()];
     // The loop bodies below do a per-element encode + round-trip check
     // through `encode_f64_with_scale` / `decode_f64_with_scale` — the
@@ -187,51 +184,59 @@ fn fixed_raws(
     // a switch inside the loop body is the one control-flow shape the
     // auto-vectorizer rejects outright (see `Fixed::encode_f64_mode`).
     let scale = format.scale_f64();
-    let off_grid = if let Some(flag) = fast_pack(format, data, &mut words, transpose) {
+    let off_grid = if let Some(flag) = fast_pack(format, data, &mut words) {
         flag
     } else {
         match format.round_mode() {
-            RoundMode::NearestAway => run_pack::<{ RoundMode::AWAY }>(
-                format, scale, cols, pcols, data, &mut words, transpose,
-            ),
-            RoundMode::NearestEven => run_pack::<{ RoundMode::EVEN }>(
-                format, scale, cols, pcols, data, &mut words, transpose,
-            ),
-            RoundMode::Floor => run_pack::<{ RoundMode::FLOOR }>(
-                format, scale, cols, pcols, data, &mut words, transpose,
-            ),
+            RoundMode::NearestAway => {
+                run_pack::<{ RoundMode::AWAY }>(format, scale, data, &mut words)
+            }
+            RoundMode::NearestEven => {
+                run_pack::<{ RoundMode::EVEN }>(format, scale, data, &mut words)
+            }
+            RoundMode::Floor => run_pack::<{ RoundMode::FLOOR }>(format, scale, data, &mut words),
         }
     };
     (!off_grid).then_some(words)
+}
+
+/// `rows×cols` row-major `data` as its `cols×rows` row-major transpose,
+/// copied in square tiles so the strided side of each tile stays within a
+/// few cache lines.
+fn transpose_f32(rows: usize, cols: usize, data: &[f32]) -> Vec<f32> {
+    const TILE: usize = 16;
+    let mut out = vec![0.0f32; data.len()];
+    for i0 in (0..rows).step_by(TILE) {
+        let i1 = (i0 + TILE).min(rows);
+        for j0 in (0..cols).step_by(TILE) {
+            for j in j0..(j0 + TILE).min(cols) {
+                for i in i0..i1 {
+                    out[j * rows + i] = data[i * cols + j];
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Runtime-dispatched fixed-point pack loop, monomorphized over the
 /// rounding mode `M` (see [`Fixed::encode_f64_mode`]): through the AVX2
 /// `#[target_feature]` clone when the CPU allows, else the plain
 /// instantiation of the identical body.
-#[allow(clippy::too_many_arguments)]
-fn run_pack<const M: u8>(
-    format: &Fixed,
-    scale: f64,
-    cols: usize,
-    pcols: usize,
-    data: &[f32],
-    words: &mut [i16],
-    transpose: bool,
-) -> bool {
+fn run_pack<const M: u8>(format: &Fixed, scale: f64, data: &[f32], words: &mut [i16]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if simd_ok() {
-            // SAFETY: `simd_ok` verified AVX2 on this CPU, the only
+        if qnn_tensor::has_avx2() {
+            // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
             // precondition of the target_feature wrapper.
-            unsafe { pack_avx2::<M>(format, scale, cols, pcols, data, words, transpose) }
+            unsafe { pack_avx2::<M>(format, scale, data, words) }
         } else {
-            pack_body::<M>(format, scale, cols, pcols, data, words, transpose)
+            pack_body::<M>(format, scale, data, words)
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        pack_body::<M>(format, scale, cols, pcols, data, words, transpose)
+        pack_body::<M>(format, scale, data, words)
     }
 }
 
@@ -241,59 +246,33 @@ fn run_pack<const M: u8>(
 /// form throughout: AVX2 has no vectorized f64→i64 convert, while f64→i16
 /// lowers through `vcvttpd2dq`. The max-|raw| reduction happens in a
 /// separate pass over the words so the only loop-carried state here is the
-/// or-flag. With `transpose`, packed row `j` is source column `j` of the
-/// `cols`-wide row-major `data`: the writes stay linear and the strided
-/// reads are the price of the im2col layout.
-#[allow(clippy::too_many_arguments)]
+/// or-flag.
 #[inline(always)]
-fn pack_body<const M: u8>(
-    format: &Fixed,
-    scale: f64,
-    cols: usize,
-    pcols: usize,
-    data: &[f32],
-    words: &mut [i16],
-    transpose: bool,
-) -> bool {
+fn pack_body<const M: u8>(format: &Fixed, scale: f64, data: &[f32], words: &mut [i16]) -> bool {
     let mut off_grid = false;
-    if transpose {
-        for (pr, w_row) in words.chunks_exact_mut(pcols).enumerate() {
-            for (pc, w) in w_row.iter_mut().enumerate() {
-                let x = data[pc * cols + pr];
-                let raw = format.encode_f64_mode::<M>(x, scale);
-                off_grid |= format.decode_f64_with_scale(raw, scale).to_bits() != x.to_bits();
-                *w = raw as i16;
-            }
-        }
-    } else {
-        for (w, &x) in words.iter_mut().zip(data) {
-            let raw = format.encode_f64_mode::<M>(x, scale);
-            off_grid |= format.decode_f64_with_scale(raw, scale).to_bits() != x.to_bits();
-            *w = raw as i16;
-        }
+    for (w, &x) in words.iter_mut().zip(data) {
+        let raw = format.encode_f64_mode::<M>(x, scale);
+        off_grid |= format.decode_f64_with_scale(raw, scale).to_bits() != x.to_bits();
+        *w = raw as i16;
     }
     off_grid
 }
 
 /// The AVX2 clone of [`pack_body`].
-#[allow(clippy::too_many_arguments)]
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn pack_avx2<const M: u8>(
     format: &Fixed,
     scale: f64,
-    cols: usize,
-    pcols: usize,
     data: &[f32],
     words: &mut [i16],
-    transpose: bool,
 ) -> bool {
-    pack_body::<M>(format, scale, cols, pcols, data, words, transpose)
+    pack_body::<M>(format, scale, data, words)
 }
 
-/// The wide f32 fast path for the row-major pack, when applicable (AVX2
-/// CPU, no transpose, `|frac_bits| <= 32`): `Some(off_grid)` with the words
-/// filled in, `None` to run the general f64 loop instead.
+/// The wide f32 fast path for the pack, when applicable (AVX2 CPU,
+/// `|frac_bits| <= 32`): `Some(off_grid)` with the words filled in, `None`
+/// to run the general f64 loop instead.
 ///
 /// Why the fast path is **exactly** the slow path despite using a
 /// different rounding pipeline: the pack's contract is *verify and
@@ -315,16 +294,16 @@ unsafe fn pack_avx2<const M: u8>(
 /// flag is clear (when set, `fixed_raws` discards the words entirely), so
 /// the two paths are interchangeable bit for bit.
 #[cfg(target_arch = "x86_64")]
-fn fast_pack(format: &Fixed, data: &[f32], words: &mut [i16], transpose: bool) -> Option<bool> {
-    if transpose || !simd_ok() || !(-32..=32).contains(&format.frac_bits()) {
+fn fast_pack(format: &Fixed, data: &[f32], words: &mut [i16]) -> Option<bool> {
+    if !qnn_tensor::has_avx2() || !(-32..=32).contains(&format.frac_bits()) {
         return None;
     }
-    // SAFETY: `simd_ok` verified AVX2 on this CPU.
+    // SAFETY: `has_avx2` verified AVX2 on this CPU.
     Some(unsafe { pack_grid_avx2(format, data, words) })
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn fast_pack(_format: &Fixed, _data: &[f32], _words: &mut [i16], _transpose: bool) -> Option<bool> {
+fn fast_pack(_format: &Fixed, _data: &[f32], _words: &mut [i16]) -> Option<bool> {
     None
 }
 
@@ -815,6 +794,34 @@ mod tests {
             fixed_raws(&f, 2, 3, &vals, true).unwrap(),
             [4, -4, 8, -8, 12, -12]
         );
+        // Seeded inputs: the transposed pack is the row-major pack of the
+        // explicit transpose, `None` included (an off-grid value, a `-0.0`),
+        // for a format the AVX2 fast path takes and one it refuses
+        // (`|frac_bits| > 32`).
+        let mut r = qnn_tensor::rng::seeded(0x7A05_E5ED);
+        for f in [Fixed::new(8, 4).unwrap(), Fixed::new(8, 40).unwrap()] {
+            // Both 8-bit: raws -128..=127.
+            let mut refused = 0;
+            for case in 0..64 {
+                let (rows, cols) = (r.gen_range(1usize..40), r.gen_range(1usize..40));
+                let mut vals: Vec<f32> = (0..rows * cols)
+                    .map(|_| f.decode(r.gen_range(-128i64..=127)))
+                    .collect();
+                let at = r.gen_range(0..vals.len());
+                match case % 4 {
+                    1 => vals[at] = f.decode(1) / 2.0,
+                    2 => vals[at] = -0.0,
+                    _ => {}
+                }
+                let t: Vec<f32> = (0..rows * cols)
+                    .map(|x| vals[(x % rows) * cols + x / rows])
+                    .collect();
+                let packed = fixed_raws(&f, rows, cols, &vals, true);
+                assert_eq!(packed, fixed_raws(&f, cols, rows, &t, false), "case {case}");
+                refused += usize::from(packed.is_none());
+            }
+            assert_eq!(refused, 32, "every off-grid and -0.0 case must refuse");
+        }
     }
 
     #[test]

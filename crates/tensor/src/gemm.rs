@@ -1,4 +1,4 @@
-//! Blocked f32 GEMM with packed panels and a 4×4 register microkernel.
+//! Blocked f32 GEMM with packed panels and a 4×16 register microkernel.
 //!
 //! Three variants cover every product the network layers need without
 //! materialising a transpose: `C = A·B` ([`gemm_nn`]), `C = A·Bᵀ`
@@ -12,7 +12,22 @@
 //! accumulation order, and the kernel uses no fused multiply-add and no
 //! split-`k` reassociation, so results are bit-identical to the naive
 //! kernel and invariant under the worker-thread count (row panels are
-//! disjoint output regions).
+//! disjoint output regions). The one exception is a NaN's sign and
+//! payload: an output is NaN exactly where the reference's is, but not
+//! necessarily the same NaN. On x86 the default NaN (`inf − inf`,
+//! `0 · inf`) is negative, and LLVM treats `fadd` as commutative, so when
+//! both addends are NaN which one survives is up to instruction selection,
+//! in either build.
+//!
+//! **SIMD dispatch.** rustc's x86-64 baseline is SSE2. The 4×16 tile holds
+//! its 64 accumulators in eight 256-bit registers, so the microkernel loop
+//! is compiled twice from one body: a plain build and a
+//! `#[target_feature(enable = "avx2")]` build chosen at runtime when
+//! [`crate::has_avx2`] reports the CPU supports it. The vectorized column
+//! loop still runs one multiply and then one add per lane per step. Only
+//! `avx2` is enabled, not `fma`, and Rust never contracts a multiply and an
+//! add on its own, so both builds round exactly like the naive loop and
+//! agree bit for bit.
 
 use crate::par;
 use std::cell::RefCell;
@@ -20,7 +35,7 @@ use std::cell::RefCell;
 /// Microkernel row count (output rows per panel).
 pub const MR: usize = 4;
 /// Microkernel column count (output columns per panel).
-pub const NR: usize = 4;
+pub const NR: usize = 16;
 
 /// Reusable packing buffers so steady-state GEMM calls allocate nothing
 /// but their output. Layers hold one per layer; the `Tensor::matmul*`
@@ -60,19 +75,7 @@ pub fn gemm_nn_with(
     b: &[f32],
     c: &mut [f32],
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    count_gemm(m, k, n);
-    pack_b_nn(scratch, k, n, b);
-    driver(
-        m,
-        k,
-        n,
-        |i0, h, dst| pack_a_rows(a, k, i0, h, dst),
-        scratch,
-        c,
-    );
+    gemm(Build::detect(), Layout::Nn, scratch, (m, k, n), a, b, c);
 }
 
 /// [`gemm_nt`] with an explicit scratch buffer.
@@ -85,19 +88,7 @@ pub fn gemm_nt_with(
     b: &[f32],
     c: &mut [f32],
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    count_gemm(m, k, n);
-    pack_b_nt(scratch, k, n, b);
-    driver(
-        m,
-        k,
-        n,
-        |i0, h, dst| pack_a_rows(a, k, i0, h, dst),
-        scratch,
-        c,
-    );
+    gemm(Build::detect(), Layout::Nt, scratch, (m, k, n), a, b, c);
 }
 
 /// [`gemm_tn`] with an explicit scratch buffer.
@@ -110,27 +101,66 @@ pub fn gemm_tn_with(
     b: &[f32],
     c: &mut [f32],
 ) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    count_gemm(m, k, n);
-    pack_b_nn(scratch, k, n, b);
-    driver(
-        m,
-        k,
-        n,
-        |i0, h, dst| pack_a_cols(a, m, k, i0, h, dst),
-        scratch,
-        c,
-    );
+    gemm(Build::detect(), Layout::Tn, scratch, (m, k, n), a, b, c);
 }
 
-/// Telemetry hook shared by the three entry points: one call plus
-/// `2·m·k·n` flops per product.
-#[inline]
-fn count_gemm(m: usize, k: usize, n: usize) {
+/// Which build of the microkernel loop runs.
+#[derive(Debug, Clone, Copy)]
+enum Build {
+    /// The baseline-target build: the path on CPUs without AVX2, and the
+    /// reference the tests hold the AVX2 build to.
+    Plain,
+    /// The AVX2 build; runs as the plain one on a CPU without AVX2.
+    Avx2,
+}
+
+impl Build {
+    /// The widest build this CPU runs.
+    fn detect() -> Build {
+        if crate::has_avx2() {
+            Build::Avx2
+        } else {
+            Build::Plain
+        }
+    }
+}
+
+/// Operand layouts of the three entry points.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// `a` is `m×k`, `b` is `k×n`.
+    Nn,
+    /// `a` is `m×k`, `b` is `n×k`.
+    Nt,
+    /// `a` is `k×m`, `b` is `k×n`.
+    Tn,
+}
+
+/// The body of the three entry points: packs `B` for its layout, then runs
+/// the row-panel driver with the matching `A` packer.
+fn gemm(
+    build: Build,
+    layout: Layout,
+    scratch: &mut GemmScratch,
+    (m, k, n): (usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(c.len(), m * n);
     qnn_trace::counter!("tensor.gemm.calls", 1);
     qnn_trace::counter!("tensor.gemm.flops", (2 * m * k * n) as u64);
+    match layout {
+        Layout::Nt => pack_b_nt(scratch, k, n, b),
+        Layout::Nn | Layout::Tn => pack_b_nn(scratch, k, n, b),
+    }
+    let pack_a = |i0: usize, h: usize, dst: &mut [f32]| match layout {
+        Layout::Tn => pack_a_cols(a, m, k, i0, h, dst),
+        Layout::Nn | Layout::Nt => pack_a_rows(a, k, i0, h, dst),
+    };
+    driver(build, (m, k, n), pack_a, scratch, c);
 }
 
 /// Packs `B` (`k×n`, row-major) into `⌈n/NR⌉` column panels: panel `jp`
@@ -198,8 +228,13 @@ fn pack_a_cols(a: &[f32], m: usize, k: usize, i0: usize, h: usize, dst: &mut [f3
 /// Shared panel loop: splits `c` into `MR`-row slabs, parallelised over the
 /// pool (each slab is a disjoint output region, so the partition cannot
 /// affect the result), and runs the microkernel over the packed panels.
-fn driver<PA>(m: usize, k: usize, n: usize, pack_a: PA, scratch: &mut GemmScratch, c: &mut [f32])
-where
+fn driver<PA>(
+    build: Build,
+    (m, k, n): (usize, usize, usize),
+    pack_a: PA,
+    scratch: &mut GemmScratch,
+    c: &mut [f32],
+) where
     PA: Fn(usize, usize, &mut [f32]) + Sync,
 {
     if m == 0 || n == 0 {
@@ -220,7 +255,7 @@ where
             let i0 = ip * MR;
             let h = MR.min(m - i0);
             pack_a(i0, h, packed_a);
-            row_panel(k, n, h, packed_a, packed_b, c_slab);
+            row_panel(build, k, n, h, packed_a, packed_b, c_slab);
         }
         return;
     }
@@ -229,18 +264,58 @@ where
         let h = MR.min(m - i0);
         let mut pa = vec![0.0f32; k * MR];
         pack_a(i0, h, &mut pa);
-        row_panel(k, n, h, &pa, packed_b, c_slab);
+        row_panel(build, k, n, h, &pa, packed_b, c_slab);
     });
 }
 
 /// Computes one `h×n` output slab (`h ≤ MR`) from a packed A panel and all
-/// packed B panels.
-fn row_panel(k: usize, n: usize, h: usize, pa: &[f32], packed_b: &[f32], c_slab: &mut [f32]) {
-    let n_col_panels = n.div_ceil(NR);
-    for jp in 0..n_col_panels {
+/// packed B panels, through the AVX2 build when `build` asks for it and
+/// the CPU has it, else the plain build of the same body.
+fn row_panel(
+    build: Build,
+    k: usize,
+    n: usize,
+    h: usize,
+    pa: &[f32],
+    packed_b: &[f32],
+    c_slab: &mut [f32],
+) {
+    match build {
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx2 if crate::has_avx2() => {
+            // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
+            // precondition of the target_feature build.
+            unsafe { row_panel_avx2(k, n, h, pa, packed_b, c_slab) }
+        }
+        _ => row_panel_body(k, n, h, pa, packed_b, c_slab),
+    }
+}
+
+/// The AVX2 build of [`row_panel_body`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_panel_avx2(
+    k: usize,
+    n: usize,
+    h: usize,
+    pa: &[f32],
+    packed_b: &[f32],
+    c_slab: &mut [f32],
+) {
+    row_panel_body(k, n, h, pa, packed_b, c_slab);
+}
+
+/// The loop both builds compile: one microkernel tile per `NR`-column
+/// panel, of which the first `h` rows and `w` columns are written back.
+#[inline(always)]
+fn row_panel_body(k: usize, n: usize, h: usize, pa: &[f32], packed_b: &[f32], c_slab: &mut [f32]) {
+    for (jp, pb) in packed_b.chunks_exact(k * NR).enumerate() {
         let j0 = jp * NR;
         let w = NR.min(n - j0);
-        let pb = &packed_b[jp * k * NR..(jp + 1) * k * NR];
         let mut acc = [[0.0f32; NR]; MR];
         microkernel(pa, pb, &mut acc);
         for (r, acc_row) in acc.iter().enumerate().take(h) {
@@ -310,6 +385,112 @@ mod tests {
             gemm_nn(m, k, n, &a, &b, &mut c);
             assert_eq!(c, reference_nn(m, k, n, &a, &b), "shape {m}x{k}x{n}");
         }
+    }
+
+    /// One operand value: mostly uniform in [-2, 2], sometimes a signed
+    /// zero, a subnormal or a tiny normal whose products go subnormal.
+    fn operand(r: &mut crate::rng::Rng) -> f32 {
+        let sign = if r.gen_bool(0.5) { 1.0 } else { -1.0 };
+        match r.gen_range(0u32..100) {
+            0..=3 => sign * 0.0,
+            4..=6 => sign * f32::from_bits(r.gen_range(1u32..0x0080_0000)),
+            7..=9 => sign * r.gen_range(1e-30f32..1e-20),
+            _ => r.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    /// `len` operands with up to three values that poison a dot product
+    /// dropped in at random positions: ±inf, ±`f32::MAX` (whose products
+    /// and sums overflow to inf) and NaN.
+    fn operands(r: &mut crate::rng::Rng, len: usize) -> Vec<f32> {
+        const POISON: [f32; 5] = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+            f32::NAN,
+        ];
+        let mut v: Vec<f32> = (0..len).map(|_| operand(r)).collect();
+        if len > 0 {
+            for _ in 0..r.gen_range(0usize..4) {
+                let at = r.gen_range(0..len);
+                v[at] = POISON[r.gen_range(0..POISON.len())];
+            }
+        }
+        v
+    }
+
+    /// Seeded property test of every entry point and both builds against
+    /// the naive triple loop, at 1 and 4 threads. Shapes put `m mod MR` and
+    /// `n mod NR` through every residue; `k` takes 0, 1, odd values and
+    /// values of 256 and more. Every non-NaN output must be bit-equal to the
+    /// reference, and NaN must appear exactly where the reference has NaN.
+    /// NaN bits are not compared: on x86 the default NaN (`inf − inf`,
+    /// `0 · inf`) is negative and LLVM treats `fadd` as commutative, so when
+    /// a negative NaN accumulator meets a positive NaN product, which one
+    /// survives is up to instruction selection (see the module docs).
+    #[test]
+    fn every_build_matches_reference_bitwise_over_random_shapes() {
+        const CASES: usize = 256;
+        let mut r = seeded(0x6E77_4D4D);
+        let (mut k_zero, mut k_one, mut k_odd, mut k_wide, mut nans) = (0, 0, 0, 0, 0);
+        for case in 0..CASES {
+            let m = match case % MR + MR * r.gen_range(0usize..5) {
+                0 => MR,
+                m => m,
+            };
+            let n = match (case / MR) % NR + NR * r.gen_range(0usize..4) {
+                0 => NR,
+                n => n,
+            };
+            let k = match r.gen_range(0u32..8) {
+                0 => 0,
+                1 => 1,
+                2 | 3 => 2 * r.gen_range(1usize..50) + 1,
+                4 | 5 => 2 * r.gen_range(1usize..50),
+                _ => r.gen_range(256usize..320),
+            };
+            k_zero += usize::from(k == 0);
+            k_one += usize::from(k == 1);
+            k_odd += usize::from(k % 2 == 1 && k > 1);
+            k_wide += usize::from(k >= 256);
+            // Logical operands A (m×k) and B (k×n), and their transposes.
+            let a = operands(&mut r, m * k);
+            let b = operands(&mut r, k * n);
+            let at: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
+            let bt: Vec<f32> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
+            let want = reference_nn(m, k, n, &a, &b);
+            nans += want.iter().filter(|v| v.is_nan()).count();
+            for build in [Build::Plain, Build::Avx2] {
+                for threads in [1, 4] {
+                    crate::par::set_threads(Some(threads));
+                    for (layout, lhs, rhs) in [
+                        (Layout::Nn, &a, &b),
+                        (Layout::Nt, &a, &bt),
+                        (Layout::Tn, &at, &b),
+                    ] {
+                        let mut got = vec![7.0f32; m * n];
+                        let mut scratch = GemmScratch::default();
+                        gemm(build, layout, &mut scratch, (m, k, n), lhs, rhs, &mut got);
+                        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            let same = if w.is_nan() {
+                                g.is_nan()
+                            } else {
+                                g.to_bits() == w.to_bits()
+                            };
+                            assert!(
+                                same,
+                                "case {case} {layout:?} {build:?} threads={threads} \
+                                 {m}x{k}x{n} at {i}: got {g:e}, want {w:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        crate::par::set_threads(None);
+        assert!(k_zero > 0 && k_one > 0 && k_odd > 0 && k_wide > 0);
+        assert!(nans > 0, "the special operands must produce NaN outputs");
     }
 
     #[test]

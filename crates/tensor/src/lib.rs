@@ -43,3 +43,18 @@ pub mod stats;
 pub use error::TensorError;
 pub use shape::Shape;
 pub use tensor::Tensor;
+
+/// True when this CPU supports AVX2, so the kernels'
+/// `#[target_feature(enable = "avx2")]` builds may run. This workspace
+/// targets baseline x86-64 (SSE2); every kernel with a wider build also
+/// has a plain one, which runs when this is `false` (always, off x86-64).
+pub fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}

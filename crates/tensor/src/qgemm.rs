@@ -10,9 +10,10 @@
 //! packed-B panel ([`PanelB`]) built on `vpmaddwd`, with the requantize
 //! epilogue fused into its row tail ([`gemm_nt_i16_panel_emit`]). The
 //! committed `BENCH_kernels.json` (256³, 1 thread, through the dispatch
-//! entry in `qnn_quant::packed`) times it at 4.31× (fixed8), 4.27×
-//! (fixed16) and 4.33× (pow2) the f32 GEMM, and binary ±1 weights ×
-//! fixed16 at 5.06× in a later run on a host whose f32 GEMM was slower.
+//! entry in `qnn_quant::packed`) times it at 2.02× (fixed8), 2.25×
+//! (fixed16), 1.80× (binary ±1 weights × fixed16) and 2.37× (pow2) the
+//! f32 GEMM of [`crate::gemm`], measured against that GEMM's vectorized
+//! AVX2 build.
 //!
 //! The kernels compute the **NT** product `C[i][j] = dot(A.row(i), B.row(j))`
 //! — both operands are k-contiguous, which is the layout the dense layer
@@ -37,7 +38,7 @@
 //! `vpmaddwd` on the table. The microkernel is written twice over the same
 //! tile walk and panel reads: a plain scalar instantiation, and a
 //! `#[target_feature(enable = "avx2")]` one selected at runtime via
-//! `is_x86_feature_detected!`. Both run the same integer products, so
+//! [`crate::has_avx2`]. Both run the same integer products, so
 //! feature detection can never change results. The `unsafe` at the call
 //! site is the narrow, standard obligation of `target_feature` dispatch:
 //! the feature was verified on this CPU.
@@ -54,13 +55,6 @@ const CTR_PACKED_OPS: &str = "tensor.qgemm.packed_ops";
 /// partition bit-identical anyway.
 const ROWS_PER_TASK: usize = 8;
 
-/// True when the AVX2 microkernel may be used on this CPU.
-#[cfg(target_arch = "x86_64")]
-fn simd_ok() -> bool {
-    static OK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *OK.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
 /// Expands to a runtime-dispatched call of a kernel body: on x86-64 with
 /// AVX2, through its `#[target_feature]` instantiation; otherwise the plain
 /// safe one. Same integer results either way.
@@ -68,8 +62,8 @@ macro_rules! dispatch {
     ($body:ident, $avx2:ident, ($($arg:expr),*)) => {{
         #[cfg(target_arch = "x86_64")]
         {
-            if simd_ok() {
-                // SAFETY: `simd_ok` verified avx2 on this CPU, which is the
+            if crate::has_avx2() {
+                // SAFETY: `has_avx2` verified avx2 on this CPU, which is the
                 // only precondition of the target_feature wrapper.
                 unsafe { $avx2($($arg),*) }
             } else {

@@ -280,11 +280,15 @@ impl Tensor {
 
     /// Matrix product of two rank-2 tensors.
     ///
-    /// Uses the blocked kernel in [`crate::gemm`]: packed panels, a 4×4
-    /// register microkernel, and row panels distributed over the
-    /// [`crate::par`] pool. Bit-identical to [`matmul_naive`](Self::matmul_naive)
-    /// at any thread count (each output element keeps a single accumulator
-    /// walking `k` in ascending order).
+    /// Uses the blocked kernel in [`crate::gemm`]: packed panels, a 4×16
+    /// register microkernel (an AVX2 build of it where the CPU has AVX2),
+    /// and row panels distributed over the [`crate::par`] pool.
+    /// Bit-identical to [`matmul_naive`](Self::matmul_naive) in every
+    /// build and at any thread count: each output element keeps a single
+    /// accumulator walking `k` in ascending order, one multiply then one
+    /// add per step, with no fused multiply-add. (A NaN output is NaN
+    /// wherever the reference's is, but its sign may differ; see the
+    /// [`crate::gemm`] docs.)
     ///
     /// # Errors
     ///
