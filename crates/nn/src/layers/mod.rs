@@ -43,6 +43,19 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Returns an error if the input shape is incompatible.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError>;
 
+    /// [`forward`](Layer::forward) on an input the caller hands over —
+    /// what [`Network`](crate::Network) calls, so a layer whose output has
+    /// the input's shape can compute it in the input's buffer instead of
+    /// allocating. The default borrows `input` and calls `forward`;
+    /// overrides must return exactly what `forward` would.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`forward`](Layer::forward).
+    fn forward_owned(&mut self, input: Tensor, mode: Mode) -> Result<Tensor, NnError> {
+        self.forward(&input, mode)
+    }
+
     /// Computes the input gradient from the output gradient and accumulates
     /// parameter gradients.
     ///

@@ -25,6 +25,10 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
+        self.forward_owned(input.clone(), mode)
+    }
+
+    fn forward_owned(&mut self, mut input: Tensor, mode: Mode) -> Result<Tensor, NnError> {
         if mode == Mode::Train {
             self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
             self.in_shape = Some(input.shape().clone());
@@ -32,7 +36,8 @@ impl Layer for Relu {
             self.mask = None;
             self.in_shape = None;
         }
-        Ok(input.map(|x| x.max(0.0)))
+        input.map_inplace(|x| x.max(0.0));
+        Ok(input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {

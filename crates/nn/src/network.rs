@@ -45,6 +45,10 @@ pub struct Network {
     /// `act_q[0]` quantizes the network input; `act_q[i+1]` the output of
     /// layer `i`. All `None` when running full precision.
     act_q: Vec<Option<QuantizerHandle>>,
+    /// `snap_is_identity[i]` marks slots whose snap provably changes no
+    /// bit (see [`identity_snaps`]), so forwards skip them. Decided once
+    /// per installed precision; all `false` when none is installed.
+    snap_is_identity: Vec<bool>,
     precision: Option<Precision>,
     /// One precision per weighted layer when a mixed assignment is
     /// installed ([`set_precision_per_layer`](Self::set_precision_per_layer));
@@ -113,6 +117,7 @@ impl Network {
             spec: spec.clone(),
             layers,
             act_q: vec![None; n + 1],
+            snap_is_identity: vec![false; n + 1],
             precision: None,
             per_layer: None,
             act_faults: None,
@@ -182,13 +187,13 @@ impl Network {
         corrupt_activations(&mut self.act_faults, &self.act_q[0], &mut x);
         for (i, layer) in self.layers.iter_mut().enumerate() {
             qnn_trace::span!("fwd:{}:{}", i, layer.name());
-            x = layer.forward(&x, mode)?;
+            x = layer.forward_owned(x, mode)?;
             if let Some(q) = &self.act_q[i + 1] {
                 // Feature maps are the largest tensors in the pass; snap
                 // them across the worker pool (bit-identical to serial) —
-                // unless the layer already applied this quantizer through
-                // its fused kernel epilogue.
-                if !layer.output_quant_applied() {
+                // unless the snap is the identity or the layer already
+                // applied this quantizer through its fused kernel epilogue.
+                if !self.snap_is_identity[i + 1] && !layer.output_quant_applied() {
                     qnn_quant::quantize_inplace_par(q.as_ref(), &mut x);
                 }
             }
@@ -213,9 +218,9 @@ impl Network {
         };
         trace.push(x.clone());
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            x = layer.forward(&x, Mode::Eval)?;
+            x = layer.forward_owned(x, Mode::Eval)?;
             if let Some(q) = &self.act_q[i + 1] {
-                if !layer.output_quant_applied() {
+                if !self.snap_is_identity[i + 1] && !layer.output_quant_applied() {
                     qnn_quant::quantize_inplace_par(q.as_ref(), &mut x);
                 }
             }
@@ -389,6 +394,7 @@ impl Network {
             layer.set_input_quantizer(self.act_q[i].clone());
             layer.set_output_quantizer(self.act_q[i + 1].clone());
         }
+        self.snap_is_identity = identity_snaps(&self.spec, &self.act_q);
         self.precision = Some(precision);
         Ok(())
     }
@@ -473,6 +479,7 @@ impl Network {
             layer.set_input_quantizer(self.act_q[i].clone());
             layer.set_output_quantizer(self.act_q[i + 1].clone());
         }
+        self.snap_is_identity = identity_snaps(&self.spec, &self.act_q);
         self.per_layer = Some(assignment.to_vec());
         Ok(())
     }
@@ -488,6 +495,7 @@ impl Network {
         for slot in &mut self.act_q {
             *slot = None;
         }
+        self.snap_is_identity.fill(false);
         self.precision = None;
         self.per_layer = None;
     }
@@ -565,6 +573,31 @@ impl Network {
             .map(|l| l.weight_quantizer().map(|q| q.describe()))
             .collect()
     }
+}
+
+/// Which activation slots' snaps are the identity, given the installed
+/// quantizers: slot `i + 1` when layer `i` is a relu or a max-pool and
+/// slots `i` and `i + 1` hold the same fixed-point format (rounding mode
+/// included). Such a layer's input already lies on slot `i`'s grid — its
+/// own slot was snapped, fused into a kernel epilogue, or skipped by this
+/// same rule — and relu and max-pool emit only input elements or `+0.0`.
+/// A fixed-point snap maps grid values to themselves (quantizers are
+/// idempotent) and `+0.0` to `+0.0`, and never emits `-0.0` itself, so
+/// `x.max(0.0)` meets no `-0.0` either. Activation faults keep this true:
+/// they flip bits through the slot's codec and land on its grid. Avg-pool
+/// never skips: a window mean need not lie on the grid.
+fn identity_snaps(spec: &NetworkSpec, act_q: &[Option<QuantizerHandle>]) -> Vec<bool> {
+    let fixed = |q: &Option<QuantizerHandle>| match q.as_ref().and_then(|q| q.bit_codec()) {
+        Some(BitCodec::Fixed(f)) => Some(f),
+        _ => None,
+    };
+    let mut skip = vec![false; act_q.len()];
+    for (i, layer) in spec.layers().iter().enumerate() {
+        let grid_preserving = matches!(layer, LayerSpec::Relu | LayerSpec::MaxPool { .. });
+        skip[i + 1] = grid_preserving
+            && matches!((fixed(&act_q[i]), fixed(&act_q[i + 1])), (Some(a), Some(b)) if a == b);
+    }
+    skip
 }
 
 /// Applies the activation fault model to one tensor: flips stored-word
@@ -797,6 +830,212 @@ mod tests {
             .map(|q| q.as_ref().unwrap().describe())
             .collect();
         assert_eq!(descs.len(), 1);
+    }
+
+    /// An 8×8 conv-relu-pool network shaped like the serving stack's.
+    fn serve_shaped_spec() -> NetworkSpec {
+        NetworkSpec::new("serve-shaped", (1, 8, 8))
+            .conv(6, 3, 1, 1)
+            .relu()
+            .max_pool(2, 2)
+            .conv(10, 3, 1, 1)
+            .relu()
+            .max_pool(2, 2)
+            .dense(10)
+    }
+
+    fn images(spec: &NetworkSpec, n: usize, seed: u64) -> Tensor {
+        let (c, h, w) = spec.input();
+        let mut r = qnn_tensor::rng::seeded(seed);
+        let data = (0..n * c * h * w)
+            .map(|_| r.gen_range(-1.0f32..1.0))
+            .collect();
+        Tensor::from_vec(Shape::d4(n, c, h, w), data).unwrap()
+    }
+
+    /// The installs every skip test runs: the seven paper precisions with
+    /// per-layer calibration, then one mixed per-layer assignment.
+    const INSTALLS: usize = 8;
+
+    fn install(net: &mut Network, k: usize, calib: &Tensor) {
+        let sweep = Precision::paper_sweep();
+        match sweep.get(k) {
+            Some(&p) => net
+                .set_precision(p, Method::MaxAbs, calib, ActivationCalibration::PerLayer)
+                .unwrap(),
+            None => {
+                let menu = [
+                    Precision::fixed(8, 8),
+                    Precision::fixed(16, 16),
+                    Precision::power_of_two(),
+                    Precision::fixed(4, 4),
+                ];
+                let weighted = net.layers.iter().filter(|l| !l.params().is_empty()).count();
+                let mixed: Vec<Precision> = (0..weighted).map(|i| menu[i % menu.len()]).collect();
+                net.set_precision_per_layer(&mixed, Method::MaxAbs, calib)
+                    .unwrap();
+            }
+        }
+    }
+
+    /// `forward` without the skip: every layer, then every slot's
+    /// `quantize_inplace_par` (fused epilogue or not — snaps are
+    /// idempotent), then the slot's fault injection.
+    fn forward_snapping_every_slot(
+        net: &mut Network,
+        batch: &Tensor,
+        mode: Mode,
+        faults: &mut Option<FaultInjector>,
+    ) -> Tensor {
+        let mut x = batch.clone();
+        for (i, q) in net.act_q.iter().enumerate() {
+            if i > 0 {
+                x = net.layers[i - 1].forward(&x, mode).unwrap();
+            }
+            if let Some(q) = q {
+                qnn_quant::quantize_inplace_par(q.as_ref(), &mut x);
+            }
+            corrupt_activations(faults, q, &mut x);
+        }
+        x
+    }
+
+    /// Holds a lock over the process-global native override and worker
+    /// count, restoring both on drop.
+    struct Exclusive {
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+
+    fn exclusive() -> Exclusive {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // `Drop` restores the toggles even after a panic, so a poisoned
+        // lock's `()` is still valid.
+        Exclusive {
+            _lock: LOCK
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        }
+    }
+
+    impl Drop for Exclusive {
+        fn drop(&mut self) {
+            crate::set_native(None);
+            qnn_tensor::par::set_threads(None);
+        }
+    }
+
+    #[test]
+    fn skipped_snaps_change_no_bit() {
+        let _g = exclusive();
+        let specs = [
+            crate::zoo::lenet(),
+            crate::zoo::convnet(),
+            crate::zoo::alex(),
+            serve_shaped_spec(),
+        ];
+        let mut skipped = 0usize;
+        for (si, spec) in specs.iter().enumerate() {
+            let mut net = Network::build(spec, 40 + si as u64).unwrap();
+            let calib = images(spec, 4, 50 + si as u64);
+            let x = images(spec, 2, 60 + si as u64);
+            for k in 0..INSTALLS {
+                install(&mut net, k, &calib);
+                skipped += net.snap_is_identity.iter().filter(|&&s| s).count();
+                for combo in 0..16u64 {
+                    let mode = if combo & 1 == 0 {
+                        Mode::Eval
+                    } else {
+                        Mode::Train
+                    };
+                    let threads = if combo & 2 == 0 { 1 } else { 4 };
+                    crate::set_native(Some(combo & 4 == 0));
+                    qnn_tensor::par::set_threads(Some(threads));
+                    let faults = (combo & 8 != 0).then(|| FaultInjector::new(2e-3, combo).unwrap());
+                    net.set_activation_faults(faults.clone());
+                    let got = net.forward(&x, mode).unwrap();
+                    let want = forward_snapping_every_slot(&mut net, &x, mode, &mut faults.clone());
+                    let same = got
+                        .as_slice()
+                        .iter()
+                        .zip(want.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(
+                        same,
+                        "{} install {k} {mode:?} threads={threads} native={} faults={}",
+                        spec.name(),
+                        combo & 4 == 0,
+                        faults.is_some()
+                    );
+                }
+                net.set_activation_faults(None);
+            }
+        }
+        assert!(
+            skipped > 0,
+            "some snap must be skipped, or the check is vacuous"
+        );
+    }
+
+    #[test]
+    fn identity_snap_decisions() {
+        let fixed = |q: &Option<QuantizerHandle>| match q.as_ref().and_then(|q| q.bit_codec()) {
+            Some(BitCodec::Fixed(f)) => Some(f),
+            _ => None,
+        };
+        // Relu and max-pool slots seen skipping and keeping their snap:
+        // both must occur, or the "if and only if" below is half unchecked.
+        let (mut skipped, mut kept) = (0usize, 0usize);
+        for (si, spec) in [
+            crate::zoo::lenet(),
+            crate::zoo::convnet(),
+            crate::zoo::alex(),
+            serve_shaped_spec(),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mut net = Network::build(spec, 70 + si as u64).unwrap();
+            let calib = images(spec, 4, 80 + si as u64);
+            for k in 0..INSTALLS {
+                install(&mut net, k, &calib);
+                assert!(!net.snap_is_identity[0], "the input snap never skips");
+                for (i, layer) in spec.layers().iter().enumerate() {
+                    let skip = net.snap_is_identity[i + 1];
+                    match layer {
+                        LayerSpec::Relu | LayerSpec::MaxPool { .. } => {
+                            let same = fixed(&net.act_q[i]).is_some()
+                                && fixed(&net.act_q[i]) == fixed(&net.act_q[i + 1]);
+                            assert_eq!(skip, same, "{} install {k} slot {}", spec.name(), i + 1);
+                            skipped += usize::from(skip);
+                            kept += usize::from(!skip && fixed(&net.act_q[i + 1]).is_some());
+                        }
+                        _ => assert!(!skip, "{} install {k}: {layer:?} slot skips", spec.name()),
+                    }
+                }
+                net.clear_precision();
+                assert!(
+                    net.snap_is_identity.iter().all(|&s| !s),
+                    "clear_precision keeps a skip"
+                );
+            }
+            // One shared format: every relu and max-pool snap is the identity.
+            for p in Precision::paper_sweep().into_iter().skip(1) {
+                net.set_precision(p, Method::MaxAbs, &calib, ActivationCalibration::Global)
+                    .unwrap();
+                for (i, layer) in spec.layers().iter().enumerate() {
+                    let grid_preserving =
+                        matches!(layer, LayerSpec::Relu | LayerSpec::MaxPool { .. });
+                    assert_eq!(
+                        net.snap_is_identity[i + 1],
+                        grid_preserving,
+                        "{} {p} slot {}",
+                        spec.name(),
+                        i + 1
+                    );
+                }
+            }
+        }
+        assert!(skipped > 0 && kept > 0, "skipped {skipped}, kept {kept}");
     }
 
     #[test]

@@ -265,6 +265,42 @@ impl Fixed {
         }
     }
 
+    /// The slice snap's body: hoists the scale and its reciprocal (both
+    /// exact, see [`decode_f64_with_scale`](Self::decode_f64_with_scale))
+    /// and lifts the rounding mode out of the loop. Compiled twice — the
+    /// plain build here and [`snap_avx2`](Self::snap_avx2) — and
+    /// [`Quantizer::quantize_slice`] picks one at runtime.
+    #[inline(always)]
+    fn snap_plain(&self, data: &mut [f32]) {
+        let scale = self.scale_f64();
+        let inv = scale.recip();
+        match self.round {
+            RoundMode::NearestAway => {
+                self.quantize_slice_mode::<{ RoundMode::AWAY }>(data, scale, inv)
+            }
+            RoundMode::NearestEven => {
+                self.quantize_slice_mode::<{ RoundMode::EVEN }>(data, scale, inv)
+            }
+            RoundMode::Floor => self.quantize_slice_mode::<{ RoundMode::FLOOR }>(data, scale, inv),
+        }
+    }
+
+    /// [`snap_plain`](Self::snap_plain) compiled for AVX2. At rustc's SSE2
+    /// baseline `f64::round` and `f64::floor` are libm calls per element;
+    /// AVX2 implies SSE4.1, under which LLVM lowers `floor` to `vroundpd`
+    /// and `round` to `vroundpd` (truncate) on `x + copysign(0.49999999999999994, x)`
+    /// — exact round-half-away for every f64, so the loop vectorizes and
+    /// every result keeps its bits. Only `avx2` is enabled, never `fma`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 ([`qnn_tensor::has_avx2`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn snap_avx2(&self, data: &mut [f32]) {
+        self.snap_plain(data)
+    }
+
     /// Decodes a raw two's-complement integer back into the represented
     /// value.
     ///
@@ -308,21 +344,17 @@ impl Quantizer for Fixed {
 
     fn quantize_slice(&self, data: &mut [f32]) {
         // The per-value path pays two `exp2` libm calls per element (one
-        // inside `encode`, one inside `decode`); hoisting the scale and its
-        // reciprocal — both exact, see `decode_f64_with_scale` — leaves a
-        // branch-free body the auto-vectorizer handles. Bit-identical to
-        // the default (the property tests pin this).
-        let scale = self.scale_f64();
-        let inv = scale.recip();
-        match self.round {
-            RoundMode::NearestAway => {
-                self.quantize_slice_mode::<{ RoundMode::AWAY }>(data, scale, inv)
-            }
-            RoundMode::NearestEven => {
-                self.quantize_slice_mode::<{ RoundMode::EVEN }>(data, scale, inv)
-            }
-            RoundMode::Floor => self.quantize_slice_mode::<{ RoundMode::FLOOR }>(data, scale, inv),
+        // inside `encode`, one inside `decode`); the slice body hoists them
+        // and is branch-free, and its AVX2 build also drops the per-element
+        // `round`/`floor` call. Both builds are bit-identical to the default
+        // (`snap_builds_agree_bitwise` pins this).
+        #[cfg(target_arch = "x86_64")]
+        if qnn_tensor::has_avx2() {
+            // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
+            // precondition of the target_feature build.
+            return unsafe { self.snap_avx2(data) };
         }
+        self.snap_plain(data)
     }
 
     fn bits(&self) -> u32 {
@@ -453,6 +485,95 @@ mod tests {
         for u in [0.0, 0.5, 0.999] {
             assert_eq!(q.quantize_value_stochastic(3.0, u), 3.0);
         }
+    }
+
+    /// Operands for one snap case: grid points, exact ties, values beyond
+    /// both rails, and the specials every build must map alike.
+    fn snap_operands(r: &mut qnn_tensor::rng::Rng, q: &Fixed, len: usize) -> Vec<f32> {
+        let step = (-q.frac_bits() as f64).exp2();
+        let raw = |r: &mut qnn_tensor::rng::Rng| r.gen_range(q.raw_min()..=q.raw_max()) as f64;
+        (0..len)
+            .map(|_| match r.gen_range(0u32..12) {
+                0 | 1 => (raw(r) * step) as f32,
+                2 | 3 => ((raw(r) + 0.5) * step) as f32,
+                4 => (q.max_value() as f64 * (1.0 + r.next_f64() * 3.0)) as f32,
+                5 => (q.min_value() as f64 * (1.0 + r.next_f64() * 3.0)) as f32,
+                6 => {
+                    let sign = if r.gen_bool(0.5) { 0x8000_0000 } else { 0 };
+                    f32::from_bits(sign | r.gen_range(1u32..0x0080_0000))
+                }
+                7 => f32::from_bits(r.next_u32()),
+                8 => (step * (r.next_f64() - 0.5)) as f32,
+                _ => [
+                    0.0,
+                    -0.0,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::NAN,
+                    -f32::NAN,
+                    f32::MAX,
+                    f32::MIN,
+                    f32::MIN_POSITIVE,
+                    -f32::MIN_POSITIVE,
+                ][r.gen_range(0usize..10)],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn snap_builds_agree_bitwise() {
+        const CASES: usize = 288;
+        let mut r = qnn_tensor::rng::seeded(0x5A4F_0F16);
+        let modes = [
+            RoundMode::NearestAway,
+            RoundMode::NearestEven,
+            RoundMode::Floor,
+        ];
+        let mut seen_neg_zero_in = 0usize;
+        for case in 0..CASES {
+            let word = 2 + (case as u32 % 31);
+            let frac = match case % 7 {
+                0 => -96,
+                1 => 96,
+                _ => r.gen_range(-96i32..=96),
+            };
+            let q = Fixed::with_rounding(word, frac, modes[case % 3]).unwrap();
+            let len = if case == 0 {
+                4099
+            } else {
+                r.gen_range(0usize..68)
+            };
+            let input = snap_operands(&mut r, &q, len);
+            seen_neg_zero_in += input.iter().filter(|v| v.to_bits() == 0x8000_0000).count();
+            let want: Vec<u32> = input
+                .iter()
+                .map(|&x| q.quantize_value(x).to_bits())
+                .collect();
+            let mut builds = vec![("plain", input.clone())];
+            q.snap_plain(&mut builds[0].1);
+            #[cfg(target_arch = "x86_64")]
+            if qnn_tensor::has_avx2() {
+                let mut out = input.clone();
+                // SAFETY: `has_avx2` verified AVX2 on this CPU.
+                unsafe { q.snap_avx2(&mut out) };
+                builds.push(("avx2", out));
+            }
+            let mut dispatched = input.clone();
+            q.quantize_slice(&mut dispatched);
+            builds.push(("quantize_slice", dispatched));
+            for (build, got) in &builds {
+                for (i, (g, &w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w,
+                        "case {case} {build} {q:?} at {i}: input {:e} got {g:e}, want {:e}",
+                        input[i],
+                        f32::from_bits(w)
+                    );
+                }
+            }
+        }
+        assert!(seen_neg_zero_in > 0, "-0.0 must be among the operands");
     }
 
     #[test]

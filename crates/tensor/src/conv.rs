@@ -109,6 +109,12 @@ impl Geometry {
 /// Core im2col loop over raw slices; geometry must already be validated
 /// (`(oh, ow) = geom.output_hw(h, w)`), and `dst` must be
 /// `c·kh·kw × oh·ow` long. Overwrites `dst` entirely.
+///
+/// Fills each patch row one output row at a time: the output columns whose
+/// tap lies inside the image form one contiguous run, computed once per
+/// kernel column. At stride 1 that run is a contiguous slice of the image
+/// row and is copied whole; other strides gather it element by element.
+/// Only the padded ends are zero-filled (`+0.0`).
 #[allow(clippy::too_many_arguments)]
 fn im2col_kernel(
     image: &[f32],
@@ -122,24 +128,34 @@ fn im2col_kernel(
 ) {
     debug_assert_eq!(image.len(), c * h * w);
     debug_assert_eq!(dst.len(), c * geom.kh * geom.kw * oh * ow);
+    let (stride, pad) = (geom.stride, geom.pad);
     let cols = oh * ow;
-    dst.fill(0.0);
     for ci in 0..c {
         for ki in 0..geom.kh {
             for kj in 0..geom.kw {
                 let row = (ci * geom.kh + ki) * geom.kw + kj;
-                for oi in 0..oh {
-                    let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
-                    if ii < 0 || ii as usize >= h {
-                        continue;
-                    }
-                    for oj in 0..ow {
-                        let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
-                        if jj < 0 || jj as usize >= w {
+                // Output columns `lo..hi` are those whose tap column
+                // `oj·stride + kj − pad` lies inside `[0, w)`.
+                let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
+                let hi = (w + pad).saturating_sub(kj).div_ceil(stride).clamp(lo, ow);
+                let dst_row = &mut dst[row * cols..(row + 1) * cols];
+                for (oi, out) in dst_row.chunks_exact_mut(ow).enumerate() {
+                    let src = match (oi * stride + ki).checked_sub(pad) {
+                        Some(ii) if ii < h && lo < hi => &image[(ci * h + ii) * w..][..w],
+                        _ => {
+                            out.fill(0.0);
                             continue;
                         }
-                        dst[row * cols + oi * ow + oj] =
-                            image[(ci * h + ii as usize) * w + jj as usize];
+                    };
+                    out[..lo].fill(0.0);
+                    out[hi..].fill(0.0);
+                    let taps = &src[lo * stride + kj - pad..];
+                    if stride == 1 {
+                        out[lo..hi].copy_from_slice(&taps[..hi - lo]);
+                    } else {
+                        for (o, &v) in out[lo..hi].iter_mut().zip(taps.iter().step_by(stride)) {
+                            *o = v;
+                        }
                     }
                 }
             }
@@ -626,6 +642,85 @@ mod tests {
 
     fn t(shape: Shape, v: Vec<f32>) -> Tensor {
         Tensor::from_vec(shape, v).unwrap()
+    }
+
+    /// im2col one tap at a time, every bound checked per element: the
+    /// reference `im2col_kernel`'s row runs must reproduce bit for bit.
+    fn im2col_reference(image: &[f32], c: usize, h: usize, w: usize, geom: Geometry) -> Vec<f32> {
+        let (oh, ow) = geom.output_hw(h, w).unwrap();
+        let cols = oh * ow;
+        let mut dst = vec![0.0f32; c * geom.kh * geom.kw * cols];
+        for ci in 0..c {
+            for ki in 0..geom.kh {
+                for kj in 0..geom.kw {
+                    let row = (ci * geom.kh + ki) * geom.kw + kj;
+                    for oi in 0..oh {
+                        let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
+                        if ii < 0 || ii as usize >= h {
+                            continue;
+                        }
+                        for oj in 0..ow {
+                            let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
+                            if jj < 0 || jj as usize >= w {
+                                continue;
+                            }
+                            dst[row * cols + oi * ow + oj] =
+                                image[(ci * h + ii as usize) * w + jj as usize];
+                        }
+                    }
+                }
+            }
+        }
+        dst
+    }
+
+    #[test]
+    fn im2col_rows_match_per_element_reference() {
+        let mut r = crate::rng::seeded(0x1C01_2C01);
+        let (mut cases, mut strided, mut padded) = (0, 0, 0);
+        while cases < 320 {
+            let geom = Geometry {
+                kh: r.gen_range(1usize..8),
+                kw: r.gen_range(1usize..8),
+                stride: r.gen_range(1usize..4),
+                pad: r.gen_range(0usize..4),
+                ceil: r.gen_bool(0.25),
+            };
+            let (c, h, w) = (
+                r.gen_range(1usize..5),
+                r.gen_range(1usize..14),
+                r.gen_range(1usize..14),
+            );
+            let Ok((oh, ow)) = geom.output_hw(h, w) else {
+                continue;
+            };
+            cases += 1;
+            strided += usize::from(geom.stride > 1);
+            padded += usize::from(geom.pad > 0);
+            // Signed zeros among the pixels: copies must keep their sign,
+            // padding must be `+0.0`.
+            let image: Vec<f32> = (0..c * h * w)
+                .map(|_| match r.gen_range(0u32..8) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => r.gen_range(-4.0f32..4.0),
+                })
+                .collect();
+            let want = im2col_reference(&image, c, h, w, geom);
+            let mut got = vec![f32::NAN; want.len()];
+            assert_eq!(
+                im2col_into(&image, c, h, w, geom, &mut got).unwrap(),
+                (oh, ow)
+            );
+            for (i, (g, v)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    v.to_bits(),
+                    "{geom:?} c={c} h={h} w={w} at {i}: got {g:e}, want {v:e}"
+                );
+            }
+        }
+        assert!(strided > 0 && padded > 0);
     }
 
     #[test]
