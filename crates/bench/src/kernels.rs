@@ -15,7 +15,7 @@ use qnn_nn::{zoo, Mode, Network, Sgd};
 use qnn_quant::packed::{matmul_on_grid, PackedWeights};
 use qnn_quant::{Binary, BitCodec, Fixed, PowerOfTwo, Precision, Quantizer};
 use qnn_tensor::conv::{conv2d, conv2d_backward, Geometry};
-use qnn_tensor::pool::max_pool2d;
+use qnn_tensor::pool::{max_pool2d, max_pool2d_eval};
 use qnn_tensor::{par, rng, Shape, Tensor};
 
 fn random(shape: Shape, seed: u64) -> Tensor {
@@ -315,6 +315,10 @@ pub fn run_with(quick: bool) -> Json {
     let p = random(Shape::d4(4, 32, 32, 32), 5);
     let m = b.run("maxpool/3x3s2_batch4", || {
         black_box(max_pool2d(black_box(&p), Geometry::square(3, 2, 0)).unwrap());
+    });
+    push(entry(&m, None));
+    let m = b.run("maxpool/3x3s2_batch4_eval", || {
+        black_box(max_pool2d_eval(black_box(&p), Geometry::square(3, 2, 0)).unwrap());
     });
     push(entry(&m, None));
 

@@ -1,5 +1,7 @@
-use qnn_tensor::conv::{conv2d_backward_with, conv2d_with, im2col_into, ConvScratch, Geometry};
-use qnn_tensor::gemm::gemm_nn;
+use qnn_quant::packed::{conv_on_grid, ConvGridScratch, Epilogue};
+use qnn_tensor::conv::{
+    conv2d_backward_with, conv2d_each_with, conv2d_with, ConvScratch, Geometry,
+};
 use qnn_tensor::{init, rng, Shape, Tensor};
 
 use crate::error::NnError;
@@ -46,9 +48,11 @@ pub struct Conv2d {
     /// Packed-weight cache for the native quantized fast path, keyed on
     /// the exact bits of the quantized weights.
     plan: PlanCache,
-    /// Per-layer im2col / gradient buffers, allocated once and reused by
+    /// Per-layer packing / gradient buffers, allocated once and reused by
     /// every forward/backward call (see [`ConvScratch`]).
     scratch: ConvScratch,
+    /// The native route's per-image buffers (see [`ConvGridScratch`]).
+    grid: ConvGridScratch,
 }
 
 #[derive(Debug)]
@@ -92,6 +96,7 @@ impl Conv2d {
             frozen_qw: None,
             plan: PlanCache::default(),
             scratch: ConvScratch::new(),
+            grid: ConvGridScratch::default(),
         }
     }
 
@@ -114,19 +119,19 @@ impl Conv2d {
         }
     }
 
-    /// The native quantized forward pass: per sample, im2col then the
-    /// integer kernels with the exactness certificate, falling back to the
-    /// same per-sample f32 GEMM [`conv2d_with`] runs when a sample's
-    /// activations fail the certificate. Returns `None` (and the caller
-    /// runs the simulated whole-batch path) when the layer's weights have
-    /// no packable plan or the input shape is unexpected.
+    /// The native quantized forward pass: per sample, the integer kernel
+    /// under the exactness certificate ([`conv_on_grid`]), falling back to
+    /// the f32 route [`conv2d_with`] runs when a sample fails it. Returns
+    /// `None` (and the caller runs the simulated whole-batch path) when the
+    /// layer's weights have no packable plan or the input shape is
+    /// unexpected.
     ///
     /// Both branches replicate the reference computation exactly — the
-    /// same im2col, the same GEMM semantics, the same per-channel bias add
-    /// (fused into the kernel epilogue on the native branch, which is the
-    /// same f32 additions in a different traversal order — elementwise, so
-    /// bit-identical) — so the output matches [`conv2d_with`] bit-for-bit
-    /// regardless of which samples went native.
+    /// same patches, the same GEMM semantics, the same per-channel bias add
+    /// (fused into the kernel's row tail on the native branch: the same
+    /// f32 additions, elementwise, so bit-identical) — so the output
+    /// matches [`conv2d_with`] bit-for-bit regardless of which samples
+    /// went native.
     ///
     /// The output activation quantizer is additionally fused per native
     /// sample (when tracing is off). If any sample falls back, the layer
@@ -144,63 +149,39 @@ impl Conv2d {
         }
         let (n, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
         let (oh, ow) = self.geom.output_hw(h, w).ok()?;
-        let px = oh * ow;
         let kdim = c * self.geom.kh * self.geom.kw;
         let o = self.out_channels;
         let plan = self.plan.plan_for(wq.as_ref(), o, kdim, qw.as_slice())?;
-        let sample_flops = (2 * o * px * kdim) as u64;
-        let mut cols = vec![0.0f32; kdim * px];
-        // The kernels put activations on the row side, so the native
-        // product lands transposed (px×o); `tmp` holds it per sample.
-        let mut tmp = vec![0.0f32; px * o];
-        let mut out = vec![0.0f32; n * o * px];
-        let bias = self.bias.value.as_slice();
+        let sample_flops = (2 * o * oh * ow * kdim) as u64;
         let out_q = if qnn_trace::enabled() {
             None
         } else {
             self.output_q.as_deref()
         };
-        // `tmp` is px×o, so its columns are output channels: the epilogue's
-        // per-column bias lines up with the per-channel bias here.
-        let epi = qnn_quant::packed::Epilogue {
-            bias: Some(bias),
+        // One bias per output channel: the conv orientation's row tail.
+        let epi = Epilogue {
+            bias: Some(self.bias.value.as_slice()),
             out_quant: out_q,
         };
-        let in_stride = c * h * w;
-        let (mut native_flops, mut simulated_flops) = (0u64, 0u64);
-        for s in 0..n {
-            let image = &input.as_slice()[s * in_stride..(s + 1) * in_stride];
-            im2col_into(image, c, h, w, self.geom, &mut cols).ok()?;
-            let dst = &mut out[s * o * px..(s + 1) * o * px];
-            let fused = qnn_quant::packed::matmul_on_grid_fused(
-                &codec, &cols, px, kdim, true, plan, &epi, &mut tmp,
-            );
-            if fused {
-                for (oi, row) in dst.chunks_exact_mut(px).enumerate() {
-                    for (p, v) in row.iter_mut().enumerate() {
-                        *v = tmp[p * o + oi];
-                    }
-                }
-                native_flops += sample_flops;
-            } else {
-                gemm_nn(o, kdim, px, qw.as_slice(), &cols, dst);
-                for (oi, row) in dst.chunks_exact_mut(px).enumerate() {
-                    let b = bias[oi];
-                    for v in row {
-                        *v += b;
-                    }
-                }
-                simulated_flops += sample_flops;
-            }
+        let (geom, grid) = (self.geom, &mut self.grid);
+        let (out, native) = conv2d_each_with(
+            &mut self.scratch,
+            input,
+            qw,
+            &self.bias.value,
+            geom,
+            |image, dst| conv_on_grid(&codec, image, (c, h, w), geom, plan, &epi, grid, dst),
+        )
+        .ok()?;
+        let simulated = n - native;
+        if native > 0 {
+            qnn_trace::counter!(native::CTR_FLOPS_NATIVE, native as u64 * sample_flops);
         }
-        if native_flops > 0 {
-            qnn_trace::counter!(native::CTR_FLOPS_NATIVE, native_flops);
+        if simulated > 0 {
+            qnn_trace::counter!(native::CTR_FLOPS_SIMULATED, simulated as u64 * sample_flops);
         }
-        if simulated_flops > 0 {
-            qnn_trace::counter!(native::CTR_FLOPS_SIMULATED, simulated_flops);
-        }
-        self.fused_out_q = out_q.is_some() && simulated_flops == 0;
-        Tensor::from_vec(Shape::d4(n, o, oh, ow), out).ok()
+        self.fused_out_q = out_q.is_some() && simulated == 0;
+        Some(out)
     }
 }
 

@@ -38,12 +38,13 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        let out = pool::max_pool2d(input, self.geom)?;
-        if mode == Mode::Train {
-            self.cache = Some((input.shape().clone(), out.argmax));
-        } else {
+        // Only Train's backward reads the argmax; Eval pools without it.
+        if mode == Mode::Eval {
             self.cache = None;
+            return Ok(pool::max_pool2d_eval(input, self.geom)?);
         }
+        let out = pool::max_pool2d(input, self.geom)?;
+        self.cache = Some((input.shape().clone(), out.argmax));
         Ok(out.output)
     }
 

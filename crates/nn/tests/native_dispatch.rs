@@ -7,10 +7,11 @@
 //! forced on, at 1 and 4 worker threads. A trace assertion then confirms
 //! the fast path actually runs for the narrow fixed formats (so the
 //! equality isn't vacuous), and a weight-mutation test confirms the packed
-//! plan cache notices changed bits.
+//! plan cache notices changed bits. One test runs the same check on every
+//! paper network of `qnn_nn::zoo` at its full shape.
 
 use qnn_nn::arch::NetworkSpec;
-use qnn_nn::{set_native, ActivationCalibration, Mode, Network};
+use qnn_nn::{set_native, zoo, ActivationCalibration, Mode, Network};
 use qnn_quant::{calibrate::Method, Precision};
 use qnn_tensor::rng::{derive_seed, seeded};
 use qnn_tensor::{par, Shape, Tensor};
@@ -259,4 +260,62 @@ fn weight_mutation_invalidates_packed_plans() {
     assert_paths_agree(&mut net, &x, "before mutation");
     net.load_state(&donor.state_dict()).unwrap();
     assert_paths_agree(&mut net, &x, "after mutation");
+}
+
+/// A batch of `n` images shaped for `spec`, uniform in `[0, 1)`.
+fn zoo_batch(spec: &NetworkSpec, n: usize, seed: u64) -> Tensor {
+    let (c, h, w) = spec.input();
+    let mut r = seeded(seed);
+    let data = (0..n * c * h * w)
+        .map(|_| r.gen_range(0.0f32..1.0))
+        .collect();
+    Tensor::from_vec(Shape::d4(n, c, h, w), data).unwrap()
+}
+
+#[test]
+fn every_zoo_network_is_bit_identical_across_paths() {
+    // The paper's own networks at their Table I/II shapes — LeNet,
+    // ConvNet, ALEX, ALEX+ and ALEX++ — under every Table III precision:
+    // logits with native dispatch off and on must agree bit for bit at 1
+    // and 4 threads, and the narrow fixed formats must actually carry
+    // native MACs on every network.
+    let _serial = exclusive();
+    let nets = [
+        zoo::lenet(),
+        zoo::convnet(),
+        zoo::alex(),
+        zoo::alex_plus(),
+        zoo::alex_plus_plus(),
+    ];
+    for (ni, spec) in nets.iter().enumerate() {
+        let calib = zoo_batch(spec, 4, derive_seed(0x200c, ni as u64));
+        let x = zoo_batch(spec, 2, derive_seed(0x200e, ni as u64));
+        for precision in Precision::paper_sweep() {
+            let mut net = Network::build(spec, derive_seed(0x2001, ni as u64)).unwrap();
+            net.set_precision(
+                precision,
+                Method::MaxAbs,
+                &calib,
+                ActivationCalibration::PerLayer,
+            )
+            .unwrap();
+            for threads in [1usize, 4] {
+                par::set_threads(Some(threads));
+                let ctx = format!("{} {precision} @ {threads}t", spec.name());
+                assert_paths_agree(&mut net, &x, &ctx);
+            }
+            if precision == Precision::fixed(8, 8) || precision == Precision::fixed(4, 4) {
+                set_native(Some(true));
+                qnn_trace::start();
+                net.forward(&x, Mode::Eval).unwrap();
+                let trace = qnn_trace::stop();
+                let native = trace.counters.get("nn.fwd.flops.native").copied();
+                assert!(
+                    native.unwrap_or(0) > 0,
+                    "{} {precision}: no native MACs",
+                    spec.name()
+                );
+            }
+        }
+    }
 }

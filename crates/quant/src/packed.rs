@@ -23,15 +23,20 @@
 //!    to f32 exactly (a single multiply by a power of two per element) and
 //!    then applies the layer's [`Epilogue`].
 //!
-//! There is one native route. Every packable weight tensor — fixed-point,
+//! There is one native kernel. Every packable weight tensor — fixed-point,
 //! binary with a power-of-two scale, or power-of-two with a narrow exponent
 //! span — is i16 raws scaled by a power of two ([`PackedWeights`]); the
 //! activations must be fixed-point; and every certified product runs the
-//! register-blocked i16 microkernel over the weights' packed-B panel.
-//! Activation raws are row-major with `k` (the reduction dimension)
-//! contiguous, the layout that kernel reads.
+//! register-blocked i16 microkernel. It reaches that kernel in two
+//! orientations. A matrix product ([`matmul_on_grid_fused`], the dense
+//! layer) puts the activation raws on the kernel's row side, row-major with
+//! `k` contiguous, against the weights' packed-B panel. A convolution
+//! ([`conv_on_grid`]) puts the weights' raws on the row side instead and
+//! writes each image's patches straight into a panel, so every output
+//! channel's row lands in place.
 
 use crate::{Binary, BitCodec, Fixed, PowerOfTwo, Quantizer, RoundMode};
+use qnn_tensor::conv::Geometry;
 use qnn_tensor::qgemm;
 
 /// Trace counter: requantize (integer accumulator → f32) passes.
@@ -163,9 +168,6 @@ fn fixed_raws(
     transpose: bool,
 ) -> Option<Vec<i16>> {
     assert_eq!(data.len(), rows * cols, "packed tensor shape mismatch");
-    if format.word_bits() > 16 {
-        return None;
-    }
     let transposed;
     let data = if transpose {
         transposed = transpose_f32(rows, cols, data);
@@ -173,7 +175,18 @@ fn fixed_raws(
     } else {
         data
     };
-    let mut words = vec![0i16; data.len()];
+    let mut words = Vec::new();
+    fixed_raws_into(format, data, &mut words).then_some(words)
+}
+
+/// [`fixed_raws`] of row-major `data` into a reused buffer: `words` is
+/// resized to `data.len()` and filled; returns `false` (words unspecified)
+/// if the format is wider than 16 bits or any value fails the round trip.
+fn fixed_raws_into(format: &Fixed, data: &[f32], words: &mut Vec<i16>) -> bool {
+    if format.word_bits() > 16 {
+        return false;
+    }
+    words.resize(data.len(), 0);
     // The loop bodies below do a per-element encode + round-trip check
     // through `encode_f64_with_scale` / `decode_f64_with_scale` — the
     // very kernels `BitCodec::Fixed`'s encode/decode narrow to i64, so
@@ -184,20 +197,16 @@ fn fixed_raws(
     // a switch inside the loop body is the one control-flow shape the
     // auto-vectorizer rejects outright (see `Fixed::encode_f64_mode`).
     let scale = format.scale_f64();
-    let off_grid = if let Some(flag) = fast_pack(format, data, &mut words) {
+    let off_grid = if let Some(flag) = fast_pack(format, data, words) {
         flag
     } else {
         match format.round_mode() {
-            RoundMode::NearestAway => {
-                run_pack::<{ RoundMode::AWAY }>(format, scale, data, &mut words)
-            }
-            RoundMode::NearestEven => {
-                run_pack::<{ RoundMode::EVEN }>(format, scale, data, &mut words)
-            }
-            RoundMode::Floor => run_pack::<{ RoundMode::FLOOR }>(format, scale, data, &mut words),
+            RoundMode::NearestAway => run_pack::<{ RoundMode::AWAY }>(format, scale, data, words),
+            RoundMode::NearestEven => run_pack::<{ RoundMode::EVEN }>(format, scale, data, words),
+            RoundMode::Floor => run_pack::<{ RoundMode::FLOOR }>(format, scale, data, words),
         }
     };
-    (!off_grid).then_some(words)
+    !off_grid
 }
 
 /// `rows×cols` row-major `data` as its `cols×rows` row-major transpose,
@@ -438,10 +447,12 @@ fn pow2_raws(format: &PowerOfTwo, data: &[f32]) -> Option<(Vec<i16>, i32)> {
 
 /// A weight tensor packed for the native kernel: i16 raws, each `r`
 /// meaning `r · 2^lsb_exp`, stored once in the register-blocked
-/// microkernel's packed-B layout (`qnn_tensor::qgemm::PanelB`). The panel
-/// lives as long as the layer's plan, so packing amortizes over every
-/// batched forward and serve request. Rows are output units; `cols` is
-/// the reduction length.
+/// microkernel's packed-B layout (`qnn_tensor::qgemm::PanelB`) for the
+/// matrix-product orientation, and once row-major for the convolution
+/// orientation, which feeds them to the kernel's row side. Both live as
+/// long as the layer's plan, so packing amortizes over every batched
+/// forward and serve request. Rows are output units; `cols` is the
+/// reduction length.
 ///
 /// Three weight kinds pack, each into the same integers the simulated path
 /// multiplies by:
@@ -454,6 +465,8 @@ pub struct PackedWeights {
     lsb_exp: i32,
     /// Largest `|raw|` present — the certificate's weight bound.
     max_abs_raw: i64,
+    /// The raws, row-major (`rows×cols`).
+    raws: Vec<i16>,
     panel: qgemm::PanelB,
 }
 
@@ -472,10 +485,12 @@ impl PackedWeights {
             _ => return None,
         };
         let max_abs_raw = raws.iter().map(|&w| i64::from(w).abs()).max().unwrap_or(0);
+        let panel = qgemm::PanelB::pack(rows, cols, &raws);
         Some(PackedWeights {
             lsb_exp,
             max_abs_raw,
-            panel: qgemm::PanelB::pack(rows, cols, &raws),
+            raws,
+            panel,
         })
     }
 
@@ -648,6 +663,85 @@ pub fn matmul_on_grid_fused(
     let step = (lsb as f64).exp2();
     qgemm::gemm_nt_i16_panel_emit(m, k, n, &pa, &plan.panel, out, |_r, acc, orow| {
         emit_row(step, epi, acc, orow)
+    });
+    qnn_trace::counter!(CTR_REQUANT, 1);
+    true
+}
+
+/// The buffers [`conv_on_grid`] reuses across images and calls: one
+/// image's i16 raws and its patch panel. A conv layer owns one, so its
+/// steady-state native forwards allocate nothing here.
+#[derive(Debug, Default, Clone)]
+pub struct ConvGridScratch {
+    raws: Vec<i16>,
+    patches: qgemm::PanelB,
+}
+
+/// One image of a convolution on the native kernel, **bit-identical** to
+/// the simulated route — im2col, the f32 GEMM `W·cols`, the per-channel
+/// bias, then `epi.out_quant` — or `false`, leaving `out` unspecified
+/// (the caller falls back).
+///
+/// `image` is one `(c, h, w)` image of already-quantized activations and
+/// `act_codec` the codec of the quantizer that produced them; `plan` holds
+/// the `(o, c·kh·kw)` weights and `out` receives the `(o, oh·ow)` output.
+/// In this orientation `epi.bias` is **per output channel** (length `o`),
+/// one value per output row.
+///
+/// The image is encoded to i16 once and its patches are written straight
+/// into a panel; the weights' raws run on the kernel's row side, and each
+/// channel's row is requantized, biased and snapped in place. The
+/// certificate bound is taken over the image, not the patches: every patch
+/// value is an image value or a `+0.0` pad, so it is never looser, and it
+/// is the same bound whenever every pixel lies in some window. Returns
+/// `false` for non-fixed or wider-than-16-bit activations, an off-grid or
+/// `-0.0` pixel, a failed certificate, or mismatched shapes.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_on_grid(
+    act_codec: &BitCodec,
+    image: &[f32],
+    (c, h, w): (usize, usize, usize),
+    geom: Geometry,
+    plan: &PackedWeights,
+    epi: &Epilogue,
+    scratch: &mut ConvGridScratch,
+    out: &mut [f32],
+) -> bool {
+    let Ok((oh, ow)) = geom.output_hw(h, w) else {
+        return false;
+    };
+    let (o, k, px) = (plan.rows(), c * geom.kh * geom.kw, oh * ow);
+    if plan.cols() != k || image.len() != c * h * w || out.len() != o * px {
+        return false;
+    }
+    if epi.bias.is_some_and(|b| b.len() != o) {
+        return false;
+    }
+    let BitCodec::Fixed(f) = act_codec else {
+        return false;
+    };
+    let lsb = plan.lsb_exp - f.frac_bits();
+    if !dot_exact(acts_raw_bound(f, image), plan.max_abs_raw, k, lsb)
+        || !fixed_raws_into(f, image, &mut scratch.raws)
+    {
+        return false;
+    }
+    let ConvGridScratch { raws, patches } = scratch;
+    if patches.pack_patches(raws, c, h, w, geom).is_err() {
+        return false;
+    }
+    let step = (lsb as f64).exp2();
+    // Row `r` is output channel `r`: one bias for the whole row.
+    qgemm::gemm_nt_i16_panel_emit(o, k, px, &plan.raws, patches, out, |r, acc, orow| {
+        emit_row(step, &Epilogue::none(), acc, orow);
+        if let Some(b) = epi.bias {
+            for v in orow.iter_mut() {
+                *v += b[r];
+            }
+        }
+        if let Some(q) = epi.out_quant {
+            q.quantize_slice(orow);
+        }
     });
     qnn_trace::counter!(CTR_REQUANT, 1);
     true

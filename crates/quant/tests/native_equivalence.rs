@@ -15,8 +15,11 @@
 //! `matmul_on_grid` returns `false` / `pack` returns `None` — rather than
 //! computed approximately.
 
-use qnn_quant::packed::{matmul_on_grid, matmul_on_grid_fused, Epilogue, PackedWeights};
+use qnn_quant::packed::{
+    conv_on_grid, matmul_on_grid, matmul_on_grid_fused, ConvGridScratch, Epilogue, PackedWeights,
+};
 use qnn_quant::{Binary, BitCodec, Fixed, PowerOfTwo, Quantizer};
+use qnn_tensor::conv::{im2col_into, Geometry};
 use qnn_tensor::par;
 use qnn_tensor::rng::{derive_seed, seeded, Rng};
 
@@ -498,4 +501,202 @@ fn native_route_boundary() {
             (_, None) => panic!("{label}: must pack"),
         }
     }
+}
+
+/// The simulated convolution of one `(c, h, w)` image: im2col, one f32
+/// accumulator per output over ascending `k`, then the per-channel bias
+/// and the output snap — what `Conv2d`'s f32 route and the network's
+/// quantize pass compute.
+#[allow(clippy::too_many_arguments)]
+fn reference_conv(
+    image: &[f32],
+    (c, h, w): (usize, usize, usize),
+    geom: Geometry,
+    o: usize,
+    weights: &[f32],
+    bias: &[f32],
+    out_q: &dyn Quantizer,
+) -> Vec<f32> {
+    let (oh, ow) = geom.output_hw(h, w).unwrap();
+    let (px, k) = (oh * ow, c * geom.kh * geom.kw);
+    let mut cols = vec![0.0f32; k * px];
+    im2col_into(image, c, h, w, geom, &mut cols).unwrap();
+    let mut out = vec![0.0f32; o * px];
+    for oi in 0..o {
+        for p in 0..px {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += weights[oi * k + kk] * cols[kk * px + p];
+            }
+            out[oi * px + p] = acc + bias[oi];
+        }
+    }
+    out_q.quantize_slice(&mut out);
+    out
+}
+
+/// A random conv geometry (strides 1–3, padding 0–2) for an image of
+/// `c×h×w`, or `None` when the kernel does not fit.
+fn conv_case(rng: &mut Rng) -> Option<((usize, usize, usize), Geometry)> {
+    let geom = Geometry::square(
+        rng.gen_range(1usize..5),
+        rng.gen_range(1usize..4),
+        rng.gen_range(0usize..3),
+    );
+    let chw = (
+        rng.gen_range(1usize..4),
+        rng.gen_range(1usize..10),
+        rng.gen_range(1usize..10),
+    );
+    geom.output_hw(chw.1, chw.2).ok()?;
+    Some((chw, geom))
+}
+
+/// `conv_on_grid` against the simulated conv plus bias plus snap over
+/// 256 seeded cases at 1 and 4 threads: fixed activations of 2 to 16
+/// bits, fixed, binary and pow2 weights, strides up to 3 and padding. The
+/// entry must fire for every weight family and, when it fires, match bit
+/// for bit; when it declines, the certificate over the image must have
+/// failed.
+#[test]
+fn conv_entry_matches_simulated_conv_bias_and_snap() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let native = [(); 3].map(|_| AtomicUsize::new(0));
+    let (strided, padded) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    cases(0xC0_4E, |rng| {
+        let Some(((c, h, w), geom)) = conv_case(rng) else {
+            return;
+        };
+        let o = rng.gen_range(1usize..12);
+        let k = c * geom.kh * geom.kw;
+        let bits = rng.gen_range(2u32..17);
+        let fa = Fixed::new(bits, rng.gen_range(0i32..bits as i32)).unwrap();
+        let max_raw = 1 << rng.gen_range(1u32..bits);
+        let image = fixed_values(rng, &fa, c * h * w, max_raw);
+        let family = rng.gen_range(0usize..3);
+        let (wcodec, weights): (BitCodec, Vec<f32>) = match family {
+            0 => {
+                let fw = Fixed::new(rng.gen_range(2u32..17), rng.gen_range(0i32..8)).unwrap();
+                (BitCodec::Fixed(fw), fixed_values(rng, &fw, o * k, 1 << 7))
+            }
+            1 => {
+                let b = Binary::with_scale((rng.gen_range(-3i32..4) as f32).exp2()).unwrap();
+                let v = (0..o * k).map(|_| b.decode(rng.gen_bool(0.5))).collect();
+                (BitCodec::Binary(b), v)
+            }
+            _ => {
+                let p = PowerOfTwo::new(6, 0).unwrap();
+                let top = (p.max_exp() - p.min_exp()) as u32 + 1;
+                let v = (0..o * k)
+                    .map(|_| p.decode(rng.gen_bool(0.5), rng.gen_range(top - 5..top + 1)))
+                    .collect();
+                (BitCodec::PowerOfTwo(p), v)
+            }
+        };
+        let plan = PackedWeights::pack(&wcodec, o, k, &weights).expect("weights must pack");
+        let oq = Fixed::new(8, rng.gen_range(0i32..5)).unwrap();
+        let bias: Vec<f32> = (0..o)
+            .map(|_| oq.decode(rng.gen_range(-64i64..65)))
+            .collect();
+        let epi = Epilogue {
+            bias: Some(&bias),
+            out_quant: Some(&oq),
+        };
+        let (oh, ow) = geom.output_hw(h, w).unwrap();
+        let mut out = vec![f32::NAN; o * oh * ow];
+        let mut scratch = ConvGridScratch::default();
+        let acodec = BitCodec::Fixed(fa);
+        let chw = (c, h, w);
+        if conv_on_grid(
+            &acodec,
+            &image,
+            chw,
+            geom,
+            &plan,
+            &epi,
+            &mut scratch,
+            &mut out,
+        ) {
+            native[family].fetch_add(1, Ordering::Relaxed);
+            strided.fetch_add(usize::from(geom.stride > 1), Ordering::Relaxed);
+            padded.fetch_add(usize::from(geom.pad > 0), Ordering::Relaxed);
+            let want = reference_conv(&image, chw, geom, o, &weights, &bias, &oq);
+            assert_bits_eq(
+                &out,
+                &want,
+                &format!("{geom:?} {chw:?} o={o} {wcodec:?} {fa:?}"),
+            );
+        } else {
+            // The only decline on-grid activations may meet is the
+            // certificate, and up to 8-bit activations it always holds
+            // here (weight raws stay at or below 2^7, k at most 48).
+            assert!(fa.word_bits() > 8, "{geom:?} {chw:?} {fa:?}: declined");
+        }
+    });
+    let native = native.map(|n| n.into_inner());
+    assert!(
+        native.iter().all(|&n| n > 0),
+        "every weight family must run native: {native:?}"
+    );
+    assert!(strided.into_inner() > 0 && padded.into_inner() > 0);
+}
+
+/// `conv_on_grid` must decline, never approximate: an off-grid pixel, a
+/// `-0.0` pixel, activations wider than 16 bits and a failed certificate
+/// each return `false`, while the same image otherwise runs native.
+#[test]
+fn conv_entry_declines_what_it_cannot_compute() {
+    let fa = Fixed::new(8, 4).unwrap();
+    let geom = Geometry::square(3, 2, 1);
+    let (c, h, w, o) = (2usize, 5usize, 6usize, 3usize);
+    let k = c * 9;
+    let weights: Vec<f32> = (0..o * k).map(|i| fa.decode(i as i64 % 7 - 3)).collect();
+    let plan = PackedWeights::pack(&BitCodec::Fixed(fa), o, k, &weights).unwrap();
+    let image: Vec<f32> = (0..c * h * w)
+        .map(|i| fa.decode(i as i64 % 9 - 4))
+        .collect();
+    let (oh, ow) = geom.output_hw(h, w).unwrap();
+    let run = |codec: &BitCodec, image: &[f32], plan: &PackedWeights| {
+        let mut out = vec![0.0f32; o * oh * ow];
+        let mut scratch = ConvGridScratch::default();
+        let epi = Epilogue::none();
+        conv_on_grid(
+            codec,
+            image,
+            (c, h, w),
+            geom,
+            plan,
+            &epi,
+            &mut scratch,
+            &mut out,
+        )
+    };
+    let codec = BitCodec::Fixed(fa);
+    assert!(
+        run(&codec, &image, &plan),
+        "the on-grid image must run native"
+    );
+    let mut off = image.clone();
+    off[7] = fa.decode(1) / 2.0;
+    assert!(!run(&codec, &off, &plan), "off-grid pixel");
+    let mut negz = image.clone();
+    negz[0] = -0.0;
+    assert!(!run(&codec, &negz, &plan), "-0.0 pixel");
+    let wide = Fixed::new(17, 4).unwrap();
+    assert!(
+        !run(&BitCodec::Fixed(wide), &image, &plan),
+        "17-bit activations"
+    );
+    // 16-bit activations at the rail against 8-bit weights: 2^15·127·18
+    // exceeds the certificate's 2^24.
+    let f16 = Fixed::new(16, 4).unwrap();
+    let big: Vec<f32> = (0..c * h * w)
+        .map(|i| f16.decode(if i == 3 { -32768 } else { 1 }))
+        .collect();
+    let wplan =
+        PackedWeights::pack(&BitCodec::Fixed(fa), o, k, &vec![fa.decode(127); o * k]).unwrap();
+    assert!(
+        !run(&BitCodec::Fixed(f16), &big, &wplan),
+        "failed certificate"
+    );
 }

@@ -6,8 +6,8 @@
 //! makes steady-state throughput depend on allocator behaviour; the
 //! arena instead recycles slabs — a request checks one out
 //! ([`Arena::take`]), carries it through the queue into the engine, and
-//! the slab returns to the pool when the [`Request`](crate::queue::Request)
-//! is dropped after its response is sent.
+//! the engine drops it, returning it to the pool, after the batched
+//! forward and before the request's response is sent.
 //!
 //! ## Ownership and lifetime
 //!

@@ -32,8 +32,8 @@ pub struct Request {
     /// Precision tag (already validated against the model bank).
     pub tag: u8,
     /// The image, decoded to floats into a recycled arena slab — the
-    /// slab returns to its pool when this request is dropped after its
-    /// response is sent.
+    /// engine drops the slab, returning it to its pool, before it sends
+    /// this request's response.
     pub image: Slab,
     /// The model version pinned at admission time: whatever
     /// [`BankSet`] was live when the handler accepted the request

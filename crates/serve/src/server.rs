@@ -957,20 +957,23 @@ fn engine_loop(ctl: &Arc<Ctl>, cfg: &ServeConfig, addr: SocketAddr) -> ServeStat
         // then split each group into at most `engine_threads` contiguous
         // sub-batches, the work units the fan-out schedules. Unit
         // boundaries depend only on the batch composition and the
-        // thread count, never on timing.
-        let mut groups: BTreeMap<(u32, u8), Vec<usize>> = BTreeMap::new();
-        for (i, req) in batch.iter().enumerate() {
+        // thread count, never on timing. Each unit owns its requests.
+        let batch_len = batch.len();
+        let mut groups: BTreeMap<(u32, u8), Vec<Request>> = BTreeMap::new();
+        for req in batch {
             groups
                 .entry((req.bank.version, req.tag))
                 .or_default()
-                .push(i);
+                .push(req);
         }
-        let mut units: Vec<(u8, Vec<usize>)> = Vec::new();
-        for ((version, tag), idxs) in groups {
-            qnn_trace::counter!(format!("serve.requests.v{version}"), idxs.len() as u64);
-            for range in par::partition(idxs.len(), engine_threads.min(idxs.len()).max(1)) {
+        let mut units: Vec<Mutex<Vec<Request>>> = Vec::new();
+        for ((version, _), reqs) in groups {
+            qnn_trace::counter!(format!("serve.requests.v{version}"), reqs.len() as u64);
+            let ranges = par::partition(reqs.len(), engine_threads.min(reqs.len()).max(1));
+            let mut reqs = reqs.into_iter();
+            for range in ranges {
                 if !range.is_empty() {
-                    units.push((tag, idxs[range].to_vec()));
+                    units.push(Mutex::new(reqs.by_ref().take(range.len()).collect()));
                 }
             }
         }
@@ -979,34 +982,50 @@ fn engine_loop(ctl: &Arc<Ctl>, cfg: &ServeConfig, addr: SocketAddr) -> ServeStat
         // worker checks a replica out of its unit's *pinned* bank set
         // (all requests in a unit share one set by construction), runs
         // the stacked forward, and sends its responses directly —
-        // per-request latencies come back for the stats fold. Workers
-        // are pool workers, so kernels inside them run serial instead
-        // of nesting.
+        // per-request latencies come back for the stats fold. Each
+        // request's image slab goes back to the arena before its response
+        // is sent, so a closed-loop client's next request finds it there.
+        // Workers are pool workers, so kernels inside them run serial
+        // instead of nesting.
         let unit_latencies = par::map_capped(units.len(), engine_threads, |u| {
-            let (tag, idxs) = &units[u];
-            let set = &batch[idxs[0]].bank;
+            let reqs =
+                std::mem::take(&mut *units[u].lock().expect("a unit lock guards only this take"));
+            let set = Arc::clone(&reqs[0].bank);
+            let tag = reqs[0].tag;
             let version_byte = (set.version & 0xFF) as u8;
             let mut bank = checkout(&set.banks, u);
             qnn_trace::span!("serve.infer:{}", tag);
-            let images: Vec<&[f32]> = idxs.iter().map(|&i| &*batch[i].image).collect();
-            match bank.forward_batch_flat(*tag, &images) {
+            let images: Vec<&[f32]> = reqs.iter().map(|r| &*r.image).collect();
+            let result = bank.forward_batch_flat(tag, &images);
+            drop(images);
+            match result {
                 Ok((flat, k)) => {
-                    let mut latencies = Vec::with_capacity(idxs.len());
-                    for (&i, row) in idxs.iter().zip(flat.chunks_exact(k)) {
-                        let req = &batch[i];
+                    let mut latencies = Vec::with_capacity(reqs.len());
+                    for (req, row) in reqs.into_iter().zip(flat.chunks_exact(k)) {
+                        let Request {
+                            id,
+                            image,
+                            reply,
+                            enqueued,
+                            ..
+                        } = req;
+                        drop(image);
                         qnn_trace::span!("serve.request");
-                        let us = req.enqueued.elapsed().as_micros() as f64;
+                        let us = enqueued.elapsed().as_micros() as f64;
                         qnn_trace::observe!("serve.latency.us", us);
                         latencies.push(us);
-                        let _ = req.reply.send(Frame::infer_ok_v(req.id, version_byte, row));
+                        let _ = reply.send(Frame::infer_ok_v(id, version_byte, row));
                     }
                     latencies
                 }
                 Err(e) => {
-                    for &i in idxs {
-                        let req = &batch[i];
-                        let _ = req.reply.send(Frame::error(
-                            req.id,
+                    for req in reqs {
+                        let Request {
+                            id, image, reply, ..
+                        } = req;
+                        drop(image);
+                        let _ = reply.send(Frame::error(
+                            id,
                             ErrorCode::Internal,
                             0,
                             &format!("forward failed: {e}"),
@@ -1023,7 +1042,7 @@ fn engine_loop(ctl: &Arc<Ctl>, cfg: &ServeConfig, addr: SocketAddr) -> ServeStat
 
         // Refresh the adaptive backpressure hint from this batch's
         // measured drain rate and the depth left behind.
-        let per_req_ns = (drain_start.elapsed().as_nanos() as u64) / batch.len().max(1) as u64;
+        let per_req_ns = (drain_start.elapsed().as_nanos() as u64) / batch_len.max(1) as u64;
         drain_ewma_ns = if drain_ewma_ns == 0 {
             per_req_ns
         } else {

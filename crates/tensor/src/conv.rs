@@ -13,9 +13,17 @@
 //! (forward / input gradient) and fixed-size sample blocks for the weight
 //! and bias gradient partials, reduced in block order — so results are
 //! bit-identical at any thread count.
+//!
+//! The forward never materialises the patch matrix. Its weights, already
+//! the GEMM's `A` operand, are packed into the kernel's row panels once per
+//! call, and each image's patches are written straight into the column
+//! panels of `B`. One walk over the patch matrix (`im2col_runs`) serves
+//! every destination layout through `PatchSink`: the row-major matrix of
+//! [`im2col_into`], the f32 GEMM's panels, and the i16 kernel's
+//! [`crate::qgemm::PanelB`].
 
 use crate::error::TensorError;
-use crate::gemm::{gemm_nn_with, gemm_nt_with, gemm_tn_with, GemmScratch};
+use crate::gemm::{gemm_nt_with, gemm_packed, gemm_tn_with, GemmScratch, PackedA, PackedB};
 use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -106,15 +114,94 @@ impl Geometry {
     }
 }
 
+/// The destination of an im2col unfold. It receives the patch matrix
+/// (`c·kh·kw` rows, `oh·ow` columns) as runs along its rows and owns its
+/// memory layout; together the runs cover every slot exactly once.
+pub(crate) trait PatchSink<T> {
+    /// Columns `col .. col+len` of patch row `row` are zero padding.
+    fn zeros(&mut self, row: usize, col: usize, len: usize);
+    /// Columns `col .. col+len` of patch row `row` are the image taps
+    /// `taps[0], taps[stride], …`.
+    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[T], stride: usize);
+}
+
+/// Walks the patch matrix of one `(c, h, w)` image into `sink`; geometry
+/// must already be validated (`(oh, ow) = geom.output_hw(h, w)`).
+///
+/// Each patch row is visited one output row at a time: the output columns
+/// whose tap lies inside the image form one contiguous run, computed once
+/// per kernel column, with zero padding on either side.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn im2col_runs<T: Copy>(
+    image: &[T],
+    c: usize,
+    h: usize,
+    w: usize,
+    geom: Geometry,
+    oh: usize,
+    ow: usize,
+    sink: &mut impl PatchSink<T>,
+) {
+    debug_assert_eq!(image.len(), c * h * w);
+    let (stride, pad) = (geom.stride, geom.pad);
+    for ci in 0..c {
+        for ki in 0..geom.kh {
+            for kj in 0..geom.kw {
+                let row = (ci * geom.kh + ki) * geom.kw + kj;
+                // Output columns `lo..hi` are those whose tap column
+                // `oj·stride + kj − pad` lies inside `[0, w)`.
+                let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
+                let hi = (w + pad).saturating_sub(kj).div_ceil(stride).clamp(lo, ow);
+                for oi in 0..oh {
+                    let col = oi * ow;
+                    match (oi * stride + ki).checked_sub(pad) {
+                        Some(ii) if ii < h && lo < hi => {
+                            let src = &image[(ci * h + ii) * w..][..w];
+                            sink.zeros(row, col, lo);
+                            sink.taps(
+                                row,
+                                col + lo,
+                                hi - lo,
+                                &src[lo * stride + kj - pad..],
+                                stride,
+                            );
+                            sink.zeros(row, col + hi, ow - hi);
+                        }
+                        _ => sink.zeros(row, col, ow),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The row-major patch matrix: row `r` at `dst[r·cols ..]`. Stride-1 runs
+/// are copied whole; other strides are gathered element by element.
+struct RowMajor<'a> {
+    cols: usize,
+    dst: &'a mut [f32],
+}
+
+impl PatchSink<f32> for RowMajor<'_> {
+    fn zeros(&mut self, row: usize, col: usize, len: usize) {
+        self.dst[row * self.cols + col..][..len].fill(0.0);
+    }
+
+    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[f32], stride: usize) {
+        let out = &mut self.dst[row * self.cols + col..][..len];
+        if stride == 1 {
+            out.copy_from_slice(&taps[..len]);
+        } else {
+            for (o, &v) in out.iter_mut().zip(taps.iter().step_by(stride)) {
+                *o = v;
+            }
+        }
+    }
+}
+
 /// Core im2col loop over raw slices; geometry must already be validated
 /// (`(oh, ow) = geom.output_hw(h, w)`), and `dst` must be
-/// `c·kh·kw × oh·ow` long. Overwrites `dst` entirely.
-///
-/// Fills each patch row one output row at a time: the output columns whose
-/// tap lies inside the image form one contiguous run, computed once per
-/// kernel column. At stride 1 that run is a contiguous slice of the image
-/// row and is copied whole; other strides gather it element by element.
-/// Only the padded ends are zero-filled (`+0.0`).
+/// `c·kh·kw × oh·ow` long. Overwrites `dst` entirely; padding is `+0.0`.
 #[allow(clippy::too_many_arguments)]
 fn im2col_kernel(
     image: &[f32],
@@ -126,41 +213,9 @@ fn im2col_kernel(
     ow: usize,
     dst: &mut [f32],
 ) {
-    debug_assert_eq!(image.len(), c * h * w);
     debug_assert_eq!(dst.len(), c * geom.kh * geom.kw * oh * ow);
-    let (stride, pad) = (geom.stride, geom.pad);
-    let cols = oh * ow;
-    for ci in 0..c {
-        for ki in 0..geom.kh {
-            for kj in 0..geom.kw {
-                let row = (ci * geom.kh + ki) * geom.kw + kj;
-                // Output columns `lo..hi` are those whose tap column
-                // `oj·stride + kj − pad` lies inside `[0, w)`.
-                let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
-                let hi = (w + pad).saturating_sub(kj).div_ceil(stride).clamp(lo, ow);
-                let dst_row = &mut dst[row * cols..(row + 1) * cols];
-                for (oi, out) in dst_row.chunks_exact_mut(ow).enumerate() {
-                    let src = match (oi * stride + ki).checked_sub(pad) {
-                        Some(ii) if ii < h && lo < hi => &image[(ci * h + ii) * w..][..w],
-                        _ => {
-                            out.fill(0.0);
-                            continue;
-                        }
-                    };
-                    out[..lo].fill(0.0);
-                    out[hi..].fill(0.0);
-                    let taps = &src[lo * stride + kj - pad..];
-                    if stride == 1 {
-                        out[lo..hi].copy_from_slice(&taps[..hi - lo]);
-                    } else {
-                        for (o, &v) in out[lo..hi].iter_mut().zip(taps.iter().step_by(stride)) {
-                            *o = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let mut sink = RowMajor { cols: oh * ow, dst };
+    im2col_runs(image, c, h, w, geom, oh, ow, &mut sink);
 }
 
 /// Core col2im loop over raw slices (adjoint of [`im2col_kernel`]);
@@ -296,23 +351,25 @@ pub fn col2im(
     Tensor::from_vec(Shape::d3(c, h, w), out)
 }
 
-/// Per-worker buffers for one convolution layer: the im2col patch matrix,
-/// the folded gradient columns, a per-sample weight-gradient product, and
-/// the GEMM packing buffers. Sized lazily on first use and reused for the
-/// lifetime of the layer.
+/// Per-worker buffers for one convolution layer: the forward's patch
+/// panels, the backward's im2col patch matrix, folded gradient columns and
+/// per-sample weight-gradient product, and the GEMM packing buffers. Sized
+/// lazily on first use and reused for the lifetime of the layer.
 #[derive(Debug, Default, Clone)]
 struct Slot {
+    patches: PackedB,
     cols: Vec<f32>,
     gcols: Vec<f32>,
     gw_tmp: Vec<f32>,
     gemm: GemmScratch,
 }
 
-/// Persistent scratch for [`conv2d_with`] / [`conv2d_backward_with`].
+/// Persistent scratch for [`conv2d_with`], [`conv2d_each_with`] and
+/// [`conv2d_backward_with`].
 ///
 /// Holds one buffer set per worker thread; a `Conv2d` layer owns one of
-/// these so im2col and gradient buffers are allocated once per layer, not
-/// once per forward/backward call.
+/// these so its buffers are allocated once per layer, not once per
+/// forward/backward call.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
     slots: Vec<Slot>,
@@ -334,6 +391,10 @@ impl ConvScratch {
 
 thread_local! {
     static TLS_CONV_SCRATCH: RefCell<ConvScratch> = RefCell::new(ConvScratch::new());
+    /// The forward's packed weights. They live only for one call, so one
+    /// buffer per thread, grown to the largest layer it has run, serves
+    /// every layer: no layer keeps a second copy of its weights.
+    static TLS_WEIGHTS: RefCell<PackedA> = RefCell::new(PackedA::default());
 }
 
 /// Samples per weight-gradient partial block. Fixed (never derived from the
@@ -361,6 +422,12 @@ pub fn conv2d(
 /// [`conv2d`] with an explicit per-layer scratch: zero heap traffic in
 /// steady state beyond the output tensor itself.
 ///
+/// The weights are packed into the GEMM's row panels once per call; each
+/// image's patches go straight into the column panels, and every output
+/// still accumulates over `k` in ascending order with one multiply and one
+/// add per step, so the bits are those of im2col, the naive GEMM and a
+/// per-channel bias add.
+///
 /// # Errors
 ///
 /// Returns an error on rank/shape mismatches or impossible geometry.
@@ -371,48 +438,32 @@ pub fn conv2d_with(
     bias: &Tensor,
     geom: Geometry,
 ) -> Result<Tensor, TensorError> {
-    let (n, c, h, w) = conv_input_dims(input)?;
-    let (o, wc, wkh, wkw) = conv_weight_dims(weight)?;
-    if wc != c || wkh != geom.kh || wkw != geom.kw {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d",
-            lhs: input.shape().clone(),
-            rhs: weight.shape().clone(),
-        });
-    }
-    if bias.len() != o {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d/bias",
-            lhs: weight.shape().clone(),
-            rhs: bias.shape().clone(),
-        });
-    }
-    let (oh, ow) = geom.output_hw(h, w)?;
-    let px = oh * ow;
-    let kdim = c * geom.kh * geom.kw;
-    let csz = c * h * w;
-    let sample_out = o * px;
-    qnn_trace::counter!("tensor.conv.fwd.calls", 1);
-    qnn_trace::counter!("tensor.conv.fwd.macs", (n * o * px * kdim) as u64);
-    // Row-major (O, C, KH, KW) weights are already the (O, C·KH·KW) GEMM
-    // operand; no reshape/copy needed.
-    let wdata = weight.as_slice();
+    let d = ConvDims::of(input, weight, bias, geom)?;
+    TLS_WEIGHTS.with(|w| {
+        let mut weights = w.borrow_mut();
+        weights.pack(d.o, d.kdim(), weight.as_slice());
+        conv2d_batch(scratch, &d, &weights, input, bias)
+    })
+}
+
+/// The body of [`conv2d_with`]: the batch's images spread over the pool,
+/// one slot per worker, against weights already packed.
+fn conv2d_batch(
+    scratch: &mut ConvScratch,
+    d: &ConvDims,
+    weights: &PackedA,
+    input: &Tensor,
+    bias: &Tensor,
+) -> Result<Tensor, TensorError> {
+    let n = d.n;
+    let sample_out = d.o * d.px();
     let in_data = input.as_slice();
     let bslice = bias.as_slice();
     let mut out = vec![0.0f32; n * sample_out];
 
     let run = |range: std::ops::Range<usize>, slab: &mut [f32], slot: &mut Slot| {
-        slot.cols.resize(kdim * px, 0.0);
         for (ni, dst) in range.zip(slab.chunks_mut(sample_out)) {
-            let img = &in_data[ni * csz..(ni + 1) * csz];
-            im2col_kernel(img, c, h, w, geom, oh, ow, &mut slot.cols);
-            gemm_nn_with(&mut slot.gemm, o, kdim, px, wdata, &slot.cols, dst);
-            for (oi, row) in dst.chunks_exact_mut(px).enumerate() {
-                let b = bslice[oi];
-                for v in row {
-                    *v += b;
-                }
-            }
+            conv_image(d, weights, slot, d.image(in_data, ni), bslice, dst);
         }
     };
 
@@ -444,7 +495,149 @@ pub fn conv2d_with(
             par::join_spliced(handles);
         });
     }
-    Tensor::from_vec(Shape::d4(n, o, oh, ow), out)
+    Tensor::from_vec(Shape::d4(n, d.o, d.oh, d.ow), out)
+}
+
+/// [`conv2d_with`] one image at a time, in order, offering each image
+/// first to `first` and running the f32 route on the images it declines.
+///
+/// `first(image, dst)` gets one `(c, h, w)` image and its `(o, oh·ow)`
+/// output, and returns whether it wrote that output; it must then have
+/// written exactly what the f32 route would. The native quantized conv
+/// runs through this: the f32 route packs the weights at most once per call,
+/// on the first declined image, and each image's GEMM may still spread its
+/// row panels over the pool. Returns the output and how many images
+/// `first` took.
+///
+/// # Errors
+///
+/// Returns an error on rank/shape mismatches or impossible geometry.
+pub fn conv2d_each_with<F>(
+    scratch: &mut ConvScratch,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    geom: Geometry,
+    mut first: F,
+) -> Result<(Tensor, usize), TensorError>
+where
+    F: FnMut(&[f32], &mut [f32]) -> bool,
+{
+    let d = ConvDims::of(input, weight, bias, geom)?;
+    let sample_out = d.o * d.px();
+    let slot = &mut scratch.slots(1)[0];
+    let in_data = input.as_slice();
+    let mut out = vec![0.0f32; d.n * sample_out];
+    let (mut taken, mut packed) = (0, false);
+    TLS_WEIGHTS.with(|w| {
+        let mut weights = w.borrow_mut();
+        for (ni, dst) in out.chunks_mut(sample_out).enumerate() {
+            let image = d.image(in_data, ni);
+            if first(image, dst) {
+                taken += 1;
+                continue;
+            }
+            if !packed {
+                weights.pack(d.o, d.kdim(), weight.as_slice());
+                packed = true;
+            }
+            conv_image(&d, &weights, slot, image, bias.as_slice(), dst);
+        }
+    });
+    Ok((
+        Tensor::from_vec(Shape::d4(d.n, d.o, d.oh, d.ow), out)?,
+        taken,
+    ))
+}
+
+/// The validated dimensions of one conv forward.
+#[derive(Debug, Clone, Copy)]
+struct ConvDims {
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    o: usize,
+    oh: usize,
+    ow: usize,
+    geom: Geometry,
+}
+
+impl ConvDims {
+    /// Checks `input (N, C, H, W)`, `weight (O, C, KH, KW)` and `bias (O)`
+    /// against each other and `geom`, and counts the forward.
+    fn of(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: &Tensor,
+        geom: Geometry,
+    ) -> Result<ConvDims, TensorError> {
+        let (n, c, h, w) = conv_input_dims(input)?;
+        let (o, wc, wkh, wkw) = conv_weight_dims(weight)?;
+        if wc != c || wkh != geom.kh || wkw != geom.kw {
+            return Err(TensorError::ShapeMismatch {
+                op: "conv2d",
+                lhs: input.shape().clone(),
+                rhs: weight.shape().clone(),
+            });
+        }
+        if bias.len() != o {
+            return Err(TensorError::ShapeMismatch {
+                op: "conv2d/bias",
+                lhs: weight.shape().clone(),
+                rhs: bias.shape().clone(),
+            });
+        }
+        let (oh, ow) = geom.output_hw(h, w)?;
+        let d = ConvDims {
+            n,
+            c,
+            h,
+            w,
+            o,
+            oh,
+            ow,
+            geom,
+        };
+        qnn_trace::counter!("tensor.conv.fwd.calls", 1);
+        qnn_trace::counter!("tensor.conv.fwd.macs", (n * o * d.px() * d.kdim()) as u64);
+        Ok(d)
+    }
+
+    fn px(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    fn kdim(&self) -> usize {
+        self.c * self.geom.kh * self.geom.kw
+    }
+
+    /// Image `ni` of the batch `data`.
+    fn image<'a>(&self, data: &'a [f32], ni: usize) -> &'a [f32] {
+        let len = self.c * self.h * self.w;
+        &data[ni * len..(ni + 1) * len]
+    }
+}
+
+/// The f32 route for one image: patches straight into `slot`'s column
+/// panels, the GEMM against the packed weights into `dst` (`o × oh·ow`),
+/// then the per-channel bias.
+fn conv_image(
+    d: &ConvDims,
+    weights: &PackedA,
+    slot: &mut Slot,
+    image: &[f32],
+    bias: &[f32],
+    dst: &mut [f32],
+) {
+    slot.patches.reset(d.kdim(), d.px());
+    im2col_runs(image, d.c, d.h, d.w, d.geom, d.oh, d.ow, &mut slot.patches);
+    gemm_packed(weights, &slot.patches, dst);
+    for (row, &b) in dst.chunks_exact_mut(d.px()).zip(bias) {
+        for v in row {
+            *v += b;
+        }
+    }
 }
 
 /// Gradients of [`conv2d`] given the upstream gradient `grad_out`
@@ -721,6 +914,109 @@ mod tests {
             }
         }
         assert!(strided > 0 && padded > 0);
+    }
+
+    /// One conv operand: mostly uniform in [-2, 2], sometimes a signed
+    /// zero, a subnormal, ±inf or NaN.
+    fn operand(r: &mut crate::rng::Rng) -> f32 {
+        let sign = if r.gen_bool(0.5) { 1.0 } else { -1.0 };
+        match r.gen_range(0u32..100) {
+            0..=4 => sign * 0.0,
+            5..=7 => sign * f32::from_bits(r.gen_range(1u32..0x0080_0000)),
+            8 => sign * f32::INFINITY,
+            9 => f32::NAN,
+            _ => r.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    /// `conv2d_with` and `conv2d_each_with` against the per-element im2col,
+    /// the naive triple-loop GEMM and a per-channel bias add, over 256+
+    /// seeded geometries, at 1 and 4 threads with a reused scratch. Every output row-panel residue
+    /// (`o mod 4`) and several 16-column panels occur. Non-NaN outputs
+    /// must be bit-equal; NaN must appear exactly where the reference has
+    /// NaN (which NaN survives an add of two is up to instruction
+    /// selection, see `gemm`'s module docs).
+    #[test]
+    fn conv_matches_im2col_naive_gemm_and_bias_bitwise() {
+        let mut r = crate::rng::seeded(0xC0_2D_3E_F5);
+        let mut scratch = ConvScratch::new();
+        let (mut cases, mut residues, mut wide, mut nans) = (0, [0usize; 4], 0, 0);
+        while cases < 288 {
+            let geom = Geometry {
+                kh: r.gen_range(1usize..8),
+                kw: r.gen_range(1usize..8),
+                stride: r.gen_range(1usize..4),
+                pad: r.gen_range(0usize..4),
+                ceil: false,
+            };
+            let (n, c, h, w) = (
+                r.gen_range(1usize..4),
+                r.gen_range(1usize..5),
+                r.gen_range(1usize..14),
+                r.gen_range(1usize..14),
+            );
+            let Ok((oh, ow)) = geom.output_hw(h, w) else {
+                continue;
+            };
+            let o = r.gen_range(1usize..41);
+            cases += 1;
+            residues[o % 4] += 1;
+            wide += usize::from(oh * ow > 32);
+            let (px, kdim) = (oh * ow, c * geom.kh * geom.kw);
+            let x: Vec<f32> = (0..n * c * h * w).map(|_| operand(&mut r)).collect();
+            let wt: Vec<f32> = (0..o * kdim).map(|_| operand(&mut r)).collect();
+            let b: Vec<f32> = (0..o).map(|_| operand(&mut r)).collect();
+            let mut want = Vec::with_capacity(n * o * px);
+            for img in x.chunks_exact(c * h * w) {
+                let cols = im2col_reference(img, c, h, w, geom);
+                for oi in 0..o {
+                    for p in 0..px {
+                        let mut acc = 0.0f32;
+                        for kk in 0..kdim {
+                            acc += wt[oi * kdim + kk] * cols[kk * px + p];
+                        }
+                        want.push(acc + b[oi]);
+                    }
+                }
+            }
+            nans += want.iter().filter(|v| v.is_nan()).count();
+            let x = t(Shape::d4(n, c, h, w), x);
+            let wt = t(Shape::d4(o, c, geom.kh, geom.kw), wt);
+            let b = t(Shape::d1(o), b);
+            for threads in [1, 4] {
+                crate::par::set_threads(Some(threads));
+                let got = conv2d_with(&mut scratch, &x, &wt, &b, geom).unwrap();
+                // `conv2d_each_with`: image 0 is taken as the reference
+                // output, the others run the f32 route.
+                let mut seen = 0;
+                let (each, taken) = conv2d_each_with(&mut scratch, &x, &wt, &b, geom, |_, dst| {
+                    seen += 1;
+                    if seen > 1 {
+                        return false;
+                    }
+                    dst.copy_from_slice(&want[..o * px]);
+                    true
+                })
+                .unwrap();
+                assert_eq!((seen, taken), (n, 1));
+                assert_eq!(each.shape(), got.shape());
+                let both = got.as_slice().iter().chain(each.as_slice());
+                for (i, (&g, &v)) in both.zip(want.iter().cycle()).enumerate() {
+                    let same = if v.is_nan() {
+                        g.is_nan()
+                    } else {
+                        g.to_bits() == v.to_bits()
+                    };
+                    assert!(
+                        same,
+                        "{geom:?} n={n} c={c} h={h} w={w} o={o} threads={threads} at {i}: \
+                         got {g:e}, want {v:e}"
+                    );
+                }
+            }
+        }
+        crate::par::set_threads(None);
+        assert!(residues.iter().all(|&k| k > 0) && wide > 0 && nans > 0);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Blocked f32 GEMM with packed panels and a 4×16 register microkernel.
+//! f32 GEMM over packed panels with a 4×16 register microkernel.
 //!
 //! Three variants cover every product the network layers need without
 //! materialising a transpose: `C = A·B` ([`gemm_nn`]), `C = A·Bᵀ`
 //! ([`gemm_nt`], dense forward `x·Wᵀ`) and `C = Aᵀ·B` ([`gemm_tn`], dense
-//! weight gradient `dYᵀ·X`).
+//! weight gradient `dYᵀ·X`). The conv forward skips both of their packing
+//! passes: it packs its weights once per call (`PackedA`) and writes each
+//! image's patches straight into the column panels (`PackedB`), then runs
+//! the same microkernel through `gemm_packed`.
 //!
 //! **Bit-exactness contract.** Each output element is produced by a single
 //! accumulator that walks `k` in ascending order with one multiply and one
@@ -29,6 +32,7 @@
 //! add on its own, so both builds round exactly like the naive loop and
 //! agree bit for bit.
 
+use crate::conv::PatchSink;
 use crate::par;
 use std::cell::RefCell;
 
@@ -156,11 +160,130 @@ fn gemm(
         Layout::Nt => pack_b_nt(scratch, k, n, b),
         Layout::Nn | Layout::Tn => pack_b_nn(scratch, k, n, b),
     }
-    let pack_a = |i0: usize, h: usize, dst: &mut [f32]| match layout {
-        Layout::Tn => pack_a_cols(a, m, k, i0, h, dst),
-        Layout::Nn | Layout::Nt => pack_a_rows(a, k, i0, h, dst),
+    let a = match layout {
+        Layout::Tn => ASide::Cols(a),
+        Layout::Nn | Layout::Nt => ASide::Rows(a),
     };
-    driver(build, (m, k, n), pack_a, scratch, c);
+    let GemmScratch { packed_b, packed_a } = scratch;
+    driver(build, (m, k, n), a, packed_b, packed_a, c);
+}
+
+/// `C = A·B` (`c` is `m×n`, overwritten) on operands already in panel
+/// form: the same microkernel, rounding and row-panel partition as
+/// [`gemm_nn`] on the row-major operands.
+pub(crate) fn gemm_packed(a: &PackedA, b: &PackedB, c: &mut [f32]) {
+    debug_assert_eq!(a.k, b.k);
+    let (m, k, n) = (a.m, a.k, b.n);
+    debug_assert_eq!(c.len(), m * n);
+    qnn_trace::counter!("tensor.gemm.calls", 1);
+    qnn_trace::counter!("tensor.gemm.flops", (2 * m * k * n) as u64);
+    let mut unused = Vec::new();
+    driver(
+        Build::detect(),
+        (m, k, n),
+        ASide::Panels(&a.data),
+        &b.data,
+        &mut unused,
+        c,
+    );
+}
+
+/// A left operand `A` (`m×k`, row-major) packed once into the
+/// microkernel's `MR`-row panels, for a product whose left side stays
+/// fixed while its right side changes: a conv layer's weights across the
+/// images of a batch. Panel `ip` holds rows `ip·MR ..` in k-major order,
+/// zero past row `m`.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct PackedA {
+    m: usize,
+    k: usize,
+    data: Vec<f32>,
+}
+
+impl PackedA {
+    /// Repacks row-major `a` (`m×k`) in place, reusing the buffer.
+    pub(crate) fn pack(&mut self, m: usize, k: usize, a: &[f32]) {
+        debug_assert_eq!(a.len(), m * k);
+        (self.m, self.k) = (m, k);
+        self.data.resize(m.div_ceil(MR) * k * MR, 0.0);
+        if k == 0 {
+            return;
+        }
+        for (ip, dst) in self.data.chunks_exact_mut(k * MR).enumerate() {
+            pack_a_rows(a, k, ip * MR, MR.min(m - ip * MR), dst);
+        }
+    }
+}
+
+/// A right operand `B` (`k×n`) held in the microkernel's `NR`-column
+/// panels (the layout of [`pack_b_nn`]) and written in place by its
+/// producer, run by run along its rows, so no row-major copy of `B` is
+/// ever made. The conv route's im2col writes into it through
+/// [`PatchSink`] without learning the layout.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct PackedB {
+    k: usize,
+    n: usize,
+    data: Vec<f32>,
+}
+
+impl PackedB {
+    /// Sizes the panels for a `k×n` operand and sets the lanes past
+    /// column `n` to `+0.0`: they are never written back, but a stale
+    /// subnormal there would still slow the kernel. Every slot of the
+    /// `k×n` operand itself must then be written by the producer.
+    pub(crate) fn reset(&mut self, k: usize, n: usize) {
+        (self.k, self.n) = (k, n);
+        self.data.resize(n.div_ceil(NR) * k * NR, 0.0);
+        let tail = n % NR;
+        if tail != 0 {
+            for row in self.data[(n / NR) * k * NR..].chunks_exact_mut(NR) {
+                row[tail..].fill(0.0);
+            }
+        }
+    }
+
+    /// Calls `f(dst, t0)` for each stretch of columns `col .. col+len` of
+    /// row `row` that one panel holds contiguously: `dst` is the stretch's
+    /// slots and `t0` its first column's offset from `col`.
+    #[inline(always)]
+    fn segments(
+        &mut self,
+        row: usize,
+        col: usize,
+        len: usize,
+        mut f: impl FnMut(&mut [f32], usize),
+    ) {
+        let (mut p, end) = (col, col + len);
+        while p < end {
+            let lane = p % NR;
+            let seg = (NR - lane).min(end - p);
+            let at = (p / NR) * self.k * NR + row * NR + lane;
+            f(&mut self.data[at..at + seg], p - col);
+            p += seg;
+        }
+    }
+}
+
+impl PatchSink<f32> for PackedB {
+    fn zeros(&mut self, row: usize, col: usize, len: usize) {
+        self.segments(row, col, len, |dst, _| dst.fill(0.0));
+    }
+
+    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[f32], stride: usize) {
+        self.segments(row, col, len, |dst, t0| {
+            if stride == 1 {
+                dst.copy_from_slice(&taps[t0..t0 + dst.len()]);
+            } else {
+                for (d, &v) in dst
+                    .iter_mut()
+                    .zip(taps[t0 * stride..].iter().step_by(stride))
+                {
+                    *d = v;
+                }
+            }
+        });
+    }
 }
 
 /// Packs `B` (`k×n`, row-major) into `⌈n/NR⌉` column panels: panel `jp`
@@ -225,18 +348,52 @@ fn pack_a_cols(a: &[f32], m: usize, k: usize, i0: usize, h: usize, dst: &mut [f3
     }
 }
 
+/// Where the driver takes each `MR`-row panel of `A` from.
+#[derive(Debug, Clone, Copy)]
+enum ASide<'a> {
+    /// Row-major `a` (`m×k`), packed per panel.
+    Rows(&'a [f32]),
+    /// `a` given as `k×m` (the rows of `Aᵀ`), packed per panel.
+    Cols(&'a [f32]),
+    /// Already packed ([`PackedA`]).
+    Panels(&'a [f32]),
+}
+
+impl<'a> ASide<'a> {
+    /// Panel `ip` of `A`, packed into `buf` unless it already is.
+    fn panel<'b>(self, (m, k): (usize, usize), ip: usize, buf: &'b mut Vec<f32>) -> &'b [f32]
+    where
+        'a: 'b,
+    {
+        let (i0, h) = (ip * MR, MR.min(m - ip * MR));
+        match self {
+            ASide::Panels(p) => &p[i0 * k..(i0 + MR) * k],
+            ASide::Rows(a) => {
+                buf.resize(k * MR, 0.0);
+                pack_a_rows(a, k, i0, h, buf);
+                buf
+            }
+            ASide::Cols(a) => {
+                buf.resize(k * MR, 0.0);
+                pack_a_cols(a, m, k, i0, h, buf);
+                buf
+            }
+        }
+    }
+}
+
 /// Shared panel loop: splits `c` into `MR`-row slabs, parallelised over the
 /// pool (each slab is a disjoint output region, so the partition cannot
 /// affect the result), and runs the microkernel over the packed panels.
-fn driver<PA>(
+/// `packed_a` is the panel buffer of the serial path.
+fn driver(
     build: Build,
     (m, k, n): (usize, usize, usize),
-    pack_a: PA,
-    scratch: &mut GemmScratch,
+    a: ASide,
+    packed_b: &[f32],
+    packed_a: &mut Vec<f32>,
     c: &mut [f32],
-) where
-    PA: Fn(usize, usize, &mut [f32]) + Sync,
-{
+) {
     if m == 0 || n == 0 {
         return;
     }
@@ -244,27 +401,34 @@ fn driver<PA>(
         c.fill(0.0);
         return;
     }
-    let GemmScratch { packed_b, packed_a } = scratch;
-    let packed_b: &[f32] = packed_b;
     let n_row_panels = m.div_ceil(MR);
     if par::workers_for(n_row_panels) <= 1 {
-        // Serial path reuses the scratch's A-panel buffer directly.
-        packed_a.clear();
-        packed_a.resize(k * MR, 0.0);
         for (ip, c_slab) in c.chunks_mut(MR * n).enumerate() {
-            let i0 = ip * MR;
-            let h = MR.min(m - i0);
-            pack_a(i0, h, packed_a);
-            row_panel(build, k, n, h, packed_a, packed_b, c_slab);
+            let h = MR.min(m - ip * MR);
+            row_panel(
+                build,
+                k,
+                n,
+                h,
+                a.panel((m, k), ip, packed_a),
+                packed_b,
+                c_slab,
+            );
         }
         return;
     }
     par::for_each_chunk_mut(c, MR * n, |ip, c_slab| {
-        let i0 = ip * MR;
-        let h = MR.min(m - i0);
-        let mut pa = vec![0.0f32; k * MR];
-        pack_a(i0, h, &mut pa);
-        row_panel(build, k, n, h, &pa, packed_b, c_slab);
+        let h = MR.min(m - ip * MR);
+        let mut buf = Vec::new();
+        row_panel(
+            build,
+            k,
+            n,
+            h,
+            a.panel((m, k), ip, &mut buf),
+            packed_b,
+            c_slab,
+        );
     });
 }
 

@@ -4,6 +4,16 @@
 //! first stage) and `avgpool 3×3` (ALEX's later stages); both are supported
 //! with arbitrary square windows, stride and padding via
 //! [`Geometry`].
+//!
+//! [`max_pool2d`] records the argmax that [`max_pool2d_backward`] needs;
+//! [`max_pool2d_eval`] is the inference forward, which has no backward and
+//! returns the pooled tensor alone. It and [`avg_pool2d`] split each output
+//! row into windows that lie wholly inside the input and border windows
+//! (padding, ceil mode). The full windows are computed one tap at a time,
+//! sweeping across the row's output columns, so the per-column updates
+//! are independent and vectorize; the border windows run the scalar loop.
+//! Both visit the same in-bounds taps in the same `(ki, kj)` order as the
+//! scalar loop and apply the same per-tap update, so the bits match it.
 
 use crate::conv::{conv_input_dims, Geometry};
 use crate::error::TensorError;
@@ -103,11 +113,33 @@ pub fn max_pool2d_backward(
     Ok(gx)
 }
 
+/// Max-pools a `(N, C, H, W)` batch without the argmax: the pooled tensor
+/// of [`max_pool2d`], bit for bit.
+///
+/// Each window takes its first in-bounds tap as is and then applies
+/// `best = if x > best { x } else { best }` tap by tap in `(ki, kj)` order,
+/// exactly [`max_pool2d`]'s update. That select is x86's `maxps(x, best)`:
+/// a NaN tap never replaces `best`, a NaN first tap stays, and of two equal
+/// values (`+0.0`, `-0.0`) the earlier one stays, as in [`max_pool2d`].
+///
+/// # Errors
+///
+/// Returns an error if the input is not rank 4, the geometry is
+/// impossible, or a window has no in-bounds tap (as [`max_pool2d`] does).
+pub fn max_pool2d_eval(input: &Tensor, geom: Geometry) -> Result<Tensor, TensorError> {
+    let (n, c, h, w) = conv_input_dims(input)?;
+    let (oh, ow) = geom.output_hw(h, w)?;
+    let mut out = vec![0.0f32; n * c * oh * ow];
+    pool_planes::<MaxTaps>(input.as_slice(), (h, w), geom, (oh, ow), &mut out)?;
+    Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
+}
+
 /// Average-pools a `(N, C, H, W)` batch.
 ///
 /// The divisor is the full window size `kh·kw` regardless of padding
 /// (Caffe's `AVE` pooling semantics), so padded border windows average in
-/// zeros.
+/// zeros. Each window's sum starts at `+0.0` and adds its in-bounds taps in
+/// `(ki, kj)` order before the one multiply by `1/(kh·kw)`.
 ///
 /// # Errors
 ///
@@ -116,35 +148,217 @@ pub fn max_pool2d_backward(
 pub fn avg_pool2d(input: &Tensor, geom: Geometry) -> Result<Tensor, TensorError> {
     let (n, c, h, w) = conv_input_dims(input)?;
     let (oh, ow) = geom.output_hw(h, w)?;
-    let norm = 1.0 / (geom.kh * geom.kw) as f32;
     let mut out = vec![0.0f32; n * c * oh * ow];
-    let data = input.as_slice();
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane = (ni * c + ci) * h * w;
-            let oplane = (ni * c + ci) * oh * ow;
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ki in 0..geom.kh {
-                        let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
-                        if ii < 0 || ii as usize >= h {
-                            continue;
-                        }
-                        for kj in 0..geom.kw {
-                            let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
-                            if jj < 0 || jj as usize >= w {
-                                continue;
-                            }
-                            acc += data[plane + ii as usize * w + jj as usize];
-                        }
-                    }
-                    out[oplane + oi * ow + oj] = acc * norm;
-                }
+    pool_planes::<AvgTaps>(input.as_slice(), (h, w), geom, (oh, ow), &mut out)?;
+    Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
+}
+
+/// One pooling reduction as a per-tap update. The scalar window loop and
+/// the sweep across output columns both run it, so they agree bit for bit.
+trait PoolTaps {
+    /// A window's running value after its first tap `x`.
+    fn first(x: f32) -> f32;
+    /// A window's running value after one more tap `x`.
+    fn next(acc: f32, x: f32) -> f32;
+    /// The running value of a window with no in-bounds tap.
+    fn empty() -> Result<f32, TensorError>;
+    /// The window's output from its running value.
+    fn finish(acc: f32, geom: Geometry) -> f32;
+}
+
+/// Max: first tap as is, then `if x > best { x } else { best }`.
+struct MaxTaps;
+
+impl PoolTaps for MaxTaps {
+    #[inline(always)]
+    fn first(x: f32) -> f32 {
+        x
+    }
+
+    #[inline(always)]
+    fn next(best: f32, x: f32) -> f32 {
+        if x > best {
+            x
+        } else {
+            best
+        }
+    }
+
+    fn empty() -> Result<f32, TensorError> {
+        Err(TensorError::InvalidGeometry {
+            op: "max_pool2d",
+            reason: "pooling window contains no in-bounds taps".to_string(),
+        })
+    }
+
+    #[inline(always)]
+    fn finish(best: f32, _: Geometry) -> f32 {
+        best
+    }
+}
+
+/// Average: `+0.0` plus each tap, times `1/(kh·kw)`.
+struct AvgTaps;
+
+impl PoolTaps for AvgTaps {
+    #[inline(always)]
+    fn first(x: f32) -> f32 {
+        0.0 + x
+    }
+
+    #[inline(always)]
+    fn next(acc: f32, x: f32) -> f32 {
+        acc + x
+    }
+
+    fn empty() -> Result<f32, TensorError> {
+        Ok(0.0)
+    }
+
+    #[inline(always)]
+    fn finish(acc: f32, geom: Geometry) -> f32 {
+        acc * (1.0 / (geom.kh * geom.kw) as f32)
+    }
+}
+
+/// Applies `out[j] = f(out[j], src[j·stride])` for every `j`; `src` must
+/// reach index `(out.len() − 1)·stride`. Strides 1 and 2 (every pool of
+/// the paper's networks) run over exact chunks of a constant length, so
+/// the loop has no bounds checks and vectorizes.
+#[inline(always)]
+fn sweep(out: &mut [f32], src: &[f32], stride: usize, f: impl Fn(f32, f32) -> f32) {
+    #[inline(always)]
+    fn chunked<const S: usize>(out: &mut [f32], src: &[f32], f: impl Fn(f32, f32) -> f32) {
+        let Some((last, body)) = out.split_last_mut() else {
+            return;
+        };
+        for (o, x) in body.iter_mut().zip(src.chunks_exact(S)) {
+            *o = f(*o, x[0]);
+        }
+        *last = f(*last, src[body.len() * S]);
+    }
+    match stride {
+        1 => chunked::<1>(out, src, f),
+        2 => chunked::<2>(out, src, f),
+        _ => {
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = f(*o, src[j * stride]);
             }
         }
     }
-    Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
+}
+
+/// The input indices window `o` covers along one axis of length `len`,
+/// clipped to the input: `o·stride − pad + (0..k)` within `0..len`.
+fn window_span(o: usize, k: usize, geom: Geometry, len: usize) -> std::ops::Range<usize> {
+    let start = o * geom.stride;
+    let lo = start.saturating_sub(geom.pad).min(len);
+    let hi = (start + k).saturating_sub(geom.pad).clamp(lo, len);
+    lo..hi
+}
+
+/// The output indices `lo..hi` along one axis whose windows lie wholly
+/// inside an input of length `len`: `o·stride ≥ pad` and
+/// `o·stride − pad + k ≤ len`.
+fn full_windows(k: usize, geom: Geometry, len: usize, out: usize) -> std::ops::Range<usize> {
+    let lo = geom.pad.div_ceil(geom.stride).min(out);
+    let hi = match (len + geom.pad).checked_sub(k) {
+        Some(span) => (span / geom.stride + 1).clamp(lo, out),
+        None => lo,
+    };
+    lo..hi
+}
+
+/// Pools every `(h, w)` plane of `data` into `out` (`oh×ow` per plane),
+/// through the AVX2 build when the CPU has it, else the plain build of the
+/// same body. Both run the same per-lane operations.
+fn pool_planes<P: PoolTaps>(
+    data: &[f32],
+    hw: (usize, usize),
+    geom: Geometry,
+    ohw: (usize, usize),
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    #[cfg(target_arch = "x86_64")]
+    if crate::has_avx2() {
+        // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
+        // precondition of the target_feature build.
+        return unsafe { pool_planes_avx2::<P>(data, hw, geom, ohw, out) };
+    }
+    pool_planes_body::<P>(data, hw, geom, ohw, out)
+}
+
+/// The AVX2 build of [`pool_planes_body`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn pool_planes_avx2<P: PoolTaps>(
+    data: &[f32],
+    hw: (usize, usize),
+    geom: Geometry,
+    ohw: (usize, usize),
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    pool_planes_body::<P>(data, hw, geom, ohw, out)
+}
+
+/// The loop both builds compile: per output row, the border windows one
+/// by one over their clipped tap ranges, then the full windows tap by tap
+/// across their columns.
+#[inline(always)]
+fn pool_planes_body<P: PoolTaps>(
+    data: &[f32],
+    (h, w): (usize, usize),
+    geom: Geometry,
+    (oh, ow): (usize, usize),
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    let (stride, pad) = (geom.stride, geom.pad);
+    let full_rows = full_windows(geom.kh, geom, h, oh);
+    let full_cols = full_windows(geom.kw, geom, w, ow);
+    for (plane, oplane) in data.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
+        for (oi, orow) in oplane.chunks_exact_mut(ow).enumerate() {
+            let (lo, hi) = if full_rows.contains(&oi) {
+                (full_cols.start, full_cols.end)
+            } else {
+                (0, 0)
+            };
+            let rows = window_span(oi, geom.kh, geom, h);
+            for oj in (0..lo).chain(hi..ow) {
+                let cols = window_span(oj, geom.kw, geom, w);
+                let mut taps = rows
+                    .clone()
+                    .flat_map(|i| plane[i * w + cols.start..i * w + cols.end].iter().copied());
+                let acc = match taps.next() {
+                    Some(x) => taps.fold(P::first(x), P::next),
+                    None => P::empty()?,
+                };
+                orow[oj] = P::finish(acc, geom);
+            }
+            if lo == hi {
+                continue;
+            }
+            let full = &mut orow[lo..hi];
+            let (i0, j0) = (oi * stride - pad, lo * stride - pad);
+            for ki in 0..geom.kh {
+                for kj in 0..geom.kw {
+                    let src = &plane[(i0 + ki) * w + j0 + kj..];
+                    if ki + kj == 0 {
+                        sweep(full, src, stride, |_, x| P::first(x));
+                    } else {
+                        sweep(full, src, stride, P::next);
+                    }
+                }
+            }
+            for v in full {
+                *v = P::finish(*v, geom);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Gradient of [`avg_pool2d`]: spreads each upstream gradient uniformly over
@@ -216,6 +430,151 @@ mod tests {
 
     fn t(shape: Shape, v: Vec<f32>) -> Tensor {
         Tensor::from_vec(shape, v).unwrap()
+    }
+
+    /// The scalar average-pool loop: one window at a time, every tap
+    /// bounds-checked. [`avg_pool2d`] must reproduce it bit for bit.
+    fn avg_pool2d_reference(input: &Tensor, geom: Geometry) -> Result<Tensor, TensorError> {
+        let (n, c, h, w) = conv_input_dims(input)?;
+        let (oh, ow) = geom.output_hw(h, w)?;
+        let norm = 1.0 / (geom.kh * geom.kw) as f32;
+        let mut out = vec![0.0f32; n * c * oh * ow];
+        let data = input.as_slice();
+        for ni in 0..n {
+            for ci in 0..c {
+                let plane = (ni * c + ci) * h * w;
+                let oplane = (ni * c + ci) * oh * ow;
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        let mut acc = 0.0f32;
+                        for ki in 0..geom.kh {
+                            let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
+                            if ii < 0 || ii as usize >= h {
+                                continue;
+                            }
+                            for kj in 0..geom.kw {
+                                let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
+                                if jj < 0 || jj as usize >= w {
+                                    continue;
+                                }
+                                acc += data[plane + ii as usize * w + jj as usize];
+                            }
+                        }
+                        out[oplane + oi * ow + oj] = acc * norm;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
+    }
+
+    /// A seeded pooling case: a geometry (padding, ceil mode and strides
+    /// 1–4 included) and an input batch whose values include NaN, ±0, ±inf
+    /// and runs of equal values, or `None` when the geometry is impossible.
+    fn pool_case(r: &mut crate::rng::Rng) -> Option<(Geometry, Tensor)> {
+        let k = r.gen_range(1usize..5);
+        let geom = Geometry {
+            kh: k,
+            kw: if r.gen_bool(0.7) {
+                k
+            } else {
+                r.gen_range(1usize..5)
+            },
+            stride: r.gen_range(1usize..5),
+            pad: r.gen_range(0usize..3),
+            ceil: r.gen_bool(0.5),
+        };
+        let (n, c, h, w) = (
+            r.gen_range(1usize..3),
+            r.gen_range(1usize..4),
+            r.gen_range(1usize..14),
+            r.gen_range(1usize..40),
+        );
+        geom.output_hw(h, w).ok()?;
+        let data = (0..n * c * h * w)
+            .map(|_| match r.gen_range(0u32..20) {
+                0 => f32::NAN,
+                1 => -f32::NAN,
+                2 => 0.0,
+                3 => -0.0,
+                4 => f32::INFINITY,
+                5 => f32::NEG_INFINITY,
+                6 => 1.5,
+                _ => r.gen_range(-4.0f32..4.0),
+            })
+            .collect();
+        Some((geom, t(Shape::d4(n, c, h, w), data)))
+    }
+
+    /// The argmax-free Eval pool against [`max_pool2d`]'s output over 256+
+    /// seeded geometries: the same bits everywhere, NaN payloads and the
+    /// signs of zeros included (the pool only ever copies a tap), and the
+    /// same error where a window has no in-bounds tap.
+    #[test]
+    fn eval_max_pool_matches_argmax_pool_bitwise() {
+        let mut r = crate::rng::seeded(0x9001_E7A1);
+        let (mut cases, mut padded, mut ceil, mut empty) = (0, 0, 0, 0);
+        while cases < 320 {
+            let Some((geom, x)) = pool_case(&mut r) else {
+                continue;
+            };
+            cases += 1;
+            padded += usize::from(geom.pad > 0);
+            ceil += usize::from(geom.ceil);
+            let got = max_pool2d_eval(&x, geom);
+            match max_pool2d(&x, geom) {
+                Ok(want) => {
+                    let got = got.unwrap();
+                    assert_eq!(got.shape(), want.output.shape());
+                    for (i, (g, v)) in got
+                        .as_slice()
+                        .iter()
+                        .zip(want.output.as_slice())
+                        .enumerate()
+                    {
+                        assert_eq!(
+                            g.to_bits(),
+                            v.to_bits(),
+                            "{geom:?} {} at {i}: {g:e} vs {v:e}",
+                            x.shape()
+                        );
+                    }
+                }
+                Err(e) => {
+                    empty += 1;
+                    assert_eq!(got.unwrap_err(), e, "{geom:?}");
+                }
+            }
+        }
+        assert!(padded > 0 && ceil > 0 && empty > 0);
+    }
+
+    /// [`avg_pool2d`] against the scalar loop over 256+ seeded geometries:
+    /// every non-NaN output bit-equal, NaN exactly where the loop has NaN
+    /// (which NaN survives an add of two is up to instruction selection).
+    #[test]
+    fn avg_pool_matches_scalar_loop_bitwise() {
+        let mut r = crate::rng::seeded(0xA7E_9001);
+        let (mut cases, mut nans) = (0, 0);
+        while cases < 320 {
+            let Some((geom, x)) = pool_case(&mut r) else {
+                continue;
+            };
+            cases += 1;
+            let want = avg_pool2d_reference(&x, geom).unwrap();
+            let got = avg_pool2d(&x, geom).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            for (i, (g, v)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                let same = if v.is_nan() {
+                    nans += 1;
+                    g.is_nan()
+                } else {
+                    g.to_bits() == v.to_bits()
+                };
+                assert!(same, "{geom:?} {} at {i}: {g:e} vs {v:e}", x.shape());
+            }
+        }
+        assert!(nans > 0);
     }
 
     #[test]

@@ -43,6 +43,8 @@
 //! site is the narrow, standard obligation of `target_feature` dispatch:
 //! the feature was verified on this CPU.
 
+use crate::conv::{im2col_runs, Geometry, PatchSink};
+use crate::error::TensorError;
 use crate::par;
 
 /// Trace counter: kernel invocations.
@@ -119,7 +121,7 @@ pub const MR_I16: usize = 4;
 /// odd `k`. Packing is cheap (one pass over B) and done **once per weight
 /// tensor** — plans live in the layers' bit-compare-validated PlanCache,
 /// so the cost amortizes across every batched forward and serve request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PanelB {
     n: usize,
     k: usize,
@@ -152,6 +154,67 @@ impl PanelB {
         PanelB { n, k, data }
     }
 
+    /// Repacks this panel in place as the patch matrix of one `(c, h, w)`
+    /// image of i16 raws under `geom`: row `p` is output pixel `p`'s
+    /// receptive field in `(c, kh, kw)` order, `0` for padding taps. The
+    /// words equal [`PanelB::pack`] of the transposed im2col of `image`,
+    /// but no patch matrix is built: the im2col walk writes each tap into
+    /// its panel slot directly. Returns `(oh, ow)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the geometry is impossible for `(h, w)`; panics
+    /// if `image` is not `c·h·w` long.
+    pub fn pack_patches(
+        &mut self,
+        image: &[i16],
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: Geometry,
+    ) -> Result<(usize, usize), TensorError> {
+        let (oh, ow) = geom.output_hw(h, w)?;
+        assert_eq!(image.len(), c * h * w, "image slice length mismatch");
+        let (n, k) = (oh * ow, c * geom.kh * geom.kw);
+        self.reset(n, k);
+        im2col_runs(image, c, h, w, geom, oh, ow, self);
+        Ok((oh, ow))
+    }
+
+    /// Sizes the panel for `n` rows of length `k` and zeroes its padding:
+    /// the slots past row `n` in the last panel, and the pair partner past
+    /// `k` when `k` is odd. Every other slot must then be written.
+    fn reset(&mut self, n: usize, k: usize) {
+        (self.n, self.k) = (n, k);
+        let kg = k.div_ceil(2);
+        let pstride = kg * 2 * PANEL_NR;
+        self.data.resize(n.div_ceil(PANEL_NR) * pstride, 0);
+        if !n.is_multiple_of(PANEL_NR) {
+            let tail = 2 * (n % PANEL_NR);
+            for grp in self.data[(n / PANEL_NR) * pstride..].chunks_exact_mut(2 * PANEL_NR) {
+                grp[tail..].fill(0);
+            }
+        }
+        if k % 2 == 1 {
+            for pan in self.data.chunks_exact_mut(pstride) {
+                for slot in pan[pstride - 2 * PANEL_NR..].iter_mut().skip(1).step_by(2) {
+                    *slot = 0;
+                }
+            }
+        }
+    }
+
+    /// Writes `val(t)` to element `(col + t, row)` for `t < len`.
+    #[inline(always)]
+    fn put(&mut self, row: usize, col: usize, len: usize, mut val: impl FnMut(usize) -> i16) {
+        let pstride = self.k.div_ceil(2) * 2 * PANEL_NR;
+        let lane = (row / 2) * 2 * PANEL_NR + row % 2;
+        for t in 0..len {
+            let j = col + t;
+            self.data[(j / PANEL_NR) * pstride + lane + 2 * (j % PANEL_NR)] = val(t);
+        }
+    }
+
     /// Output-column count (`n`).
     pub fn n(&self) -> usize {
         self.n
@@ -181,6 +244,16 @@ impl PanelB {
         let kg = self.k.div_ceil(2);
         let base = (j / PANEL_NR) * kg * 2 * PANEL_NR;
         self.data[base + (kk / 2) * 2 * PANEL_NR + 2 * (j % PANEL_NR) + (kk % 2)]
+    }
+}
+
+impl PatchSink<i16> for PanelB {
+    fn zeros(&mut self, row: usize, col: usize, len: usize) {
+        self.put(row, col, len, |_| 0);
+    }
+
+    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[i16], stride: usize) {
+        self.put(row, col, len, |t| taps[t * stride]);
     }
 }
 

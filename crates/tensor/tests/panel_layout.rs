@@ -2,11 +2,13 @@
 //! i16 microkernel: pack → read round-trips bit-identically for arbitrary
 //! K/N (including ragged edge tiles), padding lanes are exactly zero, and
 //! the panel microkernel agrees with the row-at-a-time reference kernel in
-//! every association order the dispatcher can pick.
+//! every association order the dispatcher can pick, and a panel written
+//! straight from an image's patches equals the packed im2col.
 //!
 //! Deterministic seeded loops (≥256 cases each), same harness idiom as
 //! `properties.rs` — no external property-testing dependency.
 
+use qnn_tensor::conv::{im2col_into, Geometry};
 use qnn_tensor::qgemm::{gemm_nt_i16, gemm_nt_i16_panel, gemm_nt_i16_panel_emit, PanelB};
 use qnn_tensor::rng::{derive_seed, seeded, Rng};
 
@@ -118,4 +120,58 @@ fn panel_emit_sees_each_row_once_with_final_accumulators() {
             assert_eq!(o, r as f32, "emit output {i}");
         }
     });
+}
+
+/// `PanelB::pack_patches` against `PanelB::pack` of the transposed im2col
+/// over 256+ seeded geometries (c 1–4, h and w 1–13, kernel 1–7, stride
+/// 1–3, padding 0–3), read back over the whole physical panel, padding
+/// slots included. One panel is reused across cases, so a slot the walk
+/// fails to write shows up as a stale word from an earlier case.
+#[test]
+fn patch_panel_equals_packed_transposed_im2col() {
+    let mut rng = seeded(0x9A7C_4E55);
+    let mut panel = PanelB::default();
+    let (mut cases, mut odd_k, mut ragged) = (0, 0, 0);
+    while cases < 288 {
+        let geom = Geometry {
+            kh: rng.gen_range(1usize..8),
+            kw: rng.gen_range(1usize..8),
+            stride: rng.gen_range(1usize..4),
+            pad: rng.gen_range(0usize..4),
+            ceil: false,
+        };
+        let (c, h, w) = (
+            rng.gen_range(1usize..5),
+            rng.gen_range(1usize..14),
+            rng.gen_range(1usize..14),
+        );
+        let Ok((oh, ow)) = geom.output_hw(h, w) else {
+            continue;
+        };
+        cases += 1;
+        let (n, k) = (oh * ow, c * geom.kh * geom.kw);
+        odd_k += usize::from(k % 2 == 1);
+        ragged += usize::from(n % 16 != 0);
+        let image = words(c * h * w, 300, &mut rng);
+        let image_f32: Vec<f32> = image.iter().map(|&v| f32::from(v)).collect();
+        let mut cols = vec![0.0f32; k * n];
+        im2col_into(&image_f32, c, h, w, geom, &mut cols).unwrap();
+        let transposed: Vec<i16> = (0..n * k)
+            .map(|x| cols[(x % k) * n + x / k] as i16)
+            .collect();
+        let want = PanelB::pack(n, k, &transposed);
+        assert_eq!(panel.pack_patches(&image, c, h, w, geom).unwrap(), (oh, ow));
+        assert_eq!((panel.n(), panel.k()), (n, k));
+        assert_eq!(panel.words().len(), want.words().len());
+        for j in 0..n.div_ceil(16) * 16 {
+            for kk in 0..k.div_ceil(2) * 2 {
+                assert_eq!(
+                    panel.read(j, kk),
+                    want.read(j, kk),
+                    "{geom:?} c={c} h={h} w={w} at ({j}, {kk})"
+                );
+            }
+        }
+    }
+    assert!(odd_k > 0 && ragged > 0);
 }
