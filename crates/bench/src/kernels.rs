@@ -34,6 +34,16 @@ fn grid_fixed(f: &Fixed, len: usize, max_raw: i64, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// The `simd` header of the kernels report: the f32 GEMM and i16 panel
+/// kernel builds this CPU ran, as `f32=<build> i16=<build>`.
+fn simd_builds() -> Json {
+    Json::str(format!(
+        "f32={} i16={}",
+        qnn_tensor::gemm::simd_build(),
+        qnn_tensor::qgemm::simd_build()
+    ))
+}
+
 /// One entry of the kernels report: a measurement plus optional
 /// throughput in GFLOP/s.
 fn entry(m: &Measurement, flops_per_op: Option<f64>) -> Json {
@@ -226,6 +236,7 @@ pub fn run_qgemm() -> Json {
     Json::obj(vec![
         ("schema", Json::str("qnn-bench/kernels/v1")),
         ("threads_default", Json::Num(par::threads() as f64)),
+        ("simd", simd_builds()),
         (
             "profile",
             Json::str(if cfg!(debug_assertions) {
@@ -390,6 +401,7 @@ pub fn run_with(quick: bool) -> Json {
     Json::obj(vec![
         ("schema", Json::str("qnn-bench/kernels/v1")),
         ("threads_default", Json::Num(par::threads() as f64)),
+        ("simd", simd_builds()),
         (
             "profile",
             Json::str(if cfg!(debug_assertions) {

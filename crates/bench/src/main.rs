@@ -118,6 +118,7 @@ fn bench_check(baseline_path: &str) -> i32 {
     };
     println!("bench-check: quick kernel run vs {baseline_path}");
     let current = kernels::run_with(true);
+    print_simd(&baseline, &current);
     let tolerance = regression::tolerance_from_env();
     // The quick run deliberately skips the mini-sweep; everything else
     // in the committed baseline must show up or the check fails.
@@ -131,6 +132,22 @@ fn bench_check(baseline_path: &str) -> i32 {
             1
         }
     }
+}
+
+/// Prints the SIMD builds behind the committed and the fresh timings side
+/// by side. Informational: a different build changes no verdict.
+fn print_simd(baseline: &Json, current: &Json) {
+    let simd = |j: &Json| {
+        j.get("simd")
+            .and_then(Json::as_str)
+            .unwrap_or("unrecorded")
+            .to_string()
+    };
+    println!(
+        "simd builds: committed {} | fresh {}",
+        simd(baseline),
+        simd(current)
+    );
 }
 
 fn kernels_bench(baseline_path: &str) -> i32 {
@@ -196,6 +213,7 @@ fn kernels_bench(baseline_path: &str) -> i32 {
             current = kernels::run_qgemm();
             continue;
         }
+        print_simd(&baseline, &current);
         print!("\n{}", outcome.render());
         if retried {
             println!(

@@ -17,13 +17,13 @@
 //! The forward never materialises the patch matrix. Its weights, already
 //! the GEMM's `A` operand, are packed into the kernel's row panels once per
 //! call, and each image's patches are written straight into the column
-//! panels of `B`. One walk over the patch matrix (`im2col_runs`) serves
+//! panels of `B`. One walk over the patch matrix (`im2col_rows`) serves
 //! every destination layout through `PatchSink`: the row-major matrix of
-//! [`im2col_into`], the f32 GEMM's panels, and the i16 kernel's
-//! [`crate::qgemm::PanelB`].
+//! [`im2col_into`], the f32 GEMM's panels, and the row pairs the i16
+//! kernel's [`crate::qgemm::PanelB`] is zipped from.
 
 use crate::error::TensorError;
-use crate::gemm::{gemm_nt_with, gemm_packed, gemm_tn_with, GemmScratch, PackedA, PackedB};
+use crate::gemm::{gemm_nt_with, gemm_packed, GemmScratch, PackedA, PackedB};
 use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -125,69 +125,76 @@ pub(crate) trait PatchSink<T> {
     fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[T], stride: usize);
 }
 
-/// Walks the patch matrix of one `(c, h, w)` image into `sink`; geometry
-/// must already be validated (`(oh, ow) = geom.output_hw(h, w)`).
+/// Walks patch rows `rows` of one `(c, h, w)` image into `sink`, which sees
+/// them renumbered from 0; geometry must already be validated
+/// (`(oh, ow) = geom.output_hw(h, w)`).
 ///
 /// Each patch row is visited one output row at a time: the output columns
 /// whose tap lies inside the image form one contiguous run, computed once
-/// per kernel column, with zero padding on either side.
+/// per patch row, with zero padding on either side.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col_runs<T: Copy>(
+pub(crate) fn im2col_rows<T: Copy>(
     image: &[T],
     c: usize,
     h: usize,
     w: usize,
     geom: Geometry,
-    oh: usize,
-    ow: usize,
+    (oh, ow): (usize, usize),
+    rows: std::ops::Range<usize>,
     sink: &mut impl PatchSink<T>,
 ) {
     debug_assert_eq!(image.len(), c * h * w);
+    debug_assert!(rows.end <= c * geom.kh * geom.kw);
     let (stride, pad) = (geom.stride, geom.pad);
-    for ci in 0..c {
-        for ki in 0..geom.kh {
-            for kj in 0..geom.kw {
-                let row = (ci * geom.kh + ki) * geom.kw + kj;
-                // Output columns `lo..hi` are those whose tap column
-                // `oj·stride + kj − pad` lies inside `[0, w)`.
-                let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
-                let hi = (w + pad).saturating_sub(kj).div_ceil(stride).clamp(lo, ow);
-                for oi in 0..oh {
-                    let col = oi * ow;
-                    match (oi * stride + ki).checked_sub(pad) {
-                        Some(ii) if ii < h && lo < hi => {
-                            let src = &image[(ci * h + ii) * w..][..w];
-                            sink.zeros(row, col, lo);
-                            sink.taps(
-                                row,
-                                col + lo,
-                                hi - lo,
-                                &src[lo * stride + kj - pad..],
-                                stride,
-                            );
-                            sink.zeros(row, col + hi, ow - hi);
-                        }
-                        _ => sink.zeros(row, col, ow),
+    for (row, patch_row) in rows.enumerate() {
+        let (ci, ki, kj) = (
+            patch_row / (geom.kh * geom.kw),
+            patch_row / geom.kw % geom.kh,
+            patch_row % geom.kw,
+        );
+        // Output columns `lo..hi` are those whose tap column
+        // `oj·stride + kj − pad` lies inside `[0, w)`.
+        let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
+        let hi = (w + pad).saturating_sub(kj).div_ceil(stride).clamp(lo, ow);
+        for oi in 0..oh {
+            let col = oi * ow;
+            match (oi * stride + ki).checked_sub(pad) {
+                Some(ii) if ii < h && lo < hi => {
+                    let src = &image[(ci * h + ii) * w..][..w];
+                    if lo > 0 {
+                        sink.zeros(row, col, lo);
+                    }
+                    sink.taps(
+                        row,
+                        col + lo,
+                        hi - lo,
+                        &src[lo * stride + kj - pad..],
+                        stride,
+                    );
+                    if hi < ow {
+                        sink.zeros(row, col + hi, ow - hi);
                     }
                 }
+                _ => sink.zeros(row, col, ow),
             }
         }
     }
 }
 
-/// The row-major patch matrix: row `r` at `dst[r·cols ..]`. Stride-1 runs
+/// A row-major patch matrix: row `r` at `dst[r·cols ..]`. Stride-1 runs
 /// are copied whole; other strides are gathered element by element.
-struct RowMajor<'a> {
-    cols: usize,
-    dst: &'a mut [f32],
+/// Padding is `T::default()` (`+0.0` for f32).
+pub(crate) struct RowMajor<'a, T> {
+    pub(crate) cols: usize,
+    pub(crate) dst: &'a mut [T],
 }
 
-impl PatchSink<f32> for RowMajor<'_> {
+impl<T: Copy + Default> PatchSink<T> for RowMajor<'_, T> {
     fn zeros(&mut self, row: usize, col: usize, len: usize) {
-        self.dst[row * self.cols + col..][..len].fill(0.0);
+        self.dst[row * self.cols + col..][..len].fill(T::default());
     }
 
-    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[f32], stride: usize) {
+    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[T], stride: usize) {
         let out = &mut self.dst[row * self.cols + col..][..len];
         if stride == 1 {
             out.copy_from_slice(&taps[..len]);
@@ -213,9 +220,10 @@ fn im2col_kernel(
     ow: usize,
     dst: &mut [f32],
 ) {
-    debug_assert_eq!(dst.len(), c * geom.kh * geom.kw * oh * ow);
+    let k = c * geom.kh * geom.kw;
+    debug_assert_eq!(dst.len(), k * oh * ow);
     let mut sink = RowMajor { cols: oh * ow, dst };
-    im2col_runs(image, c, h, w, geom, oh, ow, &mut sink);
+    im2col_rows(image, c, h, w, geom, (oh, ow), 0..k, &mut sink);
 }
 
 /// Core col2im loop over raw slices (adjoint of [`im2col_kernel`]);
@@ -351,13 +359,14 @@ pub fn col2im(
     Tensor::from_vec(Shape::d3(c, h, w), out)
 }
 
-/// Per-worker buffers for one convolution layer: the forward's patch
-/// panels, the backward's im2col patch matrix, folded gradient columns and
-/// per-sample weight-gradient product, and the GEMM packing buffers. Sized
-/// lazily on first use and reused for the lifetime of the layer.
+/// Per-worker buffers for one convolution layer: the column panels (the
+/// forward's patches, the backward's `dY`), the backward's im2col patch
+/// matrix, folded gradient columns and per-sample weight-gradient product,
+/// and the GEMM packing buffers. Sized lazily on first use and reused for
+/// the lifetime of the layer.
 #[derive(Debug, Default, Clone)]
 struct Slot {
-    patches: PackedB,
+    panels: PackedB,
     cols: Vec<f32>,
     gcols: Vec<f32>,
     gw_tmp: Vec<f32>,
@@ -391,9 +400,10 @@ impl ConvScratch {
 
 thread_local! {
     static TLS_CONV_SCRATCH: RefCell<ConvScratch> = RefCell::new(ConvScratch::new());
-    /// The forward's packed weights. They live only for one call, so one
-    /// buffer per thread, grown to the largest layer it has run, serves
-    /// every layer: no layer keeps a second copy of its weights.
+    /// The packed weights of one call: `W` for the forward, `Wᵀ` for the
+    /// backward. They live only for that call, so one buffer per thread,
+    /// grown to the largest layer it has run, serves every layer: no layer
+    /// keeps a second copy of its weights.
     static TLS_WEIGHTS: RefCell<PackedA> = RefCell::new(PackedA::default());
 }
 
@@ -630,9 +640,19 @@ fn conv_image(
     bias: &[f32],
     dst: &mut [f32],
 ) {
-    slot.patches.reset(d.kdim(), d.px());
-    im2col_runs(image, d.c, d.h, d.w, d.geom, d.oh, d.ow, &mut slot.patches);
-    gemm_packed(weights, &slot.patches, dst);
+    slot.panels.reset(d.kdim(), d.px());
+    let (oh, ow, rows) = (d.oh, d.ow, 0..d.kdim());
+    im2col_rows(
+        image,
+        d.c,
+        d.h,
+        d.w,
+        d.geom,
+        (oh, ow),
+        rows,
+        &mut slot.panels,
+    );
+    gemm_packed(weights, &slot.panels, dst);
     for (row, &b) in dst.chunks_exact_mut(d.px()).zip(bias) {
         for v in row {
             *v += b;
@@ -663,7 +683,10 @@ pub fn conv2d_backward(
 ///
 /// The weight/bias gradients are summed as fixed [`GRAD_BLOCK`]-sample
 /// partials reduced in block order, so they are bit-identical at any
-/// thread count.
+/// thread count. `Wᵀ`, the left operand of every image's `dCols = Wᵀ·dY`,
+/// is packed into the GEMM's row panels once per call and shared by the
+/// workers; packing never reorders an accumulation, so the bits are those
+/// of `gemm_tn` per image.
 ///
 /// # Errors
 ///
@@ -690,13 +713,16 @@ pub fn conv2d_backward_with(
     let csz = c * h * w;
     qnn_trace::counter!("tensor.conv.bwd.calls", 1);
     qnn_trace::counter!("tensor.conv.bwd.macs", (2 * n * o * px * kdim) as u64);
-    let wdata = weight.as_slice();
     let in_data = input.as_slice();
     let go_data = grad_out.as_slice();
     let mut gx = vec![0.0f32; n * csz];
     let n_blocks = n.div_ceil(GRAD_BLOCK);
     // One (dW, db) partial per fixed-size sample block, indexed by block.
     let mut partials: Vec<(Vec<f32>, Vec<f32>)> = vec![(Vec::new(), Vec::new()); n_blocks];
+    // Wᵀ (kdim×o) for every image's dCols; the buffer goes back to the
+    // thread-local once the workers are done.
+    let mut wt = TLS_WEIGHTS.take();
+    wt.pack_transposed(kdim, o, weight.as_slice());
 
     // Processes the samples of blocks `blocks`, writing dX into `gx_slab`
     // (whose first element is sample `blocks.start * GRAD_BLOCK`) and the
@@ -738,7 +764,8 @@ pub fn conv2d_backward_with(
                     *acc += go[oi * px..(oi + 1) * px].iter().sum::<f32>();
                 }
                 // dCols = Wᵀ · dY  (kdim×o · o×px).
-                gemm_tn_with(&mut slot.gemm, kdim, o, px, wdata, go, &mut slot.gcols);
+                slot.panels.pack(o, px, go);
+                gemm_packed(&wt, &slot.panels, &mut slot.gcols);
                 let dst = &mut gx_slab[(ni - first_sample) * csz..(ni - first_sample + 1) * csz];
                 col2im_kernel(&slot.gcols, c, h, w, geom, oh, ow, dst);
             }
@@ -778,6 +805,7 @@ pub fn conv2d_backward_with(
             par::join_spliced(handles);
         });
     }
+    TLS_WEIGHTS.set(wt);
 
     // Sequential reduction in ascending block order: the summation tree is
     // a function of (n, GRAD_BLOCK) only, never of the worker count.

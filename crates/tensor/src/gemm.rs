@@ -1,4 +1,5 @@
-//! f32 GEMM over packed panels with a 4×16 register microkernel.
+//! f32 GEMM over packed panels with a 4×16 register microkernel (4×32 at
+//! AVX-512 width).
 //!
 //! Three variants cover every product the network layers need without
 //! materialising a transpose: `C = A·B` ([`gemm_nn`]), `C = A·Bᵀ`
@@ -22,15 +23,19 @@
 //! both addends are NaN which one survives is up to instruction selection,
 //! in either build.
 //!
-//! **SIMD dispatch.** rustc's x86-64 baseline is SSE2. The 4×16 tile holds
-//! its 64 accumulators in eight 256-bit registers, so the microkernel loop
-//! is compiled twice from one body: a plain build and a
-//! `#[target_feature(enable = "avx2")]` build chosen at runtime when
-//! [`crate::has_avx2`] reports the CPU supports it. The vectorized column
-//! loop still runs one multiply and then one add per lane per step. Only
-//! `avx2` is enabled, not `fma`, and Rust never contracts a multiply and an
-//! add on its own, so both builds round exactly like the naive loop and
-//! agree bit for bit.
+//! **SIMD dispatch.** rustc's x86-64 baseline is SSE2, so the microkernel
+//! has three builds, chosen at runtime by `Build::detect`: a plain one
+//! (the reference the tests hold the others to), a
+//! `#[target_feature(enable = "avx2")]` build of the same 4×16 body, whose 64
+//! accumulators fill eight ymm registers, and an AVX-512 build
+//! (`row_panel_avx512`) that runs a 4×32 tile over two adjacent column
+//! panels in eight zmm accumulators, with a 4×16 zmm tile for a lone last
+//! panel. Every build still runs one multiply and then one add per
+//! accumulator per k step. `avx512f` implies `fma` in rustc's feature set,
+//! so what keeps the bits is that Rust never contracts a multiply and an add
+//! on its own and the AVX-512 tile writes `_mm512_mul_ps` and
+//! `_mm512_add_ps`, never a fused intrinsic. All three builds round exactly
+//! like the naive loop and agree bit for bit.
 
 use crate::conv::PatchSink;
 use crate::par;
@@ -109,23 +114,38 @@ pub fn gemm_tn_with(
 }
 
 /// Which build of the microkernel loop runs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Build {
     /// The baseline-target build: the path on CPUs without AVX2, and the
-    /// reference the tests hold the AVX2 build to.
+    /// reference the tests hold the vector builds to.
     Plain,
     /// The AVX2 build; runs as the plain one on a CPU without AVX2.
     Avx2,
+    /// The AVX-512 4×32 tile; runs as the plain build on a CPU without
+    /// AVX-512F.
+    Avx512,
 }
 
 impl Build {
     /// The widest build this CPU runs.
     fn detect() -> Build {
-        if crate::has_avx2() {
+        if crate::has_avx512f() {
+            Build::Avx512
+        } else if crate::has_avx2() {
             Build::Avx2
         } else {
             Build::Plain
         }
+    }
+}
+
+/// The name of the microkernel build this CPU runs: `"avx512"`, `"avx2"`
+/// or `"plain"`.
+pub fn simd_build() -> &'static str {
+    match Build::detect() {
+        Build::Avx512 => "avx512",
+        Build::Avx2 => "avx2",
+        Build::Plain => "plain",
     }
 }
 
@@ -158,7 +178,7 @@ fn gemm(
     qnn_trace::counter!("tensor.gemm.flops", (2 * m * k * n) as u64);
     match layout {
         Layout::Nt => pack_b_nt(scratch, k, n, b),
-        Layout::Nn | Layout::Tn => pack_b_nn(scratch, k, n, b),
+        Layout::Nn | Layout::Tn => pack_b_nn(&mut scratch.packed_b, k, n, b),
     }
     let a = match layout {
         Layout::Tn => ASide::Cols(a),
@@ -204,13 +224,25 @@ impl PackedA {
     /// Repacks row-major `a` (`m×k`) in place, reusing the buffer.
     pub(crate) fn pack(&mut self, m: usize, k: usize, a: &[f32]) {
         debug_assert_eq!(a.len(), m * k);
+        self.pack_with(m, k, |i0, h, dst| pack_a_rows(a, k, i0, h, dst));
+    }
+
+    /// Repacks `A` (`m×k`) given as its row-major transpose `at`
+    /// (`k×m`), as [`gemm_tn`] takes it.
+    pub(crate) fn pack_transposed(&mut self, m: usize, k: usize, at: &[f32]) {
+        debug_assert_eq!(at.len(), m * k);
+        self.pack_with(m, k, |i0, h, dst| pack_a_cols(at, m, k, i0, h, dst));
+    }
+
+    /// Sizes the panels for `m×k` and fills each with `pack(i0, h, dst)`.
+    fn pack_with(&mut self, m: usize, k: usize, pack: impl Fn(usize, usize, &mut [f32])) {
         (self.m, self.k) = (m, k);
         self.data.resize(m.div_ceil(MR) * k * MR, 0.0);
         if k == 0 {
             return;
         }
         for (ip, dst) in self.data.chunks_exact_mut(k * MR).enumerate() {
-            pack_a_rows(a, k, ip * MR, MR.min(m - ip * MR), dst);
+            pack(ip * MR, MR.min(m - ip * MR), dst);
         }
     }
 }
@@ -228,6 +260,13 @@ pub(crate) struct PackedB {
 }
 
 impl PackedB {
+    /// Repacks row-major `b` (`k×n`) in place, reusing the buffer.
+    pub(crate) fn pack(&mut self, k: usize, n: usize, b: &[f32]) {
+        debug_assert_eq!(b.len(), k * n);
+        (self.k, self.n) = (k, n);
+        pack_b_nn(&mut self.data, k, n, b);
+    }
+
     /// Sizes the panels for a `k×n` operand and sets the lanes past
     /// column `n` to `+0.0`: they are never written back, but a stale
     /// subnormal there would still slow the kernel. Every slot of the
@@ -290,14 +329,14 @@ impl PatchSink<f32> for PackedB {
 /// holds, for each `kk`, the `NR` values `b[kk, jp·NR .. jp·NR+NR]`
 /// (zero-padded past column `n`). Padding only ever multiplies into
 /// output lanes that are never written back.
-fn pack_b_nn(scratch: &mut GemmScratch, k: usize, n: usize, b: &[f32]) {
+fn pack_b_nn(packed_b: &mut Vec<f32>, k: usize, n: usize, b: &[f32]) {
     let n_panels = n.div_ceil(NR);
-    scratch.packed_b.clear();
-    scratch.packed_b.resize(n_panels * k * NR, 0.0);
+    packed_b.clear();
+    packed_b.resize(n_panels * k * NR, 0.0);
     for jp in 0..n_panels {
         let j0 = jp * NR;
         let w = NR.min(n - j0);
-        let panel = &mut scratch.packed_b[jp * k * NR..(jp + 1) * k * NR];
+        let panel = &mut packed_b[jp * k * NR..(jp + 1) * k * NR];
         for kk in 0..k {
             let src = &b[kk * n + j0..kk * n + j0 + w];
             let dst = &mut panel[kk * NR..kk * NR + w];
@@ -433,8 +472,8 @@ fn driver(
 }
 
 /// Computes one `h×n` output slab (`h ≤ MR`) from a packed A panel and all
-/// packed B panels, through the AVX2 build when `build` asks for it and
-/// the CPU has it, else the plain build of the same body.
+/// packed B panels, through the vector build `build` asks for when the CPU
+/// has it, else the plain build.
 fn row_panel(
     build: Build,
     k: usize,
@@ -446,12 +485,124 @@ fn row_panel(
 ) {
     match build {
         #[cfg(target_arch = "x86_64")]
+        Build::Avx512 if crate::has_avx512f() => {
+            // SAFETY: `has_avx512f` verified AVX-512F on this CPU, the only
+            // precondition of the target_feature build.
+            unsafe { row_panel_avx512(k, n, h, pa, packed_b, c_slab) }
+        }
+        #[cfg(target_arch = "x86_64")]
         Build::Avx2 if crate::has_avx2() => {
             // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
             // precondition of the target_feature build.
             unsafe { row_panel_avx2(k, n, h, pa, packed_b, c_slab) }
         }
         _ => row_panel_body(k, n, h, pa, packed_b, c_slab),
+    }
+}
+
+/// The AVX-512 build: a 4×32 tile of eight zmm accumulators over each pair
+/// of adjacent `NR`-column panels, and a 4×16 tile over a lone last panel.
+/// Per k step the pair tile loads two B rows, broadcasts four A values and
+/// runs 8 `vmulps` and then 8 `vaddps`, in ascending k: one rounded
+/// multiply and one rounded add per accumulator, as in the naive loop.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn row_panel_avx512(
+    k: usize,
+    n: usize,
+    h: usize,
+    pa: &[f32],
+    packed_b: &[f32],
+    c_slab: &mut [f32],
+) {
+    let pstride = k * NR;
+    let n_panels = n.div_ceil(NR);
+    // The tiles read `MR·k` A values and whole panels, and store whole
+    // rows of up to `n` columns: checked once here, relied on below.
+    assert!(h <= MR && pa.len() >= k * MR && c_slab.len() >= h * n);
+    assert!(packed_b.len() >= n_panels * pstride);
+    let mut jp = 0;
+    while jp < n_panels {
+        let j0 = jp * NR;
+        let w = (n - j0).min(2 * NR);
+        // SAFETY: panels `jp` (and `jp + 1` for a pair) lie inside
+        // `packed_b` by the assert above; `pa` holds `k·MR` values.
+        let pb = packed_b.as_ptr().add(jp * pstride);
+        if jp + 1 < n_panels {
+            let acc = tile_f32::<2>(k, pa.as_ptr(), pb, pstride);
+            store_tile(&acc, h, n, w, &mut c_slab[j0..]);
+            jp += 2;
+        } else {
+            let acc = tile_f32::<1>(k, pa.as_ptr(), pb, pstride);
+            store_tile(&acc, h, n, w, &mut c_slab[j0..]);
+            jp += 1;
+        }
+    }
+}
+
+/// One `MR × P·NR` tile: `acc[r][q]` accumulates `pa[kk, r] · B[kk, q·NR ..]`
+/// over panels `pb + q·pstride`, multiply then add, for ascending `kk`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `pa` must hold `k·MR` values and `pb`
+/// `P` panels of `k·NR` values, `pstride` apart.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn tile_f32<const P: usize>(
+    k: usize,
+    pa: *const f32,
+    pb: *const f32,
+    pstride: usize,
+) -> [[std::arch::x86_64::__m512; P]; MR] {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); P]; MR];
+    for kk in 0..k {
+        let mut b = [_mm512_setzero_ps(); P];
+        for (q, bq) in b.iter_mut().enumerate() {
+            *bq = _mm512_loadu_ps(pb.add(q * pstride + kk * NR));
+        }
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let a = _mm512_set1_ps(*pa.add(kk * MR + r));
+            for (acc_rq, &bq) in acc_r.iter_mut().zip(&b) {
+                // Two roundings, never a fused multiply-add.
+                *acc_rq = _mm512_add_ps(*acc_rq, _mm512_mul_ps(a, bq));
+            }
+        }
+    }
+    acc
+}
+
+/// Writes the first `h` rows and `w ≤ P·NR` columns of `acc` to `c`, whose
+/// row `r` starts at `c[r·n]`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn store_tile<const P: usize>(
+    acc: &[[std::arch::x86_64::__m512; P]; MR],
+    h: usize,
+    n: usize,
+    w: usize,
+    c: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    for (r, acc_r) in acc.iter().enumerate().take(h) {
+        let row = &mut c[r * n..r * n + w];
+        for (q, dst) in row.chunks_mut(NR).enumerate() {
+            // SAFETY: the mask enables exactly `dst.len() ≤ 16` lanes, all
+            // inside `dst`.
+            let mask = ((1u32 << dst.len()) - 1) as __mmask16;
+            _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, acc_r[q]);
+        }
     }
 }
 
@@ -584,11 +735,13 @@ mod tests {
         v
     }
 
-    /// Seeded property test of every entry point and both builds against
-    /// the naive triple loop, at 1 and 4 threads. Shapes put `m mod MR` and
-    /// `n mod NR` through every residue; `k` takes 0, 1, odd values and
-    /// values of 256 and more. Every non-NaN output must be bit-equal to the
-    /// reference, and NaN must appear exactly where the reference has NaN.
+    /// Seeded property test of every entry point and every build this CPU
+    /// runs against the naive triple loop, at 1 and 4 threads. Shapes put
+    /// `m mod MR` and `n mod 2·NR` through every residue, so the AVX-512
+    /// build runs both its two-panel tile and its lone-panel tail; `k` takes
+    /// 0, 1, odd values and values of 256 and more. Every non-NaN output
+    /// must be bit-equal to the reference, and NaN must appear exactly where
+    /// the reference has NaN.
     /// NaN bits are not compared: on x86 the default NaN (`inf − inf`,
     /// `0 · inf`) is negative and LLVM treats `fadd` as commutative, so when
     /// a negative NaN accumulator meets a positive NaN product, which one
@@ -598,13 +751,21 @@ mod tests {
         const CASES: usize = 256;
         let mut r = seeded(0x6E77_4D4D);
         let (mut k_zero, mut k_one, mut k_odd, mut k_wide, mut nans) = (0, 0, 0, 0, 0);
+        let mut builds = vec![Build::Plain];
+        if crate::has_avx2() {
+            builds.push(Build::Avx2);
+        }
+        if crate::has_avx512f() {
+            builds.push(Build::Avx512);
+        }
+        let mut avx512_cases = 0;
         for case in 0..CASES {
             let m = match case % MR + MR * r.gen_range(0usize..5) {
                 0 => MR,
                 m => m,
             };
-            let n = match (case / MR) % NR + NR * r.gen_range(0usize..4) {
-                0 => NR,
+            let n = match (case / MR) % (2 * NR) + 2 * NR * r.gen_range(0usize..3) {
+                0 => 2 * NR,
                 n => n,
             };
             let k = match r.gen_range(0u32..8) {
@@ -625,7 +786,8 @@ mod tests {
             let bt: Vec<f32> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
             let want = reference_nn(m, k, n, &a, &b);
             nans += want.iter().filter(|v| v.is_nan()).count();
-            for build in [Build::Plain, Build::Avx2] {
+            for &build in &builds {
+                avx512_cases += usize::from(build == Build::Avx512);
                 for threads in [1, 4] {
                     crate::par::set_threads(Some(threads));
                     for (layout, lhs, rhs) in [
@@ -655,6 +817,13 @@ mod tests {
         crate::par::set_threads(None);
         assert!(k_zero > 0 && k_one > 0 && k_odd > 0 && k_wide > 0);
         assert!(nans > 0, "the special operands must produce NaN outputs");
+        // On an AVX-512 CPU every case ran the AVX-512 build, which is also
+        // the one the entry points dispatch to.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert_eq!(avx512_cases, CASES);
+            assert_eq!(Build::detect(), Build::Avx512);
+        }
     }
 
     #[test]

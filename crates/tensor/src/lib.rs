@@ -58,3 +58,31 @@ pub fn has_avx2() -> bool {
         false
     }
 }
+
+/// True when this CPU supports AVX-512F, so the f32 GEMM's
+/// `#[target_feature(enable = "avx512f")]` build may run.
+pub(crate) fn has_avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// True when this CPU supports AVX-512F, AVX-512BW and AVX-512 VNNI, so
+/// the i16 GEMM's `vpdpwssd` build may run.
+pub(crate) fn has_avx512_vnni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vnni")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}

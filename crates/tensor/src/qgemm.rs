@@ -6,14 +6,14 @@
 //! operands as two's-complement i16 raws and the kernel accumulates in
 //! i32. Every packable weight kind — fixed-point, binary `±2^e` and narrow
 //! power-of-two — reaches it as i16 raws scaled by a power of two, so one
-//! kernel serves them all: a register-blocked 4×16 microkernel over a
-//! packed-B panel ([`PanelB`]) built on `vpmaddwd`, with the requantize
+//! kernel serves them all: a register-blocked microkernel over a packed-B
+//! panel ([`PanelB`]) built on `vpdpwssd` or `vpmaddwd`, with the requantize
 //! epilogue fused into its row tail ([`gemm_nt_i16_panel_emit`]). The
 //! committed `BENCH_kernels.json` (256³, 1 thread, through the dispatch
-//! entry in `qnn_quant::packed`) times it at 2.02× (fixed8), 2.25×
-//! (fixed16), 1.80× (binary ±1 weights × fixed16) and 2.37× (pow2) the
-//! f32 GEMM of [`crate::gemm`], measured against that GEMM's vectorized
-//! AVX2 build.
+//! entry in `qnn_quant::packed`, on the AVX-512 VNNI CPU its `simd` header
+//! names) times it at 2.14× (fixed8), 2.13× (fixed16), 2.34× (binary ±1
+//! weights × fixed16) and 2.33× (pow2) the f32 GEMM of [`crate::gemm`],
+//! measured against that GEMM's AVX-512 build.
 //!
 //! The kernels compute the **NT** product `C[i][j] = dot(A.row(i), B.row(j))`
 //! — both operands are k-contiguous, which is the layout the dense layer
@@ -34,18 +34,22 @@
 //!
 //! ## SIMD dispatch
 //!
-//! rustc's default x86-64 baseline is SSE2, which leaves the 256-bit
-//! `vpmaddwd` on the table. The microkernel is written twice over the same
-//! tile walk and panel reads: a plain scalar instantiation, and a
-//! `#[target_feature(enable = "avx2")]` one selected at runtime via
-//! [`crate::has_avx2`]. Both run the same integer products, so
+//! rustc's default x86-64 baseline is SSE2, which leaves the wide integer
+//! multiply-adds on the table. The microkernel has three builds over the
+//! same panel layout, chosen at runtime from CPUID: a plain scalar
+//! instantiation; a `#[target_feature(enable = "avx2")]` 4×16 tile on
+//! `vpmaddwd` + `vpaddd` ([`crate::has_avx2`]); and an
+//! `avx512f,avx512bw,avx512vnni` 4×32 tile on `vpdpwssd`
+//! (`has_avx512_vnni`), in which one 32-word k-pair group of a
+//! panel is exactly one zmm. All three compute the same integer sums, so
 //! feature detection can never change results. The `unsafe` at the call
 //! site is the narrow, standard obligation of `target_feature` dispatch:
 //! the feature was verified on this CPU.
 
-use crate::conv::{im2col_runs, Geometry, PatchSink};
+use crate::conv::{im2col_rows, Geometry, RowMajor};
 use crate::error::TensorError;
 use crate::par;
+use std::cell::RefCell;
 
 /// Trace counter: kernel invocations.
 const CTR_CALLS: &str = "tensor.qgemm.calls";
@@ -57,26 +61,47 @@ const CTR_PACKED_OPS: &str = "tensor.qgemm.packed_ops";
 /// partition bit-identical anyway.
 const ROWS_PER_TASK: usize = 8;
 
-/// Expands to a runtime-dispatched call of a kernel body: on x86-64 with
-/// AVX2, through its `#[target_feature]` instantiation; otherwise the plain
-/// safe one. Same integer results either way.
-macro_rules! dispatch {
-    ($body:ident, $avx2:ident, ($($arg:expr),*)) => {{
-        #[cfg(target_arch = "x86_64")]
-        {
-            if crate::has_avx2() {
-                // SAFETY: `has_avx2` verified avx2 on this CPU, which is the
-                // only precondition of the target_feature wrapper.
-                unsafe { $avx2($($arg),*) }
-            } else {
-                $body($($arg),*)
-            }
+thread_local! {
+    /// [`gemm_nt_i16_panel_emit`]'s row-chunk accumulators: one buffer per
+    /// thread, grown to the widest chunk it has run.
+    static TLS_ACC: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
+    /// [`PanelB::pack_patches`]' two patch rows in flight.
+    static TLS_PAIR: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Which build of the panel microkernel runs. Every build computes the
+/// same integer sums, so the choice never changes a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Build {
+    /// The scalar instantiation: the path on CPUs without AVX2.
+    Plain,
+    /// `vpmaddwd` + `vpaddd` at ymm width.
+    Avx2,
+    /// `vpdpwssd` at zmm width (AVX-512F, AVX-512BW and AVX-512 VNNI).
+    Vnni,
+}
+
+impl Build {
+    /// The widest build this CPU runs.
+    fn detect() -> Build {
+        if crate::has_avx512_vnni() {
+            Build::Vnni
+        } else if crate::has_avx2() {
+            Build::Avx2
+        } else {
+            Build::Plain
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            $body($($arg),*)
-        }
-    }};
+    }
+}
+
+/// The name of the panel-microkernel build this CPU runs: `"avx512vnni"`,
+/// `"avx2"` or `"plain"`.
+pub fn simd_build() -> &'static str {
+    match Build::detect() {
+        Build::Vnni => "avx512vnni",
+        Build::Avx2 => "avx2",
+        Build::Plain => "plain",
+    }
 }
 
 /// `C[i][j] = Σ_k A[i][k]·B[j][k]` over i16 words with i32 accumulation,
@@ -158,8 +183,10 @@ impl PanelB {
     /// image of i16 raws under `geom`: row `p` is output pixel `p`'s
     /// receptive field in `(c, kh, kw)` order, `0` for padding taps. The
     /// words equal [`PanelB::pack`] of the transposed im2col of `image`,
-    /// but no patch matrix is built: the im2col walk writes each tap into
-    /// its panel slot directly. Returns `(oh, ow)`.
+    /// but no patch matrix is built: the im2col walk writes patch rows `2g`
+    /// and `2g+1` row-major into a two-row buffer (a thread-local, padded to
+    /// whole panels with zeros), which is then zipped into k-group `g` of
+    /// every panel. Returns `(oh, ow)`.
     ///
     /// # Errors
     ///
@@ -176,42 +203,47 @@ impl PanelB {
         let (oh, ow) = geom.output_hw(h, w)?;
         assert_eq!(image.len(), c * h * w, "image slice length mismatch");
         let (n, k) = (oh * ow, c * geom.kh * geom.kw);
-        self.reset(n, k);
-        im2col_runs(image, c, h, w, geom, oh, ow, self);
+        (self.n, self.k) = (n, k);
+        let npad = n.div_ceil(PANEL_NR) * PANEL_NR;
+        self.data.resize(npad * 2 * k.div_ceil(2), 0);
+        TLS_PAIR.with(|pair| {
+            let mut pair = pair.borrow_mut();
+            // The walk writes columns `0..n` of each row; the rest stays 0.
+            pair.clear();
+            pair.resize(2 * npad, 0);
+            for g in 0..k.div_ceil(2) {
+                let rows = 2 * g..(2 * g + 2).min(k);
+                if rows.len() == 1 {
+                    // Odd k: the last group's partner row is zero.
+                    pair[npad..].fill(0);
+                }
+                let mut sink = RowMajor {
+                    cols: npad,
+                    dst: &mut pair[..],
+                };
+                im2col_rows(image, c, h, w, geom, (oh, ow), rows, &mut sink);
+                self.zip_group(g, &pair);
+            }
+        });
         Ok((oh, ow))
     }
 
-    /// Sizes the panel for `n` rows of length `k` and zeroes its padding:
-    /// the slots past row `n` in the last panel, and the pair partner past
-    /// `k` when `k` is odd. Every other slot must then be written.
-    fn reset(&mut self, n: usize, k: usize) {
-        (self.n, self.k) = (n, k);
-        let kg = k.div_ceil(2);
-        let pstride = kg * 2 * PANEL_NR;
-        self.data.resize(n.div_ceil(PANEL_NR) * pstride, 0);
-        if !n.is_multiple_of(PANEL_NR) {
-            let tail = 2 * (n % PANEL_NR);
-            for grp in self.data[(n / PANEL_NR) * pstride..].chunks_exact_mut(2 * PANEL_NR) {
-                grp[tail..].fill(0);
-            }
-        }
-        if k % 2 == 1 {
-            for pan in self.data.chunks_exact_mut(pstride) {
-                for slot in pan[pstride - 2 * PANEL_NR..].iter_mut().skip(1).step_by(2) {
-                    *slot = 0;
-                }
-            }
-        }
-    }
-
-    /// Writes `val(t)` to element `(col + t, row)` for `t < len`.
-    #[inline(always)]
-    fn put(&mut self, row: usize, col: usize, len: usize, mut val: impl FnMut(usize) -> i16) {
+    /// Writes the two padded patch rows in `pair` as k-group `g` of every
+    /// panel: panel `p`'s group takes columns `p·NR ..` of both rows,
+    /// interleaved word by word.
+    fn zip_group(&mut self, g: usize, pair: &[i16]) {
         let pstride = self.k.div_ceil(2) * 2 * PANEL_NR;
-        let lane = (row / 2) * 2 * PANEL_NR + row % 2;
-        for t in 0..len {
-            let j = col + t;
-            self.data[(j / PANEL_NR) * pstride + lane + 2 * (j % PANEL_NR)] = val(t);
+        let (r0, r1) = pair.split_at(pair.len() / 2);
+        let cols = r0.as_chunks::<PANEL_NR>().0.iter();
+        let cols = cols.zip(r1.as_chunks::<PANEL_NR>().0);
+        for (pan, (c0, c1)) in self.data.chunks_exact_mut(pstride).zip(cols) {
+            let grp = pan[g * 2 * PANEL_NR..]
+                .first_chunk_mut::<{ 2 * PANEL_NR }>()
+                .expect("k-group inside its panel");
+            for j in 0..PANEL_NR {
+                grp[2 * j] = c0[j];
+                grp[2 * j + 1] = c1[j];
+            }
         }
     }
 
@@ -244,16 +276,6 @@ impl PanelB {
         let kg = self.k.div_ceil(2);
         let base = (j / PANEL_NR) * kg * 2 * PANEL_NR;
         self.data[base + (kk / 2) * 2 * PANEL_NR + 2 * (j % PANEL_NR) + (kk % 2)]
-    }
-}
-
-impl PatchSink<i16> for PanelB {
-    fn zeros(&mut self, row: usize, col: usize, len: usize) {
-        self.put(row, col, len, |_| 0);
-    }
-
-    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[i16], stride: usize) {
-        self.put(row, col, len, |t| taps[t * stride]);
     }
 }
 
@@ -370,16 +392,166 @@ unsafe fn panel_rows_i16_avx2(k: usize, n: usize, a_rows: &[i16], panel: &[i16],
     }
 }
 
-/// Runs the panel microkernel over one row chunk (AVX2 when available,
-/// scalar instantiation otherwise — bit-identical either way).
-fn panel_chunk_i16(k: usize, n: usize, a_rows: &[i16], panel: &PanelB, c: &mut [i32]) {
+/// The AVX-512 VNNI microkernel: `MR_I16 × 2·PANEL_NR` tiles over each
+/// pair of adjacent panels in eight zmm i32 accumulators, and an
+/// `MR_I16 × PANEL_NR` tile over a lone last panel. One 32-word k-pair
+/// group of a panel is exactly one zmm, so per k pair the pair tile runs
+/// two panel loads, four `vpbroadcastd` pair broadcasts and 8 `vpdpwssd`.
+///
+/// `vpdpwssd` adds both products of a pair to its accumulator lane modulo
+/// 2^32, as `vpmaddwd` + `vpaddd` do; the non-saturating form is used, so
+/// the two agree on every input, and under the caller contract no sum
+/// wraps, so the result is bit-identical to [`panel_rows_i16`] and
+/// [`gemm_nt_i16`]. Short tail tiles, odd `k` and ragged panels are
+/// handled as in [`panel_rows_i16_avx2`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX-512BW and AVX-512 VNNI.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+unsafe fn panel_rows_i16_vnni(k: usize, n: usize, a_rows: &[i16], panel: &[i16], c: &mut [i32]) {
+    let rows = a_rows.len().checked_div(k).unwrap_or(0);
+    let pstride = k.div_ceil(2) * 2 * PANEL_NR;
+    let panels = n.div_ceil(PANEL_NR);
+    // The tiles read whole panels and store `ncols ≤ n` columns of rows
+    // below `rows`: checked once here, relied on below.
+    assert!(panel.len() >= panels * pstride && c.len() >= rows * n);
+    let mut pi = 0;
+    while pi < panels {
+        let j0 = pi * PANEL_NR;
+        let pair = pi + 1 < panels;
+        let ncols = (n - j0).min(if pair { 2 * PANEL_NR } else { PANEL_NR });
+        // SAFETY: panel `pi` (and `pi + 1` for a pair) lies inside `panel`
+        // by the assert above.
+        let pan = panel.as_ptr().add(pi * pstride);
+        let mut r = 0;
+        while r < rows {
+            let mr = (rows - r).min(MR_I16);
+            // Row indices clamped to the tile: a short tail tile recomputes
+            // its last row in the spare accumulators (never reading outside
+            // A) and simply doesn't store the duplicates.
+            let ap: [*const i16; MR_I16] =
+                std::array::from_fn(|i| a_rows.as_ptr().add((r + i.min(mr - 1)) * k));
+            let out = &mut c[r * n + j0..];
+            if pair {
+                let acc = vnni_tile::<2>(k, ap, pan, pstride);
+                store_tile_i32(&acc, mr, n, ncols, out);
+            } else {
+                let acc = vnni_tile::<1>(k, ap, pan, pstride);
+                store_tile_i32(&acc, mr, n, ncols, out);
+            }
+            r += mr;
+        }
+        pi += if pair { 2 } else { 1 };
+    }
+}
+
+/// One `MR_I16 × P·PANEL_NR` tile: `acc[i][q]` accumulates row `ap[i]`
+/// against panel `pan + q·pstride`, one `vpdpwssd` per k pair. Odd `k`
+/// builds the last broadcast `(a[k-1], 0)` from the lone element, against
+/// the panel's zero partner, so no read crosses the end of an A row.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX-512BW and AVX-512 VNNI; each
+/// `ap[i]` must point at `k` readable words and `pan` at `P` panels of
+/// `pstride` words.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+#[inline]
+unsafe fn vnni_tile<const P: usize>(
+    k: usize,
+    ap: [*const i16; MR_I16],
+    pan: *const i16,
+    pstride: usize,
+) -> [[std::arch::x86_64::__m512i; P]; MR_I16] {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_si512(); P]; MR_I16];
+    let mut b = [_mm512_setzero_si512(); P];
+    for g in 0..k / 2 {
+        for (q, bq) in b.iter_mut().enumerate() {
+            *bq = _mm512_loadu_si512(pan.add(q * pstride + g * 2 * PANEL_NR).cast());
+        }
+        for (acc_i, &a) in acc.iter_mut().zip(&ap) {
+            let av = _mm512_set1_epi32(a.add(2 * g).cast::<i32>().read_unaligned());
+            for (acc_iq, &bq) in acc_i.iter_mut().zip(&b) {
+                *acc_iq = _mm512_dpwssd_epi32(*acc_iq, av, bq);
+            }
+        }
+    }
+    if k % 2 == 1 {
+        for (q, bq) in b.iter_mut().enumerate() {
+            *bq = _mm512_loadu_si512(pan.add(q * pstride + (k / 2) * 2 * PANEL_NR).cast());
+        }
+        for (acc_i, &a) in acc.iter_mut().zip(&ap) {
+            let av = _mm512_set1_epi32(i32::from(a.add(k - 1).read() as u16));
+            for (acc_iq, &bq) in acc_i.iter_mut().zip(&b) {
+                *acc_iq = _mm512_dpwssd_epi32(*acc_iq, av, bq);
+            }
+        }
+    }
+    acc
+}
+
+/// Writes the first `mr` rows and `ncols ≤ P·PANEL_NR` columns of `acc` to
+/// `c`, whose row `i` starts at `c[i·n]`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn store_tile_i32<const P: usize>(
+    acc: &[[std::arch::x86_64::__m512i; P]; MR_I16],
+    mr: usize,
+    n: usize,
+    ncols: usize,
+    c: &mut [i32],
+) {
+    use std::arch::x86_64::*;
+    for (i, acc_i) in acc.iter().enumerate().take(mr) {
+        let row = &mut c[i * n..i * n + ncols];
+        for (q, dst) in row.chunks_mut(PANEL_NR).enumerate() {
+            // SAFETY: the mask enables exactly `dst.len() ≤ 16` lanes, all
+            // inside `dst`.
+            let mask = ((1u32 << dst.len()) - 1) as __mmask16;
+            _mm512_mask_storeu_epi32(dst.as_mut_ptr(), mask, acc_i[q]);
+        }
+    }
+}
+
+/// Runs the panel microkernel over one row chunk through the vector build
+/// `build` asks for when the CPU has it, else the scalar instantiation —
+/// bit-identical either way.
+fn panel_chunk_i16(
+    build: Build,
+    k: usize,
+    n: usize,
+    a_rows: &[i16],
+    panel: &PanelB,
+    c: &mut [i32],
+) {
     debug_assert_eq!(panel.k, k);
     debug_assert_eq!(panel.n, n);
-    dispatch!(
-        panel_rows_i16,
-        panel_rows_i16_avx2,
-        (k, n, a_rows, &panel.data, c)
-    );
+    let panel = &panel.data;
+    match build {
+        #[cfg(target_arch = "x86_64")]
+        Build::Vnni if crate::has_avx512_vnni() => {
+            // SAFETY: `has_avx512_vnni` verified AVX-512F, AVX-512BW and
+            // AVX-512 VNNI on this CPU, the only precondition of the
+            // target_feature build.
+            unsafe { panel_rows_i16_vnni(k, n, a_rows, panel, c) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx2 if crate::has_avx2() => {
+            // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
+            // precondition of the target_feature build.
+            unsafe { panel_rows_i16_avx2(k, n, a_rows, panel, c) }
+        }
+        _ => panel_rows_i16(k, n, a_rows, panel, c),
+    }
 }
 
 /// `C[i][j] = Σ_k A[i][k]·B[j][k]` through the register-blocked microkernel
@@ -392,6 +564,12 @@ pub fn gemm_nt_i16_panel(m: usize, k: usize, n: usize, a: &[i16], panel: &PanelB
     assert_eq!(c.len(), m * n, "C must be m*n");
     qnn_trace::counter!(CTR_CALLS, 1);
     qnn_trace::counter!(CTR_PACKED_OPS, (m * k * n) as u64);
+    panel_gemm(Build::detect(), k, n, a, panel, c);
+}
+
+/// The body of [`gemm_nt_i16_panel`] through a given build: row chunks of
+/// `ROWS_PER_TASK` spread over the pool.
+fn panel_gemm(build: Build, k: usize, n: usize, a: &[i16], panel: &PanelB, c: &mut [i32]) {
     if k == 0 {
         c.fill(0);
         return;
@@ -399,13 +577,13 @@ pub fn gemm_nt_i16_panel(m: usize, k: usize, n: usize, a: &[i16], panel: &PanelB
     par::for_each_chunk_mut(c, ROWS_PER_TASK * n, |ci, chunk| {
         let rows = chunk.len() / n;
         let start = ci * ROWS_PER_TASK;
-        panel_chunk_i16(k, n, &a[start * k..(start + rows) * k], panel, chunk);
+        panel_chunk_i16(build, k, n, &a[start * k..(start + rows) * k], panel, chunk);
     });
 }
 
 /// [`gemm_nt_i16_panel`] with a **fused epilogue**: instead of
 /// materialising the whole `m×n` i32 accumulator tensor, each row chunk's
-/// accumulators stay in a chunk-local scratch and `emit(row, acc_row,
+/// accumulators stay in a per-thread scratch and `emit(row, acc_row,
 /// out_row)` converts them to the caller's output (requantize + bias +
 /// output-precision snap in `qnn-quant`) while the tile is still hot in
 /// cache. `emit` must be elementwise-deterministic; it runs exactly once
@@ -426,20 +604,26 @@ pub fn gemm_nt_i16_panel_emit<F>(
     assert_eq!(out.len(), m * n, "out must be m*n");
     qnn_trace::counter!(CTR_CALLS, 1);
     qnn_trace::counter!(CTR_PACKED_OPS, (m * k * n) as u64);
+    let build = Build::detect();
     par::for_each_chunk_mut(out, ROWS_PER_TASK * n, |ci, chunk| {
         let rows = chunk.len() / n;
         let start = ci * ROWS_PER_TASK;
-        let mut acc = vec![0i32; rows * n];
-        if k > 0 {
-            panel_chunk_i16(k, n, &a[start * k..(start + rows) * k], panel, &mut acc);
-        }
-        for (i, (arow, orow)) in acc
-            .chunks_exact(n)
-            .zip(chunk.chunks_exact_mut(n))
-            .enumerate()
-        {
-            emit(start + i, arow, orow);
-        }
+        TLS_ACC.with(|acc| {
+            let mut acc = acc.borrow_mut();
+            acc.clear();
+            acc.resize(rows * n, 0);
+            if k > 0 {
+                let a_rows = &a[start * k..(start + rows) * k];
+                panel_chunk_i16(build, k, n, a_rows, panel, &mut acc);
+            }
+            for (i, (arow, orow)) in acc
+                .chunks_exact(n)
+                .zip(chunk.chunks_exact_mut(n))
+                .enumerate()
+            {
+                emit(start + i, arow, orow);
+            }
+        });
     });
 }
 
@@ -468,6 +652,101 @@ mod tests {
             assert_eq!(c, reference, "threads={t}");
         }
         crate::par::set_threads(None);
+    }
+
+    /// Seeded property test of every i16 build this CPU runs (plain, AVX2,
+    /// VNNI) against the row-at-a-time [`gemm_nt_i16`], called directly
+    /// rather than through dispatch, at 1 and 4 threads. Shapes put
+    /// `m mod MR_I16` and `n mod 2·PANEL_NR` through every residue, so the
+    /// VNNI build runs both its two-panel tile and its lone-panel tail; `k`
+    /// takes 0, 1, odd values and values of 256 and more. Raws reach ±32767
+    /// and −32768 with `max|a|·max|b|·k ≤ i32::MAX`, the kernel contract.
+    #[test]
+    fn every_i16_build_matches_reference_over_random_shapes() {
+        const CASES: usize = 320;
+        let mut r = seeded(0x0161_6E4E);
+        let mut builds = vec![Build::Plain];
+        if crate::has_avx2() {
+            builds.push(Build::Avx2);
+        }
+        if crate::has_avx512_vnni() {
+            builds.push(Build::Vnni);
+        }
+        let (mut k_zero, mut k_one, mut k_odd, mut k_wide, mut rails) = (0, 0, 0, 0, 0);
+        let mut vnni_cases = 0;
+        for case in 0..CASES {
+            let m = match case % MR_I16 + MR_I16 * r.gen_range(0usize..4) {
+                0 => MR_I16,
+                m => m,
+            };
+            let n = match (case / MR_I16) % (2 * PANEL_NR) + 2 * PANEL_NR * r.gen_range(0usize..3) {
+                0 => 2 * PANEL_NR,
+                n => n,
+            };
+            let k = match r.gen_range(0u32..8) {
+                0 => 0,
+                1 => 1,
+                2 | 3 => 2 * r.gen_range(1usize..60) + 1,
+                4 | 5 => 2 * r.gen_range(1usize..60),
+                _ => r.gen_range(256usize..300),
+            };
+            k_zero += usize::from(k == 0);
+            k_one += usize::from(k == 1);
+            k_odd += usize::from(k % 2 == 1 && k > 1);
+            k_wide += usize::from(k >= 256);
+            // One side up to the full i16 range, the other as wide as the
+            // contract then allows.
+            let big = match r.gen_range(0u32..3) {
+                0 => 32768i64,
+                1 => 32767,
+                _ => r.gen_range(1i64..32768),
+            };
+            let small = (i64::from(i32::MAX) / (big * k.max(1) as i64)).clamp(1, 32768);
+            let (amax, bmax) = if r.gen_bool(0.5) {
+                (big, small)
+            } else {
+                (small, big)
+            };
+            let words = |r: &mut crate::rng::Rng, len: usize, max: i64| -> Vec<i16> {
+                (0..len)
+                    .map(|_| match r.gen_range(0u32..16) {
+                        0 => (-max).max(-32768) as i16,
+                        1 => max.min(32767) as i16,
+                        _ => r.gen_range(-max..max.min(32767) + 1) as i16,
+                    })
+                    .collect()
+            };
+            let a = words(&mut r, m * k, amax);
+            let b = words(&mut r, n * k, bmax);
+            rails += a.iter().chain(&b).filter(|&&v| v == i16::MIN).count();
+            let mut want = vec![0i32; m * n];
+            gemm_nt_i16(m, k, n, &a, &b, &mut want);
+            let panel = PanelB::pack(n, k, &b);
+            for &build in &builds {
+                vnni_cases += usize::from(build == Build::Vnni);
+                for threads in [1, 4] {
+                    crate::par::set_threads(Some(threads));
+                    let mut got = vec![7i32; m * n];
+                    panel_gemm(build, k, n, &a, &panel, &mut got);
+                    assert_eq!(
+                        got, want,
+                        "case {case} {build:?} threads={threads} {m}x{k}x{n}"
+                    );
+                }
+            }
+        }
+        crate::par::set_threads(None);
+        assert!(k_zero > 0 && k_one > 0 && k_odd > 0 && k_wide > 0 && rails > 0);
+        // On an AVX-512 VNNI CPU every case ran the VNNI build, which is
+        // also the one the entry points dispatch to.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vnni")
+        {
+            assert_eq!(vnni_cases, CASES);
+            assert_eq!(Build::detect(), Build::Vnni);
+        }
     }
 
     #[test]
