@@ -5,8 +5,10 @@
 # workspace has zero external dependencies, so no network access is
 # ever needed.
 #
-# Mirrored stage-for-stage by .github/workflows/ci.yml; keep the two in
-# sync when adding stages (the sync-check stage enforces it).
+# The only place a stage body lives: every job in
+# .github/workflows/ci.yml runs `./ci.sh --stage <its id>` (plus the
+# build stage and its artifact uploads), in the same order as the stage
+# lines below; the sync-check stage enforces both.
 #
 # Usage:
 #   ./ci.sh                 run every stage, in order
@@ -155,38 +157,42 @@ tune_resume() {
     rm -rf "$dir"
 }
 
-# Serve-soak gate: run the release inference server in the background,
-# hammer it from 4 client threads with 256 requests cycling through all
-# Table III precisions, and demand every response be bit-identical to a
-# single-shot forward. The server records a qnn-trace JSONL
-# (serve-trace.jsonl, summarized into serve-trace-summary.txt); the
-# server process is always torn down, pass or fail.
-serve_soak() {
-    dir=$(mktemp -d)
-    ./target/release/qnn serve --addr 127.0.0.1:0 --port-file "$dir/port" \
-        --trace serve-trace.jsonl > "$dir/server.log" 2>&1 &
-    server_pid=$!
-    code=1
+# Waits for process PID to write a non-empty port file FILE (up to
+# 10 s); fails naming the file if it never appears or PID dies first.
+wait_port() {
     tries=0
     while [ "$tries" -lt 100 ]; do
-        [ -s "$dir/port" ] && break
-        kill -0 "$server_pid" 2>/dev/null || break
+        [ -s "$1" ] && return 0
+        kill -0 "$2" 2>/dev/null || break
         sleep 0.1
         tries=$((tries + 1))
     done
+    echo "$STAGE: $1 was never written (pid $2)" >&2
+    return 1
+}
+
+# Single-server soak gates (serve-soak, and reload-soak with --cycles 8):
+# run the release server in the background with a trace, hammer it from
+# 4 client threads with 256 requests cycling through every Table III
+# precision, and demand every response be bit-identical to a local
+# forward on whichever model version the server accepted it under —
+# across every live reload, with zero drops or hangs. --shutdown drains
+# the server, which must then exit cleanly; the trace (TRACE) is
+# summarized into SUMMARY. The server is always torn down, pass or fail.
+soak_server() {
+    trace="$1"
+    summary="$2"
+    shift 2
+    dir=$(mktemp -d)
+    ./target/release/qnn serve --addr 127.0.0.1:0 --port-file "$dir/port" \
+        --trace "$trace" > "$dir/server.log" 2>&1 &
+    server_pid=$!
     set +e
-    if [ -s "$dir/port" ]; then
-        ./target/release/qnn-bench serve-soak --addr "$(cat "$dir/port")" \
-            --clients 4 --requests 256 --shutdown
-        code=$?
-        # --shutdown drained the server; reap it and require a clean exit.
-        if [ "$code" -eq 0 ]; then
-            wait "$server_pid"
-            code=$?
-        fi
-    else
-        echo "serve-soak: server never wrote its port file" >&2
-    fi
+    wait_port "$dir/port" "$server_pid" \
+        && ./target/release/qnn-bench serve-soak --addr "$(cat "$dir/port")" \
+            --clients 4 --requests 256 --dir "$dir/ckpts" --shutdown "$@" \
+        && wait "$server_pid"
+    code=$?
     # Teardown even on failure: nothing may outlive the stage.
     kill "$server_pid" 2>/dev/null
     wait "$server_pid" 2>/dev/null
@@ -194,8 +200,7 @@ serve_soak() {
     cat "$dir/server.log"
     rm -rf "$dir"
     if [ "$code" -eq 0 ]; then
-        ./target/release/qnn-bench trace-summary serve-trace.jsonl \
-            | tee serve-trace-summary.txt
+        ./target/release/qnn-bench trace-summary "$trace" | tee "$summary"
     fi
     return "$code"
 }
@@ -214,52 +219,36 @@ cluster_soak() {
             --port-file "$dir/s$i.port" > "$dir/s$i.log" 2>&1 &
         eval "s$i=\$!"
     done
-    tries=0
-    while [ "$tries" -lt 100 ]; do
-        [ -s "$dir/s1.port" ] && [ -s "$dir/s2.port" ] && [ -s "$dir/s3.port" ] && break
-        sleep 0.1
-        tries=$((tries + 1))
-    done
-    code=1
-    if [ -s "$dir/s3.port" ]; then
+    router=""
+    set +e
+    wait_port "$dir/s1.port" "$s1" && wait_port "$dir/s2.port" "$s2" \
+        && wait_port "$dir/s3.port" "$s3"
+    code=$?
+    if [ "$code" -eq 0 ]; then
         ./target/release/qnn router \
             --shards "$(cat "$dir/s1.port"),$(cat "$dir/s2.port"),$(cat "$dir/s3.port")" \
             --addr 127.0.0.1:0 --port-file "$dir/r.port" \
             --heartbeat-ms 50 --k-misses 2 \
             --trace router-trace.jsonl > "$dir/router.log" 2>&1 &
         router=$!
-        tries=0
-        while [ "$tries" -lt 100 ]; do
-            [ -s "$dir/r.port" ] && break
-            kill -0 "$router" 2>/dev/null || break
-            sleep 0.1
-            tries=$((tries + 1))
-        done
-    else
-        echo "cluster-soak: shards never wrote their port files" >&2
-        router=""
-    fi
-    set +e
-    if [ -n "$router" ] && [ -s "$dir/r.port" ]; then
         # Victim is shard 2; the kill point inside the soak is derived
         # from the soak seed, so the schedule is reproducible.
-        ./target/release/qnn-bench cluster-soak --addr "$(cat "$dir/r.port")" \
-            --clients 4 --requests 252 --kill-pid "$s2" --shutdown
+        wait_port "$dir/r.port" "$router" \
+            && ./target/release/qnn-bench serve-soak --addr "$(cat "$dir/r.port")" \
+                --clients 4 --requests 252 --kill-pid "$s2" --shutdown
         code=$?
-        if [ "$code" -eq 0 ]; then
-            # --shutdown drained the cluster: router and surviving
-            # shards must exit 0, the victim must have died of SIGKILL.
-            wait "$router" && wait "$s1" && wait "$s3"
-            code=$?
-            wait "$s2"
-            victim=$?
-            if [ "$code" -eq 0 ] && [ "$victim" -ne 137 ]; then
-                echo "cluster-soak: victim shard exited $victim, expected 137 (SIGKILL)" >&2
-                code=1
-            fi
+    fi
+    if [ "$code" -eq 0 ]; then
+        # --shutdown drained the cluster: router and surviving
+        # shards must exit 0, the victim must have died of SIGKILL.
+        wait "$router" && wait "$s1" && wait "$s3"
+        code=$?
+        wait "$s2"
+        victim=$?
+        if [ "$code" -eq 0 ] && [ "$victim" -ne 137 ]; then
+            echo "cluster-soak: victim shard exited $victim, expected 137 (SIGKILL)" >&2
+            code=1
         fi
-    elif [ -n "$router" ]; then
-        echo "cluster-soak: router never wrote its port file" >&2
     fi
     # Teardown even on failure: nothing may outlive the stage.
     kill "$s1" "$s2" "$s3" 2>/dev/null
@@ -275,50 +264,21 @@ cluster_soak() {
     return "$code"
 }
 
-# Reload-soak gate: run the release server in the background and hammer
-# it from 4 client threads with 256 requests while the soak harness
-# cycles 8 live hot-reloads through it. Every response must be
-# bit-identical to a local forward on whichever model version the
-# server accepted it under — across every swap, with zero drops or
-# hangs. The server's trace (reload-trace.jsonl, summarized into
-# reload-trace-summary.txt) records the reload lifecycle counters.
-reload_soak() {
-    dir=$(mktemp -d)
-    ./target/release/qnn serve --addr 127.0.0.1:0 --port-file "$dir/port" \
-        --trace reload-trace.jsonl > "$dir/server.log" 2>&1 &
-    server_pid=$!
-    code=1
-    tries=0
-    while [ "$tries" -lt 100 ]; do
-        [ -s "$dir/port" ] && break
-        kill -0 "$server_pid" 2>/dev/null || break
-        sleep 0.1
-        tries=$((tries + 1))
-    done
-    set +e
-    if [ -s "$dir/port" ]; then
-        ./target/release/qnn-bench reload-soak --addr "$(cat "$dir/port")" \
-            --clients 4 --requests 256 --cycles 8 --dir "$dir/ckpts" --shutdown
-        code=$?
-        # --shutdown drained the server; reap it and require a clean exit.
-        if [ "$code" -eq 0 ]; then
-            wait "$server_pid"
-            code=$?
-        fi
-    else
-        echo "reload-soak: server never wrote its port file" >&2
-    fi
-    # Teardown even on failure: nothing may outlive the stage.
-    kill "$server_pid" 2>/dev/null
-    wait "$server_pid" 2>/dev/null
-    set -e
-    cat "$dir/server.log"
-    rm -rf "$dir"
-    if [ "$code" -eq 0 ]; then
-        ./target/release/qnn-bench trace-summary reload-trace.jsonl \
-            | tee reload-trace-summary.txt
-    fi
-    return "$code"
+# Restarts a durable server from the checkpoint chain in DIR (logging to
+# DIR/LOG) and proves with reload-verify that it serves exactly one
+# complete candidate bank of reload-chaos's seed schedule.
+restart_and_verify() {
+    : > "$1/port"
+    ./target/release/qnn serve --addr 127.0.0.1:0 --port-file "$1/port" \
+        --checkpoint "$1/bank.qnnf" > "$1/$2" 2>&1 &
+    restart_pid=$!
+    wait_port "$1/port" "$restart_pid" \
+        && ./target/release/qnn-bench reload-verify --addr "$(cat "$1/port")" \
+            --base 0x51AB --cycles 7
+    rc=$?
+    kill "$restart_pid" 2>/dev/null
+    wait "$restart_pid" 2>/dev/null
+    return "$rc"
 }
 
 # Reload-chaos gate: boot a durable server (--checkpoint), soak it with
@@ -330,85 +290,35 @@ reload_soak() {
 # restart fall back to the .bak rotation, still complete.
 reload_chaos() {
     dir=$(mktemp -d)
-    code=1
     ./target/release/qnn serve --addr 127.0.0.1:0 --port-file "$dir/port" \
         --checkpoint "$dir/bank.qnnf" > "$dir/server.log" 2>&1 &
     server_pid=$!
-    tries=0
-    while [ "$tries" -lt 100 ]; do
-        [ -s "$dir/port" ] && break
-        kill -0 "$server_pid" 2>/dev/null || break
-        sleep 0.1
-        tries=$((tries + 1))
-    done
     set +e
-    if [ -s "$dir/port" ]; then
-        ./target/release/qnn-bench reload-soak --addr "$(cat "$dir/port")" \
+    wait_port "$dir/port" "$server_pid" \
+        && ./target/release/qnn-bench serve-soak --addr "$(cat "$dir/port")" \
             --clients 4 --requests 192 --cycles 7 --dir "$dir/ckpts" \
             --kill-pid "$server_pid"
-        code=$?
-        if [ "$code" -eq 0 ]; then
-            wait "$server_pid"
-            victim=$?
-            if [ "$victim" -ne 137 ]; then
-                echo "reload-chaos: server exited $victim, expected 137 (SIGKILL)" >&2
-                code=1
-            fi
+    code=$?
+    if [ "$code" -eq 0 ]; then
+        wait "$server_pid"
+        victim=$?
+        if [ "$victim" -ne 137 ]; then
+            echo "reload-chaos: server exited $victim, expected 137 (SIGKILL)" >&2
+            code=1
         fi
-    else
-        echo "reload-chaos: server never wrote its port file" >&2
     fi
     kill "$server_pid" 2>/dev/null
     wait "$server_pid" 2>/dev/null
-    # Restart from the checkpoint chain and prove the bank is complete.
     if [ "$code" -eq 0 ]; then
-        : > "$dir/port"
-        ./target/release/qnn serve --addr 127.0.0.1:0 --port-file "$dir/port" \
-            --checkpoint "$dir/bank.qnnf" > "$dir/restart.log" 2>&1 &
-        server_pid=$!
-        tries=0
-        while [ "$tries" -lt 100 ]; do
-            [ -s "$dir/port" ] && break
-            kill -0 "$server_pid" 2>/dev/null || break
-            sleep 0.1
-            tries=$((tries + 1))
-        done
-        if [ -s "$dir/port" ]; then
-            ./target/release/qnn-bench reload-verify --addr "$(cat "$dir/port")" \
-                --base 0x51AB --cycles 7
-            code=$?
-        else
-            echo "reload-chaos: restarted server never wrote its port file" >&2
-            code=1
-        fi
-        kill "$server_pid" 2>/dev/null
-        wait "$server_pid" 2>/dev/null
+        restart_and_verify "$dir" restart.log
+        code=$?
     fi
     # Corrupt-primary leg: only meaningful once a promote rotated a .bak.
     if [ "$code" -eq 0 ] && [ -f "$dir/bank.qnnf.bak" ]; then
         printf 'torn by a crash' > "$dir/bank.qnnf"
-        : > "$dir/port"
-        ./target/release/qnn serve --addr 127.0.0.1:0 --port-file "$dir/port" \
-            --checkpoint "$dir/bank.qnnf" > "$dir/fallback.log" 2>&1 &
-        server_pid=$!
-        tries=0
-        while [ "$tries" -lt 100 ]; do
-            [ -s "$dir/port" ] && break
-            kill -0 "$server_pid" 2>/dev/null || break
-            sleep 0.1
-            tries=$((tries + 1))
-        done
-        if [ -s "$dir/port" ]; then
-            ./target/release/qnn-bench reload-verify --addr "$(cat "$dir/port")" \
-                --base 0x51AB --cycles 7 \
+        restart_and_verify "$dir" fallback.log \
             && grep -q 'recovered from' "$dir/fallback.log"
-            code=$?
-        else
-            echo "reload-chaos: fallback server never wrote its port file" >&2
-            code=1
-        fi
-        kill "$server_pid" 2>/dev/null
-        wait "$server_pid" 2>/dev/null
+        code=$?
     fi
     set -e
     cat "$dir"/*.log
@@ -449,10 +359,10 @@ stage kill-resume         kill_and_resume
 stage thread-determinism  thread_determinism
 stage tune-smoke          tune_smoke
 stage tune-resume         tune_resume
-stage serve-soak          serve_soak
+stage serve-soak          soak_server serve-trace.jsonl serve-trace-summary.txt
 stage serve-bench         cargo run -p qnn-bench --release --offline -- --quick serve-bench
 stage cluster-soak        cluster_soak
-stage reload-soak         reload_soak
+stage reload-soak         soak_server reload-trace.jsonl reload-trace-summary.txt --cycles 8
 stage reload-chaos        reload_chaos
 stage sync-check          cargo run -p qnn-bench --release --offline -- sync-check
 stage timing-summary      timing_summary

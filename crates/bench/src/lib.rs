@@ -11,15 +11,15 @@
 //! `PARETO_tune.json` against a fresh `qnn tune` run
 //! (`bench-check --pareto`), [`tracereport`] summarizes `qnn-trace`
 //! JSONL files,
-//! [`soak`] is the `serve-soak` load generator that proves every
-//! `qnn-serve` response bit-identical to a single-shot forward,
-//! [`clustersoak`] is its cluster-level sibling (`cluster-soak`): the
-//! same bit-identity verifier aimed at a `qnn router`, with a
-//! deterministic mid-soak `SIGKILL` of a shard worker,
+//! [`loadgen`] is the `serve-soak` load generator behind every serving
+//! soak stage: it proves each `qnn-serve` response bit-identical to a
+//! local forward on the bank of the model version that answered it,
+//! through a server or a `qnn router`, while a control thread cycles
+//! live reloads and/or delivers a seeded mid-soak `SIGKILL`,
 //! [`servebench`] is the `serve-bench` serving-throughput benchmark that
 //! emits and gates the committed `BENCH_serve.json` artifact,
-//! [`sync`] is the `sync-check` gate that `ci.sh` and the workflow file
-//! mirror each other, and [`artifacts`] regenerates every table/figure
+//! [`sync`] is the `sync-check` gate that every workflow job runs its
+//! body as a `ci.sh` stage, and [`artifacts`] regenerates every table/figure
 //! of the paper (see DESIGN.md §5 for the index).
 //!
 //! Run the kernel suite (and write `BENCH_kernels.json`) with
@@ -27,15 +27,13 @@
 //! artifact with e.g. `cargo run -p qnn-bench --release -- table3`.
 
 pub mod artifacts;
-pub mod clustersoak;
 pub mod json;
 pub mod kernels;
+pub mod loadgen;
 pub mod pareto;
 pub mod qcheck;
 pub mod regression;
-pub mod reloadsoak;
 pub mod servebench;
-pub mod soak;
 pub mod sync;
 pub mod timer;
 pub mod tracereport;

@@ -8,8 +8,7 @@
 
 use qnn_bench::json::Json;
 use qnn_bench::{
-    artifacts, clustersoak, kernels, pareto, qcheck, regression, reloadsoak, servebench, soak,
-    sync, tracereport,
+    artifacts, kernels, loadgen, pareto, qcheck, regression, servebench, sync, tracereport,
 };
 
 const USAGE: &str = "\
@@ -40,33 +39,25 @@ usage: qnn-bench [--quick] [--trace <path>] [SUBCOMMAND]
                  mismatch or never-dispatched packable precision
   trace-summary <path>
                  summarize a qnn-trace JSONL file written by --trace
-  serve-soak --addr HOST:PORT [--clients N] [--requests M] [--shutdown]
-                 load-generate against a running `qnn serve` and verify
-                 every response bit-identical to a single-shot forward;
-                 --shutdown drains and stops the server afterwards
-  cluster-soak --addr HOST:PORT [--clients N] [--requests M]
-               [--kill-pid PID] [--kill-after K] [--shutdown]
-                 load-generate against a running `qnn router` and verify
-                 every response bit-identical to a single-shot forward;
-                 --kill-pid SIGKILLs that shard worker at a seed-derived
-                 point mid-soak (override with --kill-after), --shutdown
-                 drains the whole cluster afterwards
-  cluster-bench  informational routed-vs-direct throughput over an
-                 in-process 3-shard cluster (honours --quick; not gated)
-  reload-soak --addr HOST:PORT [--clients N] [--requests M] [--cycles K]
-              [--dir DIR] [--seed S] [--kill-pid PID] [--shutdown]
-                 hammer a running `qnn serve` while cycling K live model
-                 reloads through it; every response is verified
-                 bit-identical against a local bank of whichever model
-                 version the server accepted it under; --kill-pid
-                 SIGKILLs the server mid-reload at a seed-chosen cycle
-                 (the reload-chaos stage's crash injection)
+  serve-soak --addr HOST:PORT [--clients N] [--requests M] [--seed S]
+             [--cycles K] [--dir DIR] [--kill-pid PID] [--shutdown]
+                 load-generate against a running `qnn serve` or `qnn
+                 router` and verify every response bit-identical to a
+                 local forward on the bank of the model version that
+                 answered it (--seed, decimal or 0x-hex, must match the
+                 server's); --cycles runs K live model reloads mid-soak
+                 from checkpoints written to DIR; --kill-pid SIGKILLs
+                 PID right after a seed-chosen cycle's reload frame
+                 (the server: reload-chaos) or, without --cycles, at a
+                 seed-derived point mid-soak (a shard behind the router:
+                 cluster-soak); --shutdown drains the server or the
+                 whole cluster afterwards
   reload-verify --addr HOST:PORT [--seeds A,B,...] [--base S --cycles K]
                  probe a (restarted) server across every precision and
                  prove it serves exactly one complete candidate seed
                  bit-identically — never a torn bank; seeds are decimal
                  or 0x-hex, and --base/--cycles expands to the same
-                 cycle-seed schedule reload-soak used (base plus K
+                 cycle-seed schedule serve-soak used (base plus K
                  derived reload seeds)
   serve-bench [--write] [--attach HOST:PORT] [--baseline <path>]
                  serving-throughput benchmark: loopback servers at 1 and
@@ -76,7 +67,8 @@ usage: qnn-bench [--quick] [--trace <path>] [SUBCOMMAND]
                  regenerates it, --attach also measures an externally
                  started server (recorded as *_attached entries)
   sync-check [--sh PATH] [--yml PATH]
-                 fail if ci.sh stages and ci.yml jobs have drifted
+                 fail if ci.sh stages and ci.yml jobs have drifted, or
+                 a job does not run its body as `./ci.sh --stage <id>`
                  (defaults: ci.sh, .github/workflows/ci.yml)
   table3         Table III  — design metrics per precision
   table4         Table IV   — MNIST/SVHN-class accuracy + energy
@@ -283,100 +275,6 @@ fn trace_summary(path: &str) -> i32 {
     }
 }
 
-fn serve_soak(args: &[String]) -> i32 {
-    let mut cfg = soak::SoakConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |flag: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("serve-soak: {flag} needs a value\n\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = next("--addr"),
-            "--shutdown" => cfg.shutdown = true,
-            "--clients" => {
-                let v = next("--clients");
-                cfg.clients = v.parse().unwrap_or_else(|_| {
-                    eprintln!("serve-soak: --clients `{v}` is not a count");
-                    std::process::exit(2);
-                });
-            }
-            "--requests" => {
-                let v = next("--requests");
-                cfg.requests = v.parse().unwrap_or_else(|_| {
-                    eprintln!("serve-soak: --requests `{v}` is not a count");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("serve-soak: unknown argument {other}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if cfg.addr.is_empty() {
-        eprintln!("serve-soak: --addr is required\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    match soak::run(&cfg) {
-        Ok(outcome) => i32::from(!outcome.passed(&cfg)),
-        Err(e) => {
-            eprintln!("serve-soak: {e}");
-            1
-        }
-    }
-}
-
-fn cluster_soak(args: &[String]) -> i32 {
-    let mut cfg = clustersoak::ClusterSoakConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |flag: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("cluster-soak: {flag} needs a value\n\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        let parse = |flag: &str, v: String| -> usize {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("cluster-soak: {flag} `{v}` is not a count");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = next("--addr"),
-            "--shutdown" => cfg.shutdown = true,
-            "--clients" => cfg.clients = parse("--clients", next("--clients")),
-            "--requests" => cfg.requests = parse("--requests", next("--requests")),
-            "--kill-after" => cfg.kill_after = Some(parse("--kill-after", next("--kill-after"))),
-            "--kill-pid" => {
-                let v = next("--kill-pid");
-                cfg.kill_pid = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("cluster-soak: --kill-pid `{v}` is not a pid");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("cluster-soak: unknown argument {other}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if cfg.addr.is_empty() {
-        eprintln!("cluster-soak: --addr is required\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    match clustersoak::run(&cfg) {
-        Ok(outcome) => i32::from(!outcome.passed(&cfg)),
-        Err(e) => {
-            eprintln!("cluster-soak: {e}");
-            1
-        }
-    }
-}
-
 fn parse_seed_arg(ctx: &str, v: &str) -> u64 {
     let parsed = if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()
@@ -389,19 +287,19 @@ fn parse_seed_arg(ctx: &str, v: &str) -> u64 {
     })
 }
 
-fn reload_soak(args: &[String]) -> i32 {
-    let mut cfg = reloadsoak::ReloadSoakConfig::default();
+fn serve_soak(args: &[String]) -> i32 {
+    let mut cfg = loadgen::SoakConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut next = |flag: &str| -> String {
             it.next().cloned().unwrap_or_else(|| {
-                eprintln!("reload-soak: {flag} needs a value\n\n{USAGE}");
+                eprintln!("serve-soak: {flag} needs a value\n\n{USAGE}");
                 std::process::exit(2);
             })
         };
         let parse = |flag: &str, v: String| -> usize {
             v.parse().unwrap_or_else(|_| {
-                eprintln!("reload-soak: {flag} `{v}` is not a count");
+                eprintln!("serve-soak: {flag} `{v}` is not a count");
                 std::process::exit(2);
             })
         };
@@ -412,28 +310,28 @@ fn reload_soak(args: &[String]) -> i32 {
             "--requests" => cfg.requests = parse("--requests", next("--requests")),
             "--cycles" => cfg.cycles = parse("--cycles", next("--cycles")),
             "--dir" => cfg.dir = std::path::PathBuf::from(next("--dir")),
-            "--seed" => cfg.seed = parse_seed_arg("reload-soak: --seed", &next("--seed")),
+            "--seed" => cfg.seed = parse_seed_arg("serve-soak: --seed", &next("--seed")),
             "--kill-pid" => {
                 let v = next("--kill-pid");
                 cfg.kill_pid = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("reload-soak: --kill-pid `{v}` is not a pid");
+                    eprintln!("serve-soak: --kill-pid `{v}` is not a pid");
                     std::process::exit(2);
                 }));
             }
             other => {
-                eprintln!("reload-soak: unknown argument {other}\n\n{USAGE}");
+                eprintln!("serve-soak: unknown argument {other}\n\n{USAGE}");
                 std::process::exit(2);
             }
         }
     }
     if cfg.addr.is_empty() {
-        eprintln!("reload-soak: --addr is required\n\n{USAGE}");
+        eprintln!("serve-soak: --addr is required\n\n{USAGE}");
         std::process::exit(2);
     }
-    match reloadsoak::run(&cfg) {
+    match loadgen::run(&cfg) {
         Ok(outcome) => i32::from(!outcome.passed(&cfg)),
         Err(e) => {
-            eprintln!("reload-soak: {e}");
+            eprintln!("serve-soak: {e}");
             1
         }
     }
@@ -476,16 +374,16 @@ fn reload_verify(args: &[String]) -> i32 {
         }
     }
     if let Some(b) = base {
-        // Expand the same pure cycle-seed schedule reload-soak walked:
+        // Expand the same pure cycle-seed schedule serve-soak walked:
         // the base bank plus one derived seed per reload cycle.
-        seeds.extend((0..=cycles).map(|k| reloadsoak::cycle_seed(b, k)));
+        seeds.extend((0..=cycles).map(|k| loadgen::cycle_seed(b, k)));
         seeds.dedup();
     }
     if addr.is_empty() || seeds.is_empty() {
         eprintln!("reload-verify: --addr plus --seeds or --base is required\n\n{USAGE}");
         std::process::exit(2);
     }
-    match reloadsoak::verify(&addr, &seeds) {
+    match loadgen::verify(&addr, &seeds) {
         Ok(seed) => {
             println!("reload-verify: server is complete on seed {seed:#x}");
             0
@@ -627,9 +525,6 @@ fn main() {
         Some("qkernels") => i32::from(!qcheck::run(quick)),
         Some("serve-bench") => serve_bench(quick, &rest[1..]),
         Some("serve-soak") => serve_soak(&rest[1..]),
-        Some("cluster-soak") => cluster_soak(&rest[1..]),
-        Some("cluster-bench") => clustersoak::bench(quick),
-        Some("reload-soak") => reload_soak(&rest[1..]),
         Some("reload-verify") => reload_verify(&rest[1..]),
         Some("sync-check") => sync_check(&rest[1..]),
         Some("trace-summary") => match rest.get(1) {

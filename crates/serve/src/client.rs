@@ -6,8 +6,18 @@ use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::proto::{read_frame, Frame, FrameKind};
+use crate::proto::{read_frame, ErrorCode, Frame, FrameKind};
 use crate::ServeError;
+
+/// Retryable rejections one [`ServeClient::infer_retry`] call rode out,
+/// by code.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Retries {
+    /// `Busy` rejections: the server's queue was full.
+    pub busy: usize,
+    /// `ShardDown` rejections: a router found no live replica.
+    pub shard_down: usize,
+}
 
 /// One connection to a `qnn-serve` server.
 ///
@@ -74,31 +84,17 @@ impl ServeClient {
     /// # Errors
     ///
     /// [`ServeError::Rejected`] carrying the server's typed error frame
-    /// (check [`is_busy`](ServeError::is_busy) for retryable
-    /// backpressure), [`ServeError::Proto`]/[`ServeError::Io`] on
-    /// transport trouble.
+    /// (check [`is_retryable`](ServeError::is_retryable) for `Busy`
+    /// backpressure and `ShardDown` failover), [`ServeError::Proto`]/
+    /// [`ServeError::Io`] on transport trouble.
     pub fn infer(&mut self, tag: u8, image: &[f32]) -> Result<Vec<f32>, ServeError> {
-        let id = self.next_id();
-        self.send(&Frame::infer(id, tag, image))?;
-        let frame = self.recv_for(id)?;
-        match frame.kind {
-            FrameKind::InferOk => Ok(frame.payload_f32s()?),
-            FrameKind::Error => {
-                let (code, retry_after_us, msg) = frame.error_info()?;
-                Err(ServeError::Rejected {
-                    code,
-                    retry_after_us,
-                    msg,
-                })
-            }
-            other => Err(ServeError::UnexpectedFrame(other)),
-        }
+        self.infer_versioned(tag, image).map(|(_, logits)| logits)
     }
 
     /// [`infer`](ServeClient::infer) that also returns the model-version
     /// byte the server stamped into the response (`version % 256`) —
-    /// what the reload soak uses to pick which version's local bank to
-    /// verify each response against.
+    /// what the soak uses to pick which version's local bank to verify
+    /// each response against.
     ///
     /// # Errors
     ///
@@ -154,66 +150,35 @@ impl ServeClient {
         }
     }
 
-    /// [`infer`](ServeClient::infer), retrying `Busy` rejections after
-    /// each one's hinted delay, up to `max_retries` times. Returns the
-    /// logits and how many retries it took.
+    /// [`infer_versioned`](ServeClient::infer_versioned), retrying every
+    /// retryable rejection ([`ErrorCode::is_retryable`]: `Busy`
+    /// backpressure from a server, `ShardDown` failover from a router)
+    /// after each one's hinted delay, up to `max_retries` in all. Returns
+    /// the version byte, the logits and the retries by code.
     ///
     /// # Errors
     ///
-    /// The final error once retries are exhausted, or any non-`Busy`
+    /// The final error once retries are exhausted, or any non-retryable
     /// failure immediately.
     pub fn infer_retry(
         &mut self,
         tag: u8,
         image: &[f32],
         max_retries: usize,
-    ) -> Result<(Vec<f32>, usize), ServeError> {
-        let mut retries = 0;
+    ) -> Result<(u8, Vec<f32>, Retries), ServeError> {
+        let mut retries = Retries::default();
         loop {
-            match self.infer(tag, image) {
-                Ok(logits) => return Ok((logits, retries)),
-                Err(e) if e.is_busy() && retries < max_retries => {
-                    let hint = match &e {
-                        ServeError::Rejected { retry_after_us, .. } => *retry_after_us,
-                        _ => 0,
-                    };
-                    std::thread::sleep(Duration::from_micros(u64::from(hint.clamp(100, 50_000))));
-                    retries += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// [`infer`](ServeClient::infer) against a router, retrying every
-    /// *retryable* rejection — `Busy` (backpressure) and `ShardDown`
-    /// (failover in progress) — after each one's hinted delay, up to
-    /// `max_retries` times. Returns the logits and how many retries of
-    /// each kind it took, `(busy, shard_down)`.
-    ///
-    /// # Errors
-    ///
-    /// The final error once retries are exhausted, or any non-retryable
-    /// failure immediately.
-    pub fn infer_retry_routed(
-        &mut self,
-        tag: u8,
-        image: &[f32],
-        max_retries: usize,
-    ) -> Result<(Vec<f32>, usize, usize), ServeError> {
-        let (mut busy, mut shard_down) = (0usize, 0usize);
-        loop {
-            match self.infer(tag, image) {
-                Ok(logits) => return Ok((logits, busy, shard_down)),
+            match self.infer_versioned(tag, image) {
+                Ok((version, logits)) => return Ok((version, logits, retries)),
                 Err(ServeError::Rejected {
                     code,
                     retry_after_us,
                     ..
-                }) if code.is_retryable() && busy + shard_down < max_retries => {
-                    if code == crate::ErrorCode::Busy {
-                        busy += 1;
+                }) if code.is_retryable() && retries.busy + retries.shard_down < max_retries => {
+                    if code == ErrorCode::Busy {
+                        retries.busy += 1;
                     } else {
-                        shard_down += 1;
+                        retries.shard_down += 1;
                     }
                     std::thread::sleep(Duration::from_micros(u64::from(
                         retry_after_us.clamp(100, 50_000),

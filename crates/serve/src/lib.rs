@@ -72,7 +72,7 @@ pub mod queue;
 pub mod server;
 
 pub use arena::{Arena, Slab};
-pub use client::ServeClient;
+pub use client::{Retries, ServeClient};
 pub use cluster::{HashRing, Router, RouterConfig, RouterStats};
 pub use lifecycle::{canary_gate, BankCheckpoint, CanaryReport, ReloadError};
 pub use membership::{DownReason, Membership, ProbeError, ShardState, Transition};
@@ -95,7 +95,8 @@ pub enum ServeError {
         /// Machine-readable reason.
         code: ErrorCode,
         /// Microseconds the client should wait before retrying (only
-        /// meaningful for [`ErrorCode::Busy`]).
+        /// meaningful for the retryable codes, see
+        /// [`ErrorCode::is_retryable`]).
         retry_after_us: u32,
         /// Human-readable detail.
         msg: String,
@@ -105,18 +106,6 @@ pub enum ServeError {
 }
 
 impl ServeError {
-    /// True when the server rejected the request with `Busy` — the one
-    /// rejection a client is invited to retry after the hinted delay.
-    pub fn is_busy(&self) -> bool {
-        matches!(
-            self,
-            ServeError::Rejected {
-                code: ErrorCode::Busy,
-                ..
-            }
-        )
-    }
-
     /// True for any retryable rejection: `Busy` backpressure or a
     /// router's `ShardDown` failover window (see
     /// [`ErrorCode::is_retryable`]).

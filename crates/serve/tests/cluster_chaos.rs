@@ -72,15 +72,15 @@ fn killing_a_shard_mid_soak_stays_bit_identical_or_typed_retryable() {
         // exact single-shot bits (possibly after retryable rejections)
         // or the retry loop surfaces a typed error — it must never
         // hang, and a wrong-bits answer is an immediate failure.
-        let (logits, busy, down) = client
-            .infer_retry_routed(tag, &image, 64)
+        let (_version, logits, retries) = client
+            .infer_retry(tag, &image, 64)
             .unwrap_or_else(|e| panic!("request {i} failed non-retryably: {e}"));
         assert_eq!(
             logits, expected,
             "request {i}: logits must be bit-identical"
         );
-        busy_retries += busy;
-        shard_down_retries += down;
+        busy_retries += retries.busy;
+        shard_down_retries += retries.shard_down;
     }
     assert!(killed, "kill point {kill_after} must fall inside the soak");
 
@@ -199,7 +199,7 @@ fn rolling_reload_promotes_every_shard_and_a_bad_path_stops_the_roll() {
     // Routed answers now carry the new bank's exact bits.
     let mut bank = ModelBank::build(new_seed).unwrap();
     let img = model::test_image(MODEL_SEED, 9, bank.input_len());
-    let (logits, _busy, _down) = c.infer_retry_routed(2, &img, 64).unwrap();
+    let (_version, logits, _retries) = c.infer_retry(2, &img, 64).unwrap();
     assert_eq!(logits, bank.forward_single(2, &img).unwrap());
 
     // A path no shard can load refuses typed at the first shard and the

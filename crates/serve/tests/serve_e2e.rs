@@ -47,7 +47,7 @@ fn concurrent_clients_all_tags_bit_identical() {
             let mut c = ServeClient::connect(&addr).unwrap();
             for i in (t..imgs.len()).step_by(clients) {
                 let tag = (i % NUM_PRECISIONS as usize) as u8;
-                let (logits, _retries) = c.infer_retry(tag, &imgs[i], 64).unwrap();
+                let (_version, logits, _retries) = c.infer_retry(tag, &imgs[i], 64).unwrap();
                 let got: Vec<u32> = logits.iter().map(|x| x.to_bits()).collect();
                 let want: Vec<u32> = expected[i].iter().map(|x| x.to_bits()).collect();
                 assert_eq!(got, want, "image {i} tag {tag}: served logits drifted");
