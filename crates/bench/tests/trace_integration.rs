@@ -1,26 +1,13 @@
-//! End-to-end checks of the tracing layer and benchmark artifacts:
-//! the committed baseline round-trips through the JSON parser, traces
-//! are deterministic across worker counts, and tracing a Table IV run
-//! changes neither its results nor its accounting.
-
-use std::sync::Mutex;
+//! End-to-end checks of the tracing layer and benchmark artifacts: the
+//! committed baseline round-trips through the JSON parser, and tracing a
+//! Table IV run changes neither its results nor its accounting. That a
+//! trace does not depend on the worker count is pinned in `qnn-nn`'s
+//! `trace_threads` test, in a process of its own.
 
 use qnn_bench::json::Json;
 use qnn_bench::tracereport;
 use qnn_core::experiments::{table4, ExperimentScale};
-use qnn_quant::{quantize_inplace_par, Fixed};
-use qnn_tensor::conv::{conv2d, Geometry};
-use qnn_tensor::{par, rng, Shape, Tensor};
-
-/// The global trace collector is process-wide state: tests that
-/// start/stop it must not interleave.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn random(shape: Shape, seed: u64) -> Tensor {
-    let mut r = rng::seeded(seed);
-    let n = shape.len();
-    Tensor::from_vec(shape, (0..n).map(|_| r.gen_range(-1.0f32..1.0)).collect()).unwrap()
-}
+use qnn_tensor::par;
 
 #[test]
 fn committed_baseline_parses_field_for_field() {
@@ -61,50 +48,8 @@ fn committed_baseline_parses_field_for_field() {
     assert_eq!(Json::parse(&parsed.render()).unwrap(), parsed);
 }
 
-fn traced_workload() -> qnn_trace::Trace {
-    qnn_trace::start();
-    {
-        qnn_trace::span!("workload");
-        let a = random(Shape::d2(48, 64), 1);
-        let b = random(Shape::d2(64, 32), 2);
-        std::hint::black_box(a.matmul(&b).unwrap());
-        let x = random(Shape::d4(2, 3, 12, 12), 3);
-        let w = random(Shape::d4(4, 3, 3, 3), 4);
-        let bias = Tensor::zeros(Shape::d1(4));
-        std::hint::black_box(conv2d(&x, &w, &bias, Geometry::square(3, 1, 0)).unwrap());
-        let q = Fixed::new(8, 4).unwrap();
-        let mut big = random(Shape::d1(1 << 14), 5);
-        quantize_inplace_par(&q, &mut big);
-        std::hint::black_box(&big);
-    }
-    qnn_trace::stop()
-}
-
-#[test]
-fn trace_is_identical_at_one_and_four_threads() {
-    let _guard = LOCK.lock().unwrap();
-    par::set_threads(Some(1));
-    let t1 = traced_workload();
-    par::set_threads(Some(4));
-    let t4 = traced_workload();
-    par::set_threads(None);
-    // Same span event sequence, same counter totals, same histogram
-    // shapes — the worker count must be unobservable in the trace.
-    assert_eq!(t1.signature(), t4.signature());
-    assert_eq!(t1.counters, t4.counters);
-    assert_eq!(
-        t1.hists.keys().collect::<Vec<_>>(),
-        t4.hists.keys().collect::<Vec<_>>()
-    );
-    assert!(t1.counters["tensor.gemm.calls"] >= 1);
-    assert!(t1.counters["tensor.conv.fwd.calls"] >= 1);
-    assert!(t1.counters.contains_key("tensor.conv.fwd.macs"));
-    assert!(t1.hists.keys().any(|k| k.starts_with("quant.abs_err/")));
-}
-
 #[test]
 fn traced_table4_is_bit_identical_with_consistent_accounting() {
-    let _guard = LOCK.lock().unwrap();
     // Single worker: spans nest serially, so child durations must sum
     // to no more than the experiment span.
     par::set_threads(Some(1));

@@ -362,8 +362,8 @@ pub fn col2im(
 /// Per-worker buffers for one convolution layer: the column panels (the
 /// forward's patches, the backward's `dY`), the backward's im2col patch
 /// matrix, folded gradient columns and per-sample weight-gradient product,
-/// and the GEMM packing buffers. Sized lazily on first use and reused for
-/// the lifetime of the layer.
+/// and the weight-gradient GEMM's packing buffer. Sized lazily on first use
+/// and reused for the lifetime of the layer.
 #[derive(Debug, Default, Clone)]
 struct Slot {
     panels: PackedB,
@@ -471,40 +471,16 @@ fn conv2d_batch(
     let bslice = bias.as_slice();
     let mut out = vec![0.0f32; n * sample_out];
 
-    let run = |range: std::ops::Range<usize>, slab: &mut [f32], slot: &mut Slot| {
+    let workers = par::workers_for(n);
+    let parts: Vec<_> = par::split_ranges(&mut out, &par::partition(n, workers), sample_out)
+        .into_iter()
+        .zip(scratch.slots(workers))
+        .collect();
+    par::run_parts(parts, |((range, slab), slot)| {
         for (ni, dst) in range.zip(slab.chunks_mut(sample_out)) {
             conv_image(d, weights, slot, d.image(in_data, ni), bslice, dst);
         }
-    };
-
-    let workers = par::workers_for(n);
-    let slots = scratch.slots(workers);
-    if workers <= 1 {
-        run(0..n, &mut out, &mut slots[0]);
-    } else {
-        let ranges = par::partition(n, workers);
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers - 1);
-            let mut rest: &mut [f32] = &mut out;
-            let mut own = None;
-            for (range, slot) in ranges.into_iter().zip(slots.iter_mut()) {
-                let (slab, tail) = rest.split_at_mut(range.len() * sample_out);
-                rest = tail;
-                if own.is_none() {
-                    own = Some((range, slab, slot));
-                    continue;
-                }
-                let run = &run;
-                handles.push(s.spawn(move || {
-                    par::mark_worker(|| qnn_trace::capture(|| run(range, slab, slot)).1)
-                }));
-            }
-            if let Some((range, slab, slot)) = own {
-                par::mark_worker(|| run(range, slab, slot));
-            }
-            par::join_spliced(handles);
-        });
-    }
+    });
     Tensor::from_vec(Shape::d4(n, d.o, d.oh, d.ow), out)
 }
 
@@ -773,38 +749,15 @@ pub fn conv2d_backward_with(
     };
 
     let workers = par::workers_for(n_blocks);
-    let slots = scratch.slots(workers);
-    if workers <= 1 {
-        run(0..n_blocks, &mut gx, &mut partials, &mut slots[0]);
-    } else {
-        let ranges = par::partition(n_blocks, workers);
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers - 1);
-            let mut gx_rest: &mut [f32] = &mut gx;
-            let mut part_rest: &mut [(Vec<f32>, Vec<f32>)] = &mut partials;
-            let mut own = None;
-            for (range, slot) in ranges.into_iter().zip(slots.iter_mut()) {
-                let s_lo = range.start * GRAD_BLOCK;
-                let s_hi = (range.end * GRAD_BLOCK).min(n);
-                let (gx_slab, gx_tail) = gx_rest.split_at_mut((s_hi - s_lo) * csz);
-                gx_rest = gx_tail;
-                let (parts, part_tail) = part_rest.split_at_mut(range.len());
-                part_rest = part_tail;
-                if own.is_none() {
-                    own = Some((range, gx_slab, parts, slot));
-                    continue;
-                }
-                let run = &run;
-                handles.push(s.spawn(move || {
-                    par::mark_worker(|| qnn_trace::capture(|| run(range, gx_slab, parts, slot)).1)
-                }));
-            }
-            if let Some((range, gx_slab, parts, slot)) = own {
-                par::mark_worker(|| run(range, gx_slab, parts, slot));
-            }
-            par::join_spliced(handles);
-        });
-    }
+    let ranges = par::partition(n_blocks, workers);
+    let parts: Vec<_> = par::split_ranges(&mut gx, &ranges, GRAD_BLOCK * csz)
+        .into_iter()
+        .zip(par::split_ranges(&mut partials, &ranges, 1))
+        .zip(scratch.slots(workers))
+        .collect();
+    par::run_parts(parts, |(((blocks, gx_slab), (_, parts)), slot)| {
+        run(blocks, gx_slab, parts, slot)
+    });
     TLS_WEIGHTS.set(wt);
 
     // Sequential reduction in ascending block order: the summation tree is

@@ -46,17 +46,19 @@ pub const MR: usize = 4;
 /// Microkernel column count (output columns per panel).
 pub const NR: usize = 16;
 
-/// Reusable packing buffers so steady-state GEMM calls allocate nothing
-/// but their output. Layers hold one per layer; the `Tensor::matmul*`
-/// wrappers fall back to a thread-local instance.
+/// A reusable `B` packing buffer so steady-state GEMM calls allocate
+/// nothing but their output. Layers hold one per layer; the
+/// `Tensor::matmul*` wrappers fall back to a thread-local instance.
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
     packed_b: Vec<f32>,
-    packed_a: Vec<f32>,
 }
 
 thread_local! {
     static TLS_SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::default());
+    /// The `A` panel a thread packs for the row panel it is computing,
+    /// reused across panels, calls and layers.
+    static TLS_PANEL_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// `C = A·B` — `a` is `m×k`, `b` is `k×n`, `c` is `m×n` (overwritten).
@@ -184,8 +186,7 @@ fn gemm(
         Layout::Tn => ASide::Cols(a),
         Layout::Nn | Layout::Nt => ASide::Rows(a),
     };
-    let GemmScratch { packed_b, packed_a } = scratch;
-    driver(build, (m, k, n), a, packed_b, packed_a, c);
+    driver(build, (m, k, n), a, &scratch.packed_b, c);
 }
 
 /// `C = A·B` (`c` is `m×n`, overwritten) on operands already in panel
@@ -197,13 +198,11 @@ pub(crate) fn gemm_packed(a: &PackedA, b: &PackedB, c: &mut [f32]) {
     debug_assert_eq!(c.len(), m * n);
     qnn_trace::counter!("tensor.gemm.calls", 1);
     qnn_trace::counter!("tensor.gemm.flops", (2 * m * k * n) as u64);
-    let mut unused = Vec::new();
     driver(
         Build::detect(),
         (m, k, n),
         ASide::Panels(&a.data),
         &b.data,
-        &mut unused,
         c,
     );
 }
@@ -424,13 +423,11 @@ impl<'a> ASide<'a> {
 /// Shared panel loop: splits `c` into `MR`-row slabs, parallelised over the
 /// pool (each slab is a disjoint output region, so the partition cannot
 /// affect the result), and runs the microkernel over the packed panels.
-/// `packed_a` is the panel buffer of the serial path.
 fn driver(
     build: Build,
     (m, k, n): (usize, usize, usize),
     a: ASide,
     packed_b: &[f32],
-    packed_a: &mut Vec<f32>,
     c: &mut [f32],
 ) {
     if m == 0 || n == 0 {
@@ -440,34 +437,13 @@ fn driver(
         c.fill(0.0);
         return;
     }
-    let n_row_panels = m.div_ceil(MR);
-    if par::workers_for(n_row_panels) <= 1 {
-        for (ip, c_slab) in c.chunks_mut(MR * n).enumerate() {
-            let h = MR.min(m - ip * MR);
-            row_panel(
-                build,
-                k,
-                n,
-                h,
-                a.panel((m, k), ip, packed_a),
-                packed_b,
-                c_slab,
-            );
-        }
-        return;
-    }
     par::for_each_chunk_mut(c, MR * n, |ip, c_slab| {
         let h = MR.min(m - ip * MR);
-        let mut buf = Vec::new();
-        row_panel(
-            build,
-            k,
-            n,
-            h,
-            a.panel((m, k), ip, &mut buf),
-            packed_b,
-            c_slab,
-        );
+        TLS_PANEL_A.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            let pa = a.panel((m, k), ip, &mut buf);
+            row_panel(build, k, n, h, pa, packed_b, c_slab);
+        });
     });
 }
 

@@ -1,30 +1,40 @@
 //! Minimal scoped thread pool with deterministic partitioning.
 //!
-//! The compute kernels (`matmul` row panels, per-image im2col, fake-quantize
-//! passes) and the experiment runner fan work out over `std::thread::scope`
-//! — no external runtime. Two invariants make this safe to use everywhere:
+//! The compute kernels (`matmul` row panels, per-image conv work,
+//! fake-quantize passes) and the experiment runner fan work out over
+//! scoped standard-library threads — no external runtime. Every fan-out in
+//! the crate goes through one private helper, `run_parts`: given a list of
+//! parts, it runs the first on the calling thread and each of the others
+//! on a scoped worker. Zero or one part is a plain call on the caller — no
+//! spawn, no nested flag, no trace capture — so a single-threaded region
+//! spawns nothing and leaves the kernels it calls free to use the pool.
+//! Three invariants make this safe to use everywhere:
 //!
 //! 1. **Determinism:** work is split into *fixed* units whose boundaries do
 //!    not depend on the thread count (contiguous index ranges for disjoint
 //!    outputs; fixed-size blocks for reductions, combined sequentially in
 //!    block order). Results are bit-identical at any thread count.
-//! 2. **No nesting blow-up:** a worker spawned by this module runs nested
-//!    parallel regions serially (a thread-local depth flag), so a parallel
-//!    sweep over training runs does not multiply into `T²` threads.
+//! 2. **No nesting blow-up:** with two or more parts, every part (the
+//!    caller's too) runs with a thread-local nested flag raised, so the
+//!    parallel regions it opens run serially and a parallel sweep over
+//!    training runs does not multiply into `T²` threads. A drop guard
+//!    lowers the flag, so it is restored when a part panics and the caller
+//!    catches the panic: later regions on that thread fan out again.
+//! 3. **Panics propagate:** a worker's panic resumes on the caller.
 //!
 //! The thread count defaults to the host parallelism, can be pinned with the
 //! `QNN_THREADS` environment variable, and can be overridden at runtime with
 //! [`set_threads`] (used by the determinism regression tests to compare
 //! 1-thread and N-thread execution on the same host).
 //!
-//! **Tracing.** When a `qnn_trace` session is active, every spawned worker
-//! records its telemetry into a [`qnn_trace::capture`] buffer and the
-//! owning thread [`qnn_trace::splice`]s the buffers back in range order
-//! after the join — so the trace event stream, like the numeric results,
-//! is bit-identical at any thread count. Disabled tracing costs one atomic
-//! load per region.
+//! **Tracing.** When a `qnn_trace` session is active, every worker records
+//! its telemetry into a [`qnn_trace::capture`] buffer and the caller
+//! [`qnn_trace::splice`]s the buffers back in part order after the join —
+//! so the trace event stream, like the numeric results, is bit-identical
+//! at any thread count. Disabled tracing costs one atomic load per worker.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -49,7 +59,7 @@ fn default_threads() -> usize {
 }
 
 thread_local! {
-    /// Non-zero inside a worker spawned by this module.
+    /// Non-zero while this thread runs a part of a multi-part region.
     static DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -68,34 +78,85 @@ pub fn set_threads(n: Option<usize>) {
     OVERRIDE.store(n.map_or(0, |n| n.max(1)), Ordering::Relaxed);
 }
 
-/// True when called from inside a worker of an enclosing parallel region.
-pub fn is_nested() -> bool {
+/// True when called from inside a part of an enclosing parallel region.
+pub(crate) fn is_nested() -> bool {
     DEPTH.with(|d| d.get() > 0)
 }
 
-/// Runs `f` with the nested-region flag raised (workers call this).
-pub fn mark_worker<R>(f: impl FnOnce() -> R) -> R {
-    DEPTH.with(|d| d.set(d.get() + 1));
-    let out = f();
-    DEPTH.with(|d| d.set(d.get() - 1));
-    out
+/// The nested flag, raised for as long as this guard lives. Dropping it
+/// lowers the flag on unwind as well as on return.
+struct Nested;
+
+impl Nested {
+    fn raise() -> Nested {
+        DEPTH.with(|d| d.set(d.get() + 1));
+        Nested
+    }
 }
 
-/// Joins worker handles in spawn order, splicing each worker's captured
-/// trace buffer back into the owning thread's stream. Spawn order equals
-/// range order, so the merged event stream is deterministic.
-pub(crate) fn join_spliced(handles: Vec<std::thread::ScopedJoinHandle<'_, qnn_trace::Buffer>>) {
-    for h in handles {
-        match h.join() {
-            Ok(buf) => qnn_trace::splice(buf),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+impl Drop for Nested {
+    fn drop(&mut self) {
+        DEPTH.with(|d| d.set(d.get() - 1));
     }
+}
+
+/// Runs `f` on every part: the first on the calling thread, each of the
+/// others on a scoped worker, all with the nested flag raised. Zero or one
+/// part is a plain call on the caller. Each worker's trace is captured and
+/// spliced back in part order, so the event stream does not depend on how
+/// many parts ran; a worker's panic resumes on the caller.
+pub(crate) fn run_parts<P: Send>(parts: Vec<P>, f: impl Fn(P) + Sync) {
+    if parts.len() <= 1 {
+        parts.into_iter().for_each(f);
+        return;
+    }
+    let f = &f;
+    let mut parts = parts.into_iter();
+    let own = parts.next().expect("two or more parts");
+    std::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .map(|part| {
+                s.spawn(move || {
+                    let _nested = Nested::raise();
+                    qnn_trace::capture(|| f(part)).1
+                })
+            })
+            .collect();
+        {
+            let _nested = Nested::raise();
+            f(own);
+        }
+        for h in handles {
+            match h.join() {
+                Ok(buf) => qnn_trace::splice(buf),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+}
+
+/// Splits `data` into one slab per range, `unit` elements per index, in
+/// range order; the last slab takes what is left when `data` ends short.
+pub(crate) fn split_ranges<'a, T>(
+    data: &'a mut [T],
+    ranges: &[Range<usize>],
+    unit: usize,
+) -> Vec<(Range<usize>, &'a mut [T])> {
+    let mut rest = data;
+    ranges
+        .iter()
+        .map(|range| {
+            let take = (range.len() * unit).min(rest.len());
+            let (slab, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            (range.clone(), slab)
+        })
+        .collect()
 }
 
 /// Effective worker count for a region of `n_units` independent units:
 /// 1 when nested or single-threaded, never more than `n_units`.
-pub fn workers_for(n_units: usize) -> usize {
+pub(crate) fn workers_for(n_units: usize) -> usize {
     if is_nested() {
         return 1;
     }
@@ -104,7 +165,7 @@ pub fn workers_for(n_units: usize) -> usize {
 
 /// Splits `0..n` into `w` contiguous ranges whose sizes differ by at most
 /// one. The partition depends only on `(n, w)`.
-pub fn partition(n: usize, w: usize) -> Vec<std::ops::Range<usize>> {
+pub fn partition(n: usize, w: usize) -> Vec<Range<usize>> {
     let w = w.max(1);
     let base = n / w;
     let extra = n % w;
@@ -116,46 +177,6 @@ pub fn partition(n: usize, w: usize) -> Vec<std::ops::Range<usize>> {
         start += len;
     }
     out
-}
-
-/// Runs `f(i)` for every `i in 0..n`, distributing contiguous index ranges
-/// over the pool. `f` must only touch state disjoint across indices (use
-/// interior channels like `&[Mutex<_>]` otherwise — or better, [`map`]).
-pub fn for_each<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let w = workers_for(n);
-    if w <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let mut ranges = partition(n, w).into_iter();
-    let own = ranges.next().expect("w >= 1");
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(w - 1);
-        for range in ranges {
-            let f = &f;
-            handles.push(s.spawn(move || {
-                mark_worker(|| {
-                    qnn_trace::capture(|| {
-                        for i in range {
-                            f(i);
-                        }
-                    })
-                    .1
-                })
-            }));
-        }
-        mark_worker(|| {
-            for i in own {
-                f(i);
-            }
-        });
-        join_spliced(handles);
-    });
 }
 
 /// Maps `f` over `0..n` in parallel, returning results in index order.
@@ -193,49 +214,17 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if w <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let ranges = partition(n, w);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    {
-        let mut rest: &mut [Option<R>] = &mut slots;
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(w - 1);
-            let mut first: Option<(std::ops::Range<usize>, &mut [Option<R>])> = None;
-            for range in ranges {
-                let (slab, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                if first.is_none() {
-                    first = Some((range, slab));
-                    continue;
-                }
-                let f = &f;
-                handles.push(s.spawn(move || {
-                    mark_worker(|| {
-                        qnn_trace::capture(|| {
-                            for (slot, i) in slab.iter_mut().zip(range) {
-                                *slot = Some(f(i));
-                            }
-                        })
-                        .1
-                    })
-                }));
-            }
-            if let Some((range, slab)) = first {
-                mark_worker(|| {
-                    for (slot, i) in slab.iter_mut().zip(range) {
-                        *slot = Some(f(i));
-                    }
-                });
-            }
-            join_spliced(handles);
-        });
-    }
+    let parts = split_ranges(&mut slots, &partition(n, w), 1);
+    run_parts(parts, |(range, slab)| {
+        for (slot, i) in slab.iter_mut().zip(range) {
+            *slot = Some(f(i));
+        }
+    });
     slots
         .into_iter()
-        .map(|s| s.expect("worker filled every slot"))
+        .map(|s| s.expect("a part filled every slot"))
         .collect()
 }
 
@@ -249,53 +238,17 @@ where
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
     let n_chunks = data.len().div_ceil(chunk_len);
-    let w = workers_for(n_chunks);
-    if w <= 1 {
-        for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
+    let parts = split_ranges(data, &partition(n_chunks, workers_for(n_chunks)), chunk_len);
+    run_parts(parts, |(range, slab)| {
+        for (ci, chunk) in range.zip(slab.chunks_mut(chunk_len)) {
             f(ci, chunk);
         }
-        return;
-    }
-    let ranges = partition(n_chunks, w);
-    let mut rest = data;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(w - 1);
-        let mut first: Option<(std::ops::Range<usize>, &mut [T])> = None;
-        for range in ranges {
-            let take = (range.len() * chunk_len).min(rest.len());
-            let (slab, tail) = rest.split_at_mut(take);
-            rest = tail;
-            if first.is_none() {
-                first = Some((range, slab));
-                continue;
-            }
-            let f = &f;
-            handles.push(s.spawn(move || {
-                mark_worker(|| {
-                    qnn_trace::capture(|| {
-                        for (off, chunk) in slab.chunks_mut(chunk_len).enumerate() {
-                            f(range.start + off, chunk);
-                        }
-                    })
-                    .1
-                })
-            }));
-        }
-        if let Some((range, slab)) = first {
-            mark_worker(|| {
-                for (off, chunk) in slab.chunks_mut(chunk_len).enumerate() {
-                    f(range.start + off, chunk);
-                }
-            });
-        }
-        join_spliced(handles);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn partition_is_exact_and_balanced() {
@@ -342,17 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_index_once() {
-        set_threads(Some(4));
-        let hits: Vec<AtomicU64> = (0..33).map(|_| AtomicU64::new(0)).collect();
-        for_each(33, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        set_threads(None);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn chunked_transform_is_thread_count_invariant() {
         let base: Vec<f32> = (0..1000).map(|i| i as f32 * 0.5).collect();
         let mut one = base.clone();
@@ -382,5 +324,19 @@ mod tests {
                 assert!(*nested);
             }
         }
+    }
+
+    #[test]
+    fn a_panic_caught_on_the_caller_lowers_the_nested_flag() {
+        // Part 0 runs on this thread and panics; part 1 runs on a worker.
+        // `map_capped` fans out whatever the global setting, which other
+        // tests change concurrently.
+        let caught = std::panic::catch_unwind(|| {
+            map_capped(2, 2, |i| if i == 0 { panic!("part 0") } else { i })
+        });
+        assert!(caught.is_err());
+        // Left raised, the flag would keep every later region on this
+        // thread serial.
+        assert!(!is_nested());
     }
 }
