@@ -6,7 +6,7 @@
 //!
 //! * **accept** — blocks in `TcpListener::accept`, spawns a handler per
 //!   connection, exits when the stop flag rises (woken by a loopback
-//!   self-connect).
+//!   self-connect from [`Server::join`] or [`Server::kill`]).
 //! * **handler** (per connection) — decodes frames with a 50 ms poll so
 //!   it can observe the stop flag, validates them, and enqueues
 //!   [`Request`]s. Inference payloads decode straight into recycled
@@ -33,10 +33,13 @@
 //!
 //! A `Shutdown` frame (or [`Server::shutdown`]) closes the queue: new
 //! work is refused with `ShuttingDown`, the engine drains every request
-//! already accepted, acknowledges each shutdown requester with
-//! `ShutdownAck` *after* the drain, raises the stop flag and wakes the
-//! accept loop. [`Server::join`] then reaps every thread and returns the
-//! run's [`ServeStats`].
+//! already accepted and acknowledges each shutdown requester with
+//! `ShutdownAck` *after* the drain. [`Server::join`] waits for the
+//! engine, then raises the stop flag, wakes the accept loop, reaps every
+//! thread and returns the run's [`ServeStats`]. Until `join` raises it,
+//! the accept loop keeps serving connections, so a client whose connect
+//! completed before the shutdown is refused with `ShuttingDown`, never
+//! reset.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -376,7 +379,7 @@ impl Server {
             let cfg = cfg.clone();
             std::thread::Builder::new()
                 .name("qnn-serve-engine".to_string())
-                .spawn(move || engine_loop(&ctl, &cfg, addr))
+                .spawn(move || engine_loop(&ctl, &cfg))
                 .map_err(|e| ServeError::io(&e))?
         };
 
@@ -462,9 +465,11 @@ impl Server {
                 latency_us: Histogram::new(),
                 batch_size: Histogram::new(),
             });
-        // The engine wakes the accept loop itself, but a second nudge is
-        // harmless and covers an engine that panicked before its wake.
-        let _ = TcpStream::connect(self.addr);
+        // The drain is over (or the engine panicked): only now stop the
+        // accept loop, so a connection accepted during the drain got a
+        // handler and its `ShuttingDown` answer.
+        self.ctl.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr); // wake the accept loop
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
@@ -925,7 +930,7 @@ fn checkout(banks: &[Mutex<ModelBank>], unit: usize) -> MutexGuard<'_, ModelBank
     banks[unit % banks.len()].lock().unwrap()
 }
 
-fn engine_loop(ctl: &Arc<Ctl>, cfg: &ServeConfig, addr: SocketAddr) -> ServeStats {
+fn engine_loop(ctl: &Arc<Ctl>, cfg: &ServeConfig) -> ServeStats {
     let engine_threads = ctl.replicas;
     let mut stats = ServeStats {
         requests: 0,
@@ -1052,13 +1057,11 @@ fn engine_loop(ctl: &Arc<Ctl>, cfg: &ServeConfig, addr: SocketAddr) -> ServeStat
         ctl.retry_hint_us.store(hint, Ordering::Relaxed);
         qnn_trace::gauge!("serve.retry_hint.us", f64::from(hint));
     }
-    // Drain complete: acknowledge every shutdown requester, then bring
+    // Drain complete: acknowledge every shutdown requester; `join` brings
     // the rest of the thread structure down.
     for (req_id, tx) in ctl.shutdown_waiters.lock().unwrap().drain(..) {
         let _ = tx.send(Frame::shutdown_ack(req_id));
     }
-    ctl.stop.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(addr); // wake the accept loop
     stats.rejected_busy = ctl.rejected_busy.load(Ordering::Relaxed);
     stats.connections = ctl.connections.load(Ordering::Relaxed);
     stats.reloads_promoted = ctl.reloads_promoted.load(Ordering::Relaxed);

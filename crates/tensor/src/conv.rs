@@ -17,10 +17,13 @@
 //! The forward never materialises the patch matrix. Its weights, already
 //! the GEMM's `A` operand, are packed into the kernel's row panels once per
 //! call, and each image's patches are written straight into the column
-//! panels of `B`. One walk over the patch matrix (`im2col_rows`) serves
-//! every destination layout through `PatchSink`: the row-major matrix of
-//! [`im2col_into`], the f32 GEMM's panels, and the row pairs the i16
-//! kernel's [`crate::qgemm::PanelB`] is zipped from.
+//! panels of `B`. Every patch transform reads the image through one
+//! zero-bordered layout (`Border`), copied once per image unless `pad` is 0
+//! and every window lies inside, so that each patch row of each output row
+//! is one plain run of taps. One walk over those runs fills the row-major
+//! matrix of [`im2col_into`], the f32 GEMM's panels and the row pairs the
+//! i16 kernel's [`crate::qgemm::PanelB`] is zipped from; col2im is its
+//! adjoint, summing into a bordered buffer and copying the image part out.
 
 use crate::error::TensorError;
 use crate::gemm::{gemm_nt_with, gemm_packed, GemmScratch, PackedA, PackedB};
@@ -114,156 +117,227 @@ impl Geometry {
     }
 }
 
-/// The destination of an im2col unfold. It receives the patch matrix
-/// (`c·kh·kw` rows, `oh·ow` columns) as runs along its rows and owns its
-/// memory layout; together the runs cover every slot exactly once.
-pub(crate) trait PatchSink<T> {
-    /// Columns `col .. col+len` of patch row `row` are zero padding.
-    fn zeros(&mut self, row: usize, col: usize, len: usize);
-    /// Columns `col .. col+len` of patch row `row` are the image taps
-    /// `taps[0], taps[stride], …`.
-    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[T], stride: usize);
-}
-
-/// Walks patch rows `rows` of one `(c, h, w)` image into `sink`, which sees
-/// them renumbered from 0; geometry must already be validated
-/// (`(oh, ow) = geom.output_hw(h, w)`).
-///
-/// Each patch row is visited one output row at a time: the output columns
-/// whose tap lies inside the image form one contiguous run, computed once
-/// per patch row, with zero padding on either side.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col_rows<T: Copy>(
-    image: &[T],
+/// The zero-bordered layout the patch walk reads one `(c, h, w)` image
+/// in: `c` planes of `hp × wp`, the image at `(pad, pad)` of each and
+/// zeros around it, large enough that every tap of every window lies
+/// inside. Patch row `(ci, ki, kj)` of output row `oi` is then one run of
+/// `ow` taps, `stride` apart, from `base(ci, ki, kj) + oi·stride·wp`,
+/// with no padding logic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Border {
     c: usize,
     h: usize,
     w: usize,
+    hp: usize,
+    wp: usize,
     geom: Geometry,
-    (oh, ow): (usize, usize),
-    rows: std::ops::Range<usize>,
-    sink: &mut impl PatchSink<T>,
-) {
-    debug_assert_eq!(image.len(), c * h * w);
-    debug_assert!(rows.end <= c * geom.kh * geom.kw);
-    let (stride, pad) = (geom.stride, geom.pad);
-    for (row, patch_row) in rows.enumerate() {
-        let (ci, ki, kj) = (
-            patch_row / (geom.kh * geom.kw),
-            patch_row / geom.kw % geom.kh,
-            patch_row % geom.kw,
-        );
-        // Output columns `lo..hi` are those whose tap column
-        // `oj·stride + kj − pad` lies inside `[0, w)`.
-        let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
-        let hi = (w + pad).saturating_sub(kj).div_ceil(stride).clamp(lo, ow);
-        for oi in 0..oh {
-            let col = oi * ow;
-            match (oi * stride + ki).checked_sub(pad) {
-                Some(ii) if ii < h && lo < hi => {
-                    let src = &image[(ci * h + ii) * w..][..w];
-                    if lo > 0 {
-                        sink.zeros(row, col, lo);
-                    }
-                    sink.taps(
-                        row,
-                        col + lo,
-                        hi - lo,
-                        &src[lo * stride + kj - pad..],
-                        stride,
-                    );
-                    if hi < ow {
-                        sink.zeros(row, col + hi, ow - hi);
-                    }
-                }
-                _ => sink.zeros(row, col, ow),
+    oh: usize,
+    ow: usize,
+}
+
+/// One run of the patch walk: the `len` taps at `at, at + stride, …` past
+/// a patch row's base land at `dst ..` past that row's start in the
+/// destination.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    pub(crate) dst: usize,
+    pub(crate) at: usize,
+    pub(crate) len: usize,
+}
+
+impl Border {
+    /// The layout for a `(c, h, w)` image under `geom`, which must already
+    /// be validated (`(oh, ow) = geom.output_hw(h, w)`).
+    pub(crate) fn new(
+        (c, h, w): (usize, usize, usize),
+        geom: Geometry,
+        (oh, ow): (usize, usize),
+    ) -> Border {
+        // A ceil-mode window can reach past `h + 2·pad`.
+        let hp = (h + 2 * geom.pad).max((oh - 1) * geom.stride + geom.kh);
+        let wp = (w + 2 * geom.pad).max((ow - 1) * geom.stride + geom.kw);
+        Border {
+            c,
+            h,
+            w,
+            hp,
+            wp,
+            geom,
+            oh,
+            ow,
+        }
+    }
+
+    /// Patch rows (`c·kh·kw`).
+    pub(crate) fn rows(&self) -> usize {
+        self.c * self.geom.kh * self.geom.kw
+    }
+
+    /// Patch columns (`oh·ow`).
+    pub(crate) fn cols(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// The windows' stride, between taps of a run.
+    pub(crate) fn stride(&self) -> usize {
+        self.geom.stride
+    }
+
+    /// Whether the image is its own bordered form: `pad` 0 and every
+    /// window inside it.
+    fn is_image(&self) -> bool {
+        (self.hp, self.wp) == (self.h, self.w)
+    }
+
+    /// `(bordered, plain)` offsets of each image row, `w` long in both.
+    fn image_rows(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (h, pad) = (self.h, self.geom.pad);
+        (0..self.c * h).map(move |i| ((i / h * self.hp + i % h + pad) * self.wp + pad, i * self.w))
+    }
+
+    /// `image` (`c·h·w`) in this layout: `image` itself when it needs no
+    /// border, else a copy in `buf`, which is resized and zeroed first.
+    pub(crate) fn image<'a, T: Copy + Default>(
+        &self,
+        image: &'a [T],
+        buf: &'a mut Vec<T>,
+    ) -> &'a [T] {
+        debug_assert_eq!(image.len(), self.c * self.h * self.w);
+        if self.is_image() {
+            return image;
+        }
+        buf.clear();
+        buf.resize(self.c * self.hp * self.wp, T::default());
+        for (b, i) in self.image_rows() {
+            buf[b..b + self.w].copy_from_slice(&image[i..i + self.w]);
+        }
+        buf
+    }
+
+    /// Offset of patch row `row`'s first tap in the bordered image.
+    fn base(&self, row: usize) -> usize {
+        let g = self.geom;
+        let (ci, ki, kj) = (row / (g.kh * g.kw), row / g.kw % g.kh, row % g.kw);
+        (ci * self.hp + ki) * self.wp + kj
+    }
+
+    /// The runs of a row-major destination: output row `oi`'s `ow` taps,
+    /// one run to patch columns `oi·ow ..`.
+    pub(crate) fn row_runs(&self) -> impl Iterator<Item = Run> + Clone {
+        let (ow, step) = (self.ow, self.geom.stride * self.wp);
+        (0..self.oh).map(move |oi| Run {
+            dst: oi * ow,
+            at: oi * step,
+            len: ow,
+        })
+    }
+
+    /// The patch walk: copies patch rows `rows` of the bordered image
+    /// `src`, renumbered from 0, into `dst`, each run of row `r` to
+    /// `dst[r·pitch + run.dst ..][..run.len]`. Together `runs` must cover
+    /// every patch column of a row; padding taps copy the border's zeros.
+    pub(crate) fn unfold<T: Copy>(
+        &self,
+        src: &[T],
+        rows: std::ops::Range<usize>,
+        pitch: usize,
+        runs: impl Iterator<Item = Run> + Clone,
+        dst: &mut [T],
+    ) {
+        for (r, row) in rows.enumerate() {
+            let (src, dst) = (&src[self.base(row)..], &mut dst[r * pitch..]);
+            for run in runs.clone() {
+                copy_run(
+                    &mut dst[run.dst..][..run.len],
+                    &src[run.at..],
+                    self.stride(),
+                );
             }
         }
     }
-}
 
-/// A row-major patch matrix: row `r` at `dst[r·cols ..]`. Stride-1 runs
-/// are copied whole; other strides are gathered element by element.
-/// Padding is `T::default()` (`+0.0` for f32).
-pub(crate) struct RowMajor<'a, T> {
-    pub(crate) cols: usize,
-    pub(crate) dst: &'a mut [T],
-}
-
-impl<T: Copy + Default> PatchSink<T> for RowMajor<'_, T> {
-    fn zeros(&mut self, row: usize, col: usize, len: usize) {
-        self.dst[row * self.cols + col..][..len].fill(T::default());
-    }
-
-    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[T], stride: usize) {
-        let out = &mut self.dst[row * self.cols + col..][..len];
-        if stride == 1 {
-            out.copy_from_slice(&taps[..len]);
+    /// col2im, the adjoint of the walk: adds the row-major patch matrix
+    /// `cols` onto the taps it unfolds from and overwrites `dst` (`c·h·w`)
+    /// with the image part. The sums run in `dst` itself when the image
+    /// needs no border, else in `buf` in this layout, zeroed first, and
+    /// the padding's share is dropped. Every pixel starts at `+0.0` and
+    /// adds its taps in patch-row order, `(ci, ki, kj)`.
+    fn fold(&self, cols: &[f32], buf: &mut Vec<f32>, dst: &mut [f32]) {
+        debug_assert_eq!(cols.len(), self.rows() * self.cols());
+        debug_assert_eq!(dst.len(), self.c * self.h * self.w);
+        let acc = if self.is_image() {
+            dst.fill(0.0);
+            &mut dst[..]
         } else {
-            for (o, &v) in out.iter_mut().zip(taps.iter().step_by(stride)) {
-                *o = v;
+            buf.clear();
+            buf.resize(self.c * self.hp * self.wp, 0.0);
+            &mut buf[..]
+        };
+        for (row, patch) in cols.chunks_exact(self.cols()).enumerate() {
+            let acc = &mut acc[self.base(row)..];
+            for run in self.row_runs() {
+                add_run(
+                    &mut acc[run.at..],
+                    &patch[run.dst..][..run.len],
+                    self.stride(),
+                );
+            }
+        }
+        if !self.is_image() {
+            for (b, i) in self.image_rows() {
+                dst[i..i + self.w].copy_from_slice(&buf[b..b + self.w]);
             }
         }
     }
 }
 
-/// Core im2col loop over raw slices; geometry must already be validated
-/// (`(oh, ow) = geom.output_hw(h, w)`), and `dst` must be
-/// `c·kh·kw × oh·ow` long. Overwrites `dst` entirely; padding is `+0.0`.
-#[allow(clippy::too_many_arguments)]
-fn im2col_kernel(
-    image: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    geom: Geometry,
-    oh: usize,
-    ow: usize,
-    dst: &mut [f32],
-) {
-    let k = c * geom.kh * geom.kw;
-    debug_assert_eq!(dst.len(), k * oh * ow);
-    let mut sink = RowMajor { cols: oh * ow, dst };
-    im2col_rows(image, c, h, w, geom, (oh, ow), 0..k, &mut sink);
-}
-
-/// Core col2im loop over raw slices (adjoint of [`im2col_kernel`]);
-/// overwrites `dst` (`c·h·w`) with the folded accumulation.
-#[allow(clippy::too_many_arguments)]
-fn col2im_kernel(
-    cols: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    geom: Geometry,
-    oh: usize,
-    ow: usize,
-    dst: &mut [f32],
-) {
-    debug_assert_eq!(cols.len(), c * geom.kh * geom.kw * oh * ow);
-    debug_assert_eq!(dst.len(), c * h * w);
-    let ncols = oh * ow;
-    dst.fill(0.0);
-    for ci in 0..c {
-        for ki in 0..geom.kh {
-            for kj in 0..geom.kw {
-                let row = (ci * geom.kh + ki) * geom.kw + kj;
-                for oi in 0..oh {
-                    let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
-                    if ii < 0 || ii as usize >= h {
-                        continue;
-                    }
-                    for oj in 0..ow {
-                        let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
-                        if jj < 0 || jj as usize >= w {
-                            continue;
-                        }
-                        dst[(ci * h + ii as usize) * w + jj as usize] +=
-                            cols[row * ncols + oi * ow + oj];
-                    }
-                }
-            }
+/// `dst[t] = src[t·stride]`. Stride-1 runs go in fixed-width blocks,
+/// which compile to plain vector moves where a variable-length copy would
+/// call `memcpy`.
+#[inline(always)]
+fn copy_run<T: Copy>(dst: &mut [T], src: &[T], stride: usize) {
+    if stride != 1 {
+        for (d, &s) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d = s;
+        }
+        return;
+    }
+    let (n, mut t) = (dst.len(), 0);
+    let src = &src[..n];
+    while t + 16 <= n {
+        dst[t..t + 16].copy_from_slice(&src[t..t + 16]);
+        t += 16;
+    }
+    for block in [8, 4, 2, 1] {
+        if t + block <= n {
+            dst[t..t + block].copy_from_slice(&src[t..t + block]);
+            t += block;
         }
     }
+}
+
+/// `acc[t·stride] += taps[t]`, in ascending `t`. Stride 1 takes a plain
+/// zip, which vectorizes.
+#[inline(always)]
+fn add_run(acc: &mut [f32], taps: &[f32], stride: usize) {
+    if stride == 1 {
+        for (a, &v) in acc[..taps.len()].iter_mut().zip(taps) {
+            *a += v;
+        }
+    } else {
+        for (a, &v) in acc.iter_mut().step_by(stride).zip(taps) {
+            *a += v;
+        }
+    }
+}
+
+/// Unfolds one image into the row-major patch matrix `dst` (`c·kh·kw ×
+/// oh·ow`, overwritten entirely), bordering it in `buf` if it needs it.
+fn im2col_kernel(border: &Border, image: &[f32], buf: &mut Vec<f32>, dst: &mut [f32]) {
+    let (rows, cols) = (border.rows(), border.cols());
+    debug_assert_eq!(dst.len(), rows * cols);
+    let src = border.image(image, buf);
+    border.unfold(src, 0..rows, cols, border.row_runs(), dst);
 }
 
 /// Unfolds one `(C, H, W)` image into the `(C·KH·KW, OH·OW)` patch matrix.
@@ -291,7 +365,7 @@ pub fn im2col(image: &Tensor, geom: Geometry) -> Result<Tensor, TensorError> {
     let rows = c * geom.kh * geom.kw;
     let cols = oh * ow;
     let mut out = vec![0.0f32; rows * cols];
-    im2col_kernel(image.as_slice(), c, h, w, geom, oh, ow, &mut out);
+    im2col_into(image.as_slice(), c, h, w, geom, &mut out)?;
     Tensor::from_vec(Shape::d2(rows, cols), out)
 }
 
@@ -320,7 +394,8 @@ pub fn im2col_into(
         c * geom.kh * geom.kw * oh * ow,
         "im2col_into dst length mismatch"
     );
-    im2col_kernel(image, c, h, w, geom, oh, ow, dst);
+    let border = Border::new((c, h, w), geom, (oh, ow));
+    TLS_BORDER.with(|buf| im2col_kernel(&border, image, &mut buf.borrow_mut(), dst));
     Ok((oh, ow))
 }
 
@@ -355,18 +430,20 @@ pub fn col2im(
         });
     }
     let mut out = vec![0.0f32; c * h * w];
-    col2im_kernel(cols.as_slice(), c, h, w, geom, oh, ow, &mut out);
+    Border::new((c, h, w), geom, (oh, ow)).fold(cols.as_slice(), &mut Vec::new(), &mut out);
     Tensor::from_vec(Shape::d3(c, h, w), out)
 }
 
 /// Per-worker buffers for one convolution layer: the column panels (the
-/// forward's patches, the backward's `dY`), the backward's im2col patch
-/// matrix, folded gradient columns and per-sample weight-gradient product,
-/// and the weight-gradient GEMM's packing buffer. Sized lazily on first use
-/// and reused for the lifetime of the layer.
+/// forward's patches, the backward's `dY`), the bordered image (the
+/// backward's col2im sums in it too), the backward's im2col patch matrix,
+/// folded gradient columns and per-sample weight-gradient product, and the
+/// weight-gradient GEMM's packing buffer. Sized lazily on first use and
+/// reused for the lifetime of the layer.
 #[derive(Debug, Default, Clone)]
 struct Slot {
     panels: PackedB,
+    border: Vec<f32>,
     cols: Vec<f32>,
     gcols: Vec<f32>,
     gw_tmp: Vec<f32>,
@@ -400,6 +477,8 @@ impl ConvScratch {
 
 thread_local! {
     static TLS_CONV_SCRATCH: RefCell<ConvScratch> = RefCell::new(ConvScratch::new());
+    /// The bordered image of [`im2col_into`], which takes no scratch.
+    static TLS_BORDER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// The packed weights of one call: `W` for the forward, `Wᵀ` for the
     /// backward. They live only for that call, so one buffer per thread,
     /// grown to the largest layer it has run, serves every layer: no layer
@@ -451,7 +530,7 @@ pub fn conv2d_with(
     let d = ConvDims::of(input, weight, bias, geom)?;
     TLS_WEIGHTS.with(|w| {
         let mut weights = w.borrow_mut();
-        weights.pack(d.o, d.kdim(), weight.as_slice());
+        weights.pack(d.o, d.b.rows(), weight.as_slice());
         conv2d_batch(scratch, &d, &weights, input, bias)
     })
 }
@@ -466,7 +545,7 @@ fn conv2d_batch(
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
     let n = d.n;
-    let sample_out = d.o * d.px();
+    let sample_out = d.o * d.b.cols();
     let in_data = input.as_slice();
     let bslice = bias.as_slice();
     let mut out = vec![0.0f32; n * sample_out];
@@ -481,7 +560,7 @@ fn conv2d_batch(
             conv_image(d, weights, slot, d.image(in_data, ni), bslice, dst);
         }
     });
-    Tensor::from_vec(Shape::d4(n, d.o, d.oh, d.ow), out)
+    Tensor::from_vec(d.out_shape(), out)
 }
 
 /// [`conv2d_with`] one image at a time, in order, offering each image
@@ -510,7 +589,7 @@ where
     F: FnMut(&[f32], &mut [f32]) -> bool,
 {
     let d = ConvDims::of(input, weight, bias, geom)?;
-    let sample_out = d.o * d.px();
+    let sample_out = d.o * d.b.cols();
     let slot = &mut scratch.slots(1)[0];
     let in_data = input.as_slice();
     let mut out = vec![0.0f32; d.n * sample_out];
@@ -524,29 +603,22 @@ where
                 continue;
             }
             if !packed {
-                weights.pack(d.o, d.kdim(), weight.as_slice());
+                weights.pack(d.o, d.b.rows(), weight.as_slice());
                 packed = true;
             }
             conv_image(&d, &weights, slot, image, bias.as_slice(), dst);
         }
     });
-    Ok((
-        Tensor::from_vec(Shape::d4(d.n, d.o, d.oh, d.ow), out)?,
-        taken,
-    ))
+    Ok((Tensor::from_vec(d.out_shape(), out)?, taken))
 }
 
-/// The validated dimensions of one conv forward.
+/// The validated dimensions of one conv forward: the batch, the output
+/// channels and each image's bordered layout.
 #[derive(Debug, Clone, Copy)]
 struct ConvDims {
     n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
     o: usize,
-    oh: usize,
-    ow: usize,
-    geom: Geometry,
+    b: Border,
 }
 
 impl ConvDims {
@@ -574,39 +646,25 @@ impl ConvDims {
                 rhs: bias.shape().clone(),
             });
         }
-        let (oh, ow) = geom.output_hw(h, w)?;
-        let d = ConvDims {
-            n,
-            c,
-            h,
-            w,
-            o,
-            oh,
-            ow,
-            geom,
-        };
+        let b = Border::new((c, h, w), geom, geom.output_hw(h, w)?);
         qnn_trace::counter!("tensor.conv.fwd.calls", 1);
-        qnn_trace::counter!("tensor.conv.fwd.macs", (n * o * d.px() * d.kdim()) as u64);
-        Ok(d)
+        qnn_trace::counter!("tensor.conv.fwd.macs", (n * o * b.cols() * b.rows()) as u64);
+        Ok(ConvDims { n, o, b })
     }
 
-    fn px(&self) -> usize {
-        self.oh * self.ow
-    }
-
-    fn kdim(&self) -> usize {
-        self.c * self.geom.kh * self.geom.kw
+    fn out_shape(&self) -> Shape {
+        Shape::d4(self.n, self.o, self.b.oh, self.b.ow)
     }
 
     /// Image `ni` of the batch `data`.
     fn image<'a>(&self, data: &'a [f32], ni: usize) -> &'a [f32] {
-        let len = self.c * self.h * self.w;
+        let len = self.b.c * self.b.h * self.b.w;
         &data[ni * len..(ni + 1) * len]
     }
 }
 
-/// The f32 route for one image: patches straight into `slot`'s column
-/// panels, the GEMM against the packed weights into `dst` (`o × oh·ow`),
+/// The f32 route for one image: its patches straight from the bordered
+/// image into `slot`'s column panels, the GEMM against the packed weights into `dst` (`o × oh·ow`),
 /// then the per-channel bias.
 fn conv_image(
     d: &ConvDims,
@@ -616,20 +674,10 @@ fn conv_image(
     bias: &[f32],
     dst: &mut [f32],
 ) {
-    slot.panels.reset(d.kdim(), d.px());
-    let (oh, ow, rows) = (d.oh, d.ow, 0..d.kdim());
-    im2col_rows(
-        image,
-        d.c,
-        d.h,
-        d.w,
-        d.geom,
-        (oh, ow),
-        rows,
-        &mut slot.panels,
-    );
+    let src = d.b.image(image, &mut slot.border);
+    slot.panels.pack_patches(&d.b, src);
     gemm_packed(weights, &slot.panels, dst);
-    for (row, &b) in dst.chunks_exact_mut(d.px()).zip(bias) {
+    for (row, &b) in dst.chunks_exact_mut(d.b.cols()).zip(bias) {
         for v in row {
             *v += b;
         }
@@ -684,9 +732,8 @@ pub fn conv2d_backward_with(
             rhs: Shape::d4(n, o, oh, ow),
         });
     }
-    let px = oh * ow;
-    let kdim = c * geom.kh * geom.kw;
-    let csz = c * h * w;
+    let border = Border::new((c, h, w), geom, (oh, ow));
+    let (px, kdim, csz) = (border.cols(), border.rows(), c * h * w);
     qnn_trace::counter!("tensor.conv.bwd.calls", 1);
     qnn_trace::counter!("tensor.conv.bwd.macs", (2 * n * o * px * kdim) as u64);
     let in_data = input.as_slice();
@@ -722,7 +769,7 @@ pub fn conv2d_backward_with(
             for ni in lo..hi {
                 let img = &in_data[ni * csz..(ni + 1) * csz];
                 let go = &go_data[ni * o * px..(ni + 1) * o * px];
-                im2col_kernel(img, c, h, w, geom, oh, ow, &mut slot.cols);
+                im2col_kernel(&border, img, &mut slot.border, &mut slot.cols);
                 // dW_sample = dY · colsᵀ  (o×px · px×kdim).
                 gemm_nt_with(
                     &mut slot.gemm,
@@ -743,7 +790,7 @@ pub fn conv2d_backward_with(
                 slot.panels.pack(o, px, go);
                 gemm_packed(&wt, &slot.panels, &mut slot.gcols);
                 let dst = &mut gx_slab[(ni - first_sample) * csz..(ni - first_sample + 1) * csz];
-                col2im_kernel(&slot.gcols, c, h, w, geom, oh, ow, dst);
+                border.fold(&slot.gcols, &mut slot.border, dst);
             }
         }
     };
@@ -819,7 +866,7 @@ mod tests {
     }
 
     /// im2col one tap at a time, every bound checked per element: the
-    /// reference `im2col_kernel`'s row runs must reproduce bit for bit.
+    /// reference the bordered walk's runs must reproduce bit for bit.
     fn im2col_reference(image: &[f32], c: usize, h: usize, w: usize, geom: Geometry) -> Vec<f32> {
         let (oh, ow) = geom.output_hw(h, w).unwrap();
         let cols = oh * ow;
@@ -897,6 +944,91 @@ mod tests {
         assert!(strided > 0 && padded > 0);
     }
 
+    /// col2im one tap at a time, every bound checked per element: the
+    /// loop the bordered fold replaced, kept as its reference.
+    fn col2im_reference(cols: &[f32], c: usize, h: usize, w: usize, geom: Geometry) -> Vec<f32> {
+        let (oh, ow) = geom.output_hw(h, w).unwrap();
+        let ncols = oh * ow;
+        let mut dst = vec![0.0f32; c * h * w];
+        for ci in 0..c {
+            for ki in 0..geom.kh {
+                for kj in 0..geom.kw {
+                    let row = (ci * geom.kh + ki) * geom.kw + kj;
+                    for oi in 0..oh {
+                        let ii = (oi * geom.stride + ki) as isize - geom.pad as isize;
+                        if ii < 0 || ii as usize >= h {
+                            continue;
+                        }
+                        for oj in 0..ow {
+                            let jj = (oj * geom.stride + kj) as isize - geom.pad as isize;
+                            if jj < 0 || jj as usize >= w {
+                                continue;
+                            }
+                            dst[(ci * h + ii as usize) * w + jj as usize] +=
+                                cols[row * ncols + oi * ow + oj];
+                        }
+                    }
+                }
+            }
+        }
+        dst
+    }
+
+    /// The backward's fold against [`col2im_reference`] over 256+ seeded
+    /// geometries, a quarter of them ceil mode, with one sum buffer reused
+    /// across cases. Non-NaN pixels must be bit-equal, so each pixel must
+    /// add its taps in the reference's `(ci, ki, kj)` order; NaN must
+    /// appear exactly where the reference has NaN.
+    #[test]
+    fn col2im_matches_per_element_reference() {
+        let mut r = crate::rng::seeded(0xC0_12_1E_B1);
+        let mut buf = Vec::new();
+        let (mut cases, mut strided, mut padded, mut ceil, mut nans) = (0, 0, 0, 0, 0);
+        while cases < 288 {
+            let geom = Geometry {
+                kh: r.gen_range(1usize..8),
+                kw: r.gen_range(1usize..8),
+                stride: r.gen_range(1usize..4),
+                pad: r.gen_range(0usize..4),
+                ceil: r.gen_bool(0.25),
+            };
+            let (c, h, w) = (
+                r.gen_range(1usize..5),
+                r.gen_range(1usize..14),
+                r.gen_range(1usize..14),
+            );
+            let Ok((oh, ow)) = geom.output_hw(h, w) else {
+                continue;
+            };
+            cases += 1;
+            strided += usize::from(geom.stride > 1);
+            padded += usize::from(geom.pad > 0);
+            ceil += usize::from(geom.ceil);
+            let k = c * geom.kh * geom.kw;
+            let cols: Vec<f32> = (0..k * oh * ow).map(|_| operand(&mut r)).collect();
+            let want = col2im_reference(&cols, c, h, w, geom);
+            nans += want.iter().filter(|v| v.is_nan()).count();
+            let mut got = vec![f32::NAN; want.len()];
+            Border::new((c, h, w), geom, (oh, ow)).fold(&cols, &mut buf, &mut got);
+            let public = col2im(&t(Shape::d2(k, oh * ow), cols), c, h, w, geom).unwrap();
+            let both = got.iter().zip(public.as_slice());
+            for (i, ((&g, &p), &v)) in both.zip(&want).enumerate() {
+                let same = |x: f32| {
+                    if v.is_nan() {
+                        x.is_nan()
+                    } else {
+                        x.to_bits() == v.to_bits()
+                    }
+                };
+                assert!(
+                    same(g) && same(p),
+                    "{geom:?} c={c} h={h} w={w} at {i}: got {g:e} and {p:e}, want {v:e}"
+                );
+            }
+        }
+        assert!(strided > 0 && padded > 0 && ceil > 0 && nans > 0);
+    }
+
     /// One conv operand: mostly uniform in [-2, 2], sometimes a signed
     /// zero, a subnormal, ±inf or NaN.
     fn operand(r: &mut crate::rng::Rng) -> f32 {
@@ -912,8 +1044,10 @@ mod tests {
 
     /// `conv2d_with` and `conv2d_each_with` against the per-element im2col,
     /// the naive triple-loop GEMM and a per-channel bias add, over 256+
-    /// seeded geometries, at 1 and 4 threads with a reused scratch. Every output row-panel residue
-    /// (`o mod 4`) and several 16-column panels occur. Non-NaN outputs
+    /// seeded geometries, a quarter of them ceil mode (whose last window
+    /// can reach past `h + 2·pad`), at 1 and 4 threads with a reused
+    /// scratch. Every output row-panel residue (`o mod 4`) and several
+    /// 16-column panels occur. Non-NaN outputs
     /// must be bit-equal; NaN must appear exactly where the reference has
     /// NaN (which NaN survives an add of two is up to instruction
     /// selection, see `gemm`'s module docs).
@@ -921,14 +1055,14 @@ mod tests {
     fn conv_matches_im2col_naive_gemm_and_bias_bitwise() {
         let mut r = crate::rng::seeded(0xC0_2D_3E_F5);
         let mut scratch = ConvScratch::new();
-        let (mut cases, mut residues, mut wide, mut nans) = (0, [0usize; 4], 0, 0);
+        let (mut cases, mut residues, mut wide, mut nans, mut beyond) = (0, [0usize; 4], 0, 0, 0);
         while cases < 288 {
             let geom = Geometry {
                 kh: r.gen_range(1usize..8),
                 kw: r.gen_range(1usize..8),
                 stride: r.gen_range(1usize..4),
                 pad: r.gen_range(0usize..4),
-                ceil: false,
+                ceil: r.gen_bool(0.25),
             };
             let (n, c, h, w) = (
                 r.gen_range(1usize..4),
@@ -942,6 +1076,7 @@ mod tests {
             let o = r.gen_range(1usize..41);
             cases += 1;
             residues[o % 4] += 1;
+            beyond += usize::from((oh - 1) * geom.stride + geom.kh > h + 2 * geom.pad);
             wide += usize::from(oh * ow > 32);
             let (px, kdim) = (oh * ow, c * geom.kh * geom.kw);
             let x: Vec<f32> = (0..n * c * h * w).map(|_| operand(&mut r)).collect();
@@ -997,7 +1132,7 @@ mod tests {
             }
         }
         crate::par::set_threads(None);
-        assert!(residues.iter().all(|&k| k > 0) && wide > 0 && nans > 0);
+        assert!(residues.iter().all(|&k| k > 0) && wide > 0 && nans > 0 && beyond > 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! `_mm512_add_ps`, never a fused intrinsic. All three builds round exactly
 //! like the naive loop and agree bit for bit.
 
-use crate::conv::PatchSink;
+use crate::conv::{Border, Run};
 use crate::par;
 use std::cell::RefCell;
 
@@ -247,15 +247,16 @@ impl PackedA {
 }
 
 /// A right operand `B` (`k×n`) held in the microkernel's `NR`-column
-/// panels (the layout of [`pack_b_nn`]) and written in place by its
-/// producer, run by run along its rows, so no row-major copy of `B` is
-/// ever made. The conv route's im2col writes into it through
-/// [`PatchSink`] without learning the layout.
+/// panels (the layout of [`pack_b_nn`]): packed from a row-major `B`, or,
+/// for the conv forward, written straight from a bordered image's patch
+/// walk, so no patch matrix is ever made.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct PackedB {
     k: usize,
     n: usize,
     data: Vec<f32>,
+    /// The patch walk's runs, split where they cross a panel.
+    runs: Vec<Run>,
 }
 
 impl PackedB {
@@ -266,11 +267,15 @@ impl PackedB {
         pack_b_nn(&mut self.data, k, n, b);
     }
 
-    /// Sizes the panels for a `k×n` operand and sets the lanes past
-    /// column `n` to `+0.0`: they are never written back, but a stale
-    /// subnormal there would still slow the kernel. Every slot of the
-    /// `k×n` operand itself must then be written by the producer.
-    pub(crate) fn reset(&mut self, k: usize, n: usize) {
+    /// Repacks in place as the patch matrix of one image, `src` in the
+    /// layout `border` describes. Each output row's run of taps lands in
+    /// fixed stretches of at most `NR` lanes of fixed panels; that split
+    /// is the same for every patch row, so it is made once here, and each
+    /// patch row is then one copy per stretch. The lanes past column `n`
+    /// are set to `+0.0`: they are never written back, but a stale
+    /// subnormal there would still slow the kernel.
+    pub(crate) fn pack_patches(&mut self, border: &Border, src: &[f32]) {
+        let (k, n) = (border.rows(), border.cols());
         (self.k, self.n) = (k, n);
         self.data.resize(n.div_ceil(NR) * k * NR, 0.0);
         let tail = n % NR;
@@ -279,48 +284,20 @@ impl PackedB {
                 row[tail..].fill(0.0);
             }
         }
-    }
-
-    /// Calls `f(dst, t0)` for each stretch of columns `col .. col+len` of
-    /// row `row` that one panel holds contiguously: `dst` is the stretch's
-    /// slots and `t0` its first column's offset from `col`.
-    #[inline(always)]
-    fn segments(
-        &mut self,
-        row: usize,
-        col: usize,
-        len: usize,
-        mut f: impl FnMut(&mut [f32], usize),
-    ) {
-        let (mut p, end) = (col, col + len);
-        while p < end {
-            let lane = p % NR;
-            let seg = (NR - lane).min(end - p);
-            let at = (p / NR) * self.k * NR + row * NR + lane;
-            f(&mut self.data[at..at + seg], p - col);
-            p += seg;
-        }
-    }
-}
-
-impl PatchSink<f32> for PackedB {
-    fn zeros(&mut self, row: usize, col: usize, len: usize) {
-        self.segments(row, col, len, |dst, _| dst.fill(0.0));
-    }
-
-    fn taps(&mut self, row: usize, col: usize, len: usize, taps: &[f32], stride: usize) {
-        self.segments(row, col, len, |dst, t0| {
-            if stride == 1 {
-                dst.copy_from_slice(&taps[t0..t0 + dst.len()]);
-            } else {
-                for (d, &v) in dst
-                    .iter_mut()
-                    .zip(taps[t0 * stride..].iter().step_by(stride))
-                {
-                    *d = v;
-                }
+        self.runs.clear();
+        for run in border.row_runs() {
+            let (mut col, end) = (run.dst, run.dst + run.len);
+            while col < end {
+                let len = (NR - col % NR).min(end - col);
+                self.runs.push(Run {
+                    dst: (col / NR) * k * NR + col % NR,
+                    at: run.at + (col - run.dst) * border.stride(),
+                    len,
+                });
+                col += len;
             }
-        });
+        }
+        border.unfold(src, 0..k, NR, self.runs.iter().copied(), &mut self.data);
     }
 }
 

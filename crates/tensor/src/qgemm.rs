@@ -46,7 +46,7 @@
 //! site is the narrow, standard obligation of `target_feature` dispatch:
 //! the feature was verified on this CPU.
 
-use crate::conv::{im2col_rows, Geometry, RowMajor};
+use crate::conv::{Border, Geometry};
 use crate::error::TensorError;
 use crate::par;
 use std::cell::RefCell;
@@ -65,8 +65,9 @@ thread_local! {
     /// [`gemm_nt_i16_panel_emit`]'s row-chunk accumulators: one buffer per
     /// thread, grown to the widest chunk it has run.
     static TLS_ACC: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-    /// [`PanelB::pack_patches`]' two patch rows in flight.
-    static TLS_PAIR: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
+    /// [`PanelB::pack_patches`]' bordered image and its two patch rows in
+    /// flight.
+    static TLS_PATCH: RefCell<(Vec<i16>, Vec<i16>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Which build of the panel microkernel runs. Every build computes the
@@ -183,10 +184,12 @@ impl PanelB {
     /// image of i16 raws under `geom`: row `p` is output pixel `p`'s
     /// receptive field in `(c, kh, kw)` order, `0` for padding taps. The
     /// words equal [`PanelB::pack`] of the transposed im2col of `image`,
-    /// but no patch matrix is built: the im2col walk writes patch rows `2g`
-    /// and `2g+1` row-major into a two-row buffer (a thread-local, padded to
-    /// whole panels with zeros), which is then zipped into k-group `g` of
-    /// every panel. Returns `(oh, ow)`.
+    /// but no patch matrix is built: the image is bordered with zeros (in
+    /// a thread-local, unless it needs no border), the patch walk copies
+    /// rows `2g` and `2g+1` row-major into a two-row buffer (a
+    /// thread-local, padded to whole panels with zeros), one run per
+    /// output row, and that buffer is zipped into k-group `g` of every
+    /// panel. Returns `(oh, ow)`.
     ///
     /// # Errors
     ///
@@ -202,12 +205,14 @@ impl PanelB {
     ) -> Result<(usize, usize), TensorError> {
         let (oh, ow) = geom.output_hw(h, w)?;
         assert_eq!(image.len(), c * h * w, "image slice length mismatch");
-        let (n, k) = (oh * ow, c * geom.kh * geom.kw);
+        let border = Border::new((c, h, w), geom, (oh, ow));
+        let (n, k) = (border.cols(), border.rows());
         (self.n, self.k) = (n, k);
         let npad = n.div_ceil(PANEL_NR) * PANEL_NR;
         self.data.resize(npad * 2 * k.div_ceil(2), 0);
-        TLS_PAIR.with(|pair| {
-            let mut pair = pair.borrow_mut();
+        TLS_PATCH.with(|bufs| {
+            let (buf, pair) = &mut *bufs.borrow_mut();
+            let src = border.image(image, buf);
             // The walk writes columns `0..n` of each row; the rest stays 0.
             pair.clear();
             pair.resize(2 * npad, 0);
@@ -217,12 +222,8 @@ impl PanelB {
                     // Odd k: the last group's partner row is zero.
                     pair[npad..].fill(0);
                 }
-                let mut sink = RowMajor {
-                    cols: npad,
-                    dst: &mut pair[..],
-                };
-                im2col_rows(image, c, h, w, geom, (oh, ow), rows, &mut sink);
-                self.zip_group(g, &pair);
+                border.unfold(src, rows, npad, border.row_runs(), pair);
+                self.zip_group(g, pair);
             }
         });
         Ok((oh, ow))

@@ -124,21 +124,22 @@ fn panel_emit_sees_each_row_once_with_final_accumulators() {
 
 /// `PanelB::pack_patches` against `PanelB::pack` of the transposed im2col
 /// over 256+ seeded geometries (c 1–4, h and w 1–13, kernel 1–7, stride
-/// 1–3, padding 0–3), read back over the whole physical panel, padding
-/// slots included. One panel is reused across cases, so a slot the walk
-/// fails to write shows up as a stale word from an earlier case.
+/// 1–3, padding 0–3, ceil mode a quarter of the time, whose last window
+/// can reach past `h + 2·pad`), read back over the whole physical panel,
+/// padding slots included. One panel is reused across cases, so a slot
+/// the walk fails to write shows up as a stale word from an earlier case.
 #[test]
 fn patch_panel_equals_packed_transposed_im2col() {
     let mut rng = seeded(0x9A7C_4E55);
     let mut panel = PanelB::default();
-    let (mut cases, mut odd_k, mut ragged) = (0, 0, 0);
+    let (mut cases, mut odd_k, mut ragged, mut beyond) = (0, 0, 0, 0);
     while cases < 288 {
         let geom = Geometry {
             kh: rng.gen_range(1usize..8),
             kw: rng.gen_range(1usize..8),
             stride: rng.gen_range(1usize..4),
             pad: rng.gen_range(0usize..4),
-            ceil: false,
+            ceil: rng.gen_bool(0.25),
         };
         let (c, h, w) = (
             rng.gen_range(1usize..5),
@@ -152,6 +153,7 @@ fn patch_panel_equals_packed_transposed_im2col() {
         let (n, k) = (oh * ow, c * geom.kh * geom.kw);
         odd_k += usize::from(k % 2 == 1);
         ragged += usize::from(n % 16 != 0);
+        beyond += usize::from((oh - 1) * geom.stride + geom.kh > h + 2 * geom.pad);
         let image = words(c * h * w, 300, &mut rng);
         let image_f32: Vec<f32> = image.iter().map(|&v| f32::from(v)).collect();
         let mut cols = vec![0.0f32; k * n];
@@ -173,5 +175,5 @@ fn patch_panel_equals_packed_transposed_im2col() {
             }
         }
     }
-    assert!(odd_k > 0 && ragged > 0);
+    assert!(odd_k > 0 && ragged > 0 && beyond > 0);
 }
