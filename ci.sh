@@ -353,6 +353,7 @@ stage clippy              cargo clippy --workspace --all-targets --offline -- -D
 stage build               cargo build --workspace --release --offline
 stage repobench-build     cargo build --release --offline --manifest-path repobench/Cargo.toml
 stage test                cargo test --workspace -q --offline
+stage serve-props         cargo test -p qnn-serve -q --offline --test membership_props --test proto_props
 stage bench-check         cargo run -p qnn-bench --release --offline -- bench-check
 stage qkernels            cargo run -p qnn-bench --release --offline -- --quick qkernels
 stage kernels-bench       cargo run -p qnn-bench --release --offline -- kernels-bench

@@ -115,22 +115,23 @@ pub fn gemm_tn_with(
     gemm(Build::detect(), Layout::Tn, scratch, (m, k, n), a, b, c);
 }
 
-/// Which build of the microkernel loop runs.
+/// Which build of a kernel runs: the microkernel loop here, and the plane
+/// loop of [`crate::pool`]'s Eval max-pool and avg-pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Build {
+pub(crate) enum Build {
     /// The baseline-target build: the path on CPUs without AVX2, and the
     /// reference the tests hold the vector builds to.
     Plain,
     /// The AVX2 build; runs as the plain one on a CPU without AVX2.
     Avx2,
-    /// The AVX-512 4×32 tile; runs as the plain build on a CPU without
-    /// AVX-512F.
+    /// The AVX-512F build (the GEMM's 4×32 tile, the pool's gather
+    /// kernel); runs as the plain build on a CPU without AVX-512F.
     Avx512,
 }
 
 impl Build {
     /// The widest build this CPU runs.
-    fn detect() -> Build {
+    pub(crate) fn detect() -> Build {
         if crate::has_avx512f() {
             Build::Avx512
         } else if crate::has_avx2() {
@@ -139,16 +140,21 @@ impl Build {
             Build::Plain
         }
     }
+
+    /// The build's name: `"avx512"`, `"avx2"` or `"plain"`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Build::Avx512 => "avx512",
+            Build::Avx2 => "avx2",
+            Build::Plain => "plain",
+        }
+    }
 }
 
 /// The name of the microkernel build this CPU runs: `"avx512"`, `"avx2"`
 /// or `"plain"`.
 pub fn simd_build() -> &'static str {
-    match Build::detect() {
-        Build::Avx512 => "avx512",
-        Build::Avx2 => "avx2",
-        Build::Plain => "plain",
-    }
+    Build::detect().name()
 }
 
 /// Operand layouts of the three entry points.

@@ -59,8 +59,8 @@ pub fn has_avx2() -> bool {
     }
 }
 
-/// True when this CPU supports AVX-512F, so the f32 GEMM's
-/// `#[target_feature(enable = "avx512f")]` build may run.
+/// True when this CPU supports AVX-512F, so the f32 GEMM's and the pool's
+/// `#[target_feature(enable = "avx512f")]` builds may run.
 pub(crate) fn has_avx512f() -> bool {
     #[cfg(target_arch = "x86_64")]
     {

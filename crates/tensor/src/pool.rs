@@ -7,16 +7,25 @@
 //!
 //! [`max_pool2d`] records the argmax that [`max_pool2d_backward`] needs;
 //! [`max_pool2d_eval`] is the inference forward, which has no backward and
-//! returns the pooled tensor alone. It and [`avg_pool2d`] split each output
-//! row into windows that lie wholly inside the input and border windows
-//! (padding, ceil mode). The full windows are computed one tap at a time,
-//! sweeping across the row's output columns, so the per-column updates
-//! are independent and vectorize; the border windows run the scalar loop.
+//! returns the pooled tensor alone. It and [`avg_pool2d`] have two bodies,
+//! picked from CPUID (see [`simd_build`]):
+//!
+//! - On AVX-512F, a gather kernel computes 16 outputs of a plane at a
+//!   time, one masked gather per tap. Per-lane masks leave out the taps
+//!   that fall outside the plane (padding, ceil mode), so one body covers
+//!   every window, stride and kernel size.
+//! - Elsewhere (plain and AVX2 builds), each output row is split into
+//!   windows that lie wholly inside the input and border windows. The full
+//!   windows are computed one tap at a time, sweeping across the row's
+//!   output columns, so the per-column updates are independent and
+//!   vectorize; the border windows run the scalar loop.
+//!
 //! Both visit the same in-bounds taps in the same `(ki, kj)` order as the
 //! scalar loop and apply the same per-tap update, so the bits match it.
 
 use crate::conv::{conv_input_dims, Geometry};
 use crate::error::TensorError;
+use crate::gemm::Build;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -130,7 +139,8 @@ pub fn max_pool2d_eval(input: &Tensor, geom: Geometry) -> Result<Tensor, TensorE
     let (n, c, h, w) = conv_input_dims(input)?;
     let (oh, ow) = geom.output_hw(h, w)?;
     let mut out = vec![0.0f32; n * c * oh * ow];
-    pool_planes::<MaxTaps>(input.as_slice(), (h, w), geom, (oh, ow), &mut out)?;
+    let build = Build::detect();
+    pool_planes::<MaxTaps>(build, input.as_slice(), (h, w), geom, (oh, ow), &mut out)?;
     Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
 }
 
@@ -149,13 +159,23 @@ pub fn avg_pool2d(input: &Tensor, geom: Geometry) -> Result<Tensor, TensorError>
     let (n, c, h, w) = conv_input_dims(input)?;
     let (oh, ow) = geom.output_hw(h, w)?;
     let mut out = vec![0.0f32; n * c * oh * ow];
-    pool_planes::<AvgTaps>(input.as_slice(), (h, w), geom, (oh, ow), &mut out)?;
+    let build = Build::detect();
+    pool_planes::<AvgTaps>(build, input.as_slice(), (h, w), geom, (oh, ow), &mut out)?;
     Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
 }
 
+/// The name of the build [`max_pool2d_eval`] and [`avg_pool2d`] run on
+/// this CPU: `"avx512"` (the gather kernel), `"avx2"` or `"plain"`.
+pub fn simd_build() -> &'static str {
+    Build::detect().name()
+}
+
 /// One pooling reduction as a per-tap update. The scalar window loop and
-/// the sweep across output columns both run it, so they agree bit for bit.
+/// the sweep across output columns both run it, so they agree bit for bit;
+/// the gather kernel runs the same update on 16 lanes, chosen by `MAX`.
 trait PoolTaps {
+    /// Max (the gather kernel's masked `vmaxps`), not avg (masked `vaddps`).
+    const MAX: bool;
     /// A window's running value after its first tap `x`.
     fn first(x: f32) -> f32;
     /// A window's running value after one more tap `x`.
@@ -170,6 +190,8 @@ trait PoolTaps {
 struct MaxTaps;
 
 impl PoolTaps for MaxTaps {
+    const MAX: bool = true;
+
     #[inline(always)]
     fn first(x: f32) -> f32 {
         x
@@ -201,6 +223,8 @@ impl PoolTaps for MaxTaps {
 struct AvgTaps;
 
 impl PoolTaps for AvgTaps {
+    const MAX: bool = false;
+
     #[inline(always)]
     fn first(x: f32) -> f32 {
         0.0 + x
@@ -269,23 +293,179 @@ fn full_windows(k: usize, geom: Geometry, len: usize, out: usize) -> std::ops::R
     lo..hi
 }
 
-/// Pools every `(h, w)` plane of `data` into `out` (`oh×ow` per plane),
-/// through the AVX2 build when the CPU has it, else the plain build of the
-/// same body. Both run the same per-lane operations.
+/// Pools every `(h, w)` plane of `data` into `out` (`oh×ow` per plane)
+/// through `build`: the gather kernel, or the AVX2 or plain build of the
+/// sweep body. A build the CPU lacks runs as the plain one, and so do
+/// planes too large for the gather's `i32` indices.
 fn pool_planes<P: PoolTaps>(
+    build: Build,
     data: &[f32],
     hw: (usize, usize),
     geom: Geometry,
     ohw: (usize, usize),
     out: &mut [f32],
 ) -> Result<(), TensorError> {
-    #[cfg(target_arch = "x86_64")]
-    if crate::has_avx2() {
-        // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
-        // precondition of the target_feature build.
-        return unsafe { pool_planes_avx2::<P>(data, hw, geom, ohw, out) };
+    match build {
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx512 if crate::has_avx512f() && i32::try_from(hw.0 * hw.1).is_ok() => {
+            TLS_GATHER.with(|table| {
+                // SAFETY: `has_avx512f` verified AVX-512F on this CPU, the
+                // only precondition of the target_feature build.
+                unsafe {
+                    pool_planes_avx512::<P>(data, hw, geom, ohw, &mut table.borrow_mut(), out)
+                }
+            })
+        }
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx2 if crate::has_avx2() => {
+            // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
+            // precondition of the target_feature build.
+            unsafe { pool_planes_avx2::<P>(data, hw, geom, ohw, out) }
+        }
+        _ => pool_planes_body::<P>(data, hw, geom, ohw, out),
     }
-    pool_planes_body::<P>(data, hw, geom, ohw, out)
+}
+
+/// Outputs per block of the gather kernel: one zmm of f32 lanes.
+#[cfg(target_arch = "x86_64")]
+const LANES: usize = 16;
+
+/// The gather kernel's plan for one call, shared by every plane. Outputs
+/// are taken in blocks of 16 consecutive row-major positions of a plane.
+#[cfg(target_arch = "x86_64")]
+struct GatherTable {
+    /// Per block, each lane's window origin: the offset of tap `(0, 0)`
+    /// from the plane's start, negative under padding.
+    origins: Vec<[i32; LANES]>,
+    /// Per tap in `(ki, kj)` order, its offset from the origin: `ki·w + kj`.
+    offsets: Vec<i32>,
+    /// Per block, then per tap: the lanes whose tap lies inside the plane.
+    masks: Vec<u16>,
+}
+
+#[cfg(target_arch = "x86_64")]
+thread_local! {
+    /// The gather kernel's table, rebuilt in place by every call: grown to
+    /// the largest pool a thread has run, so a steady stream of forwards
+    /// allocates nothing for it.
+    static TLS_GATHER: std::cell::RefCell<GatherTable> = const {
+        std::cell::RefCell::new(GatherTable {
+            origins: Vec::new(),
+            offsets: Vec::new(),
+            masks: Vec::new(),
+        })
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+impl GatherTable {
+    /// Rebuilds the table for `(h, w)` planes pooled to `(oh, ow)`, and
+    /// returns whether some window has no in-bounds tap.
+    fn build(&mut self, (h, w): (usize, usize), geom: Geometry, (oh, ow): (usize, usize)) -> bool {
+        let (kw, taps) = (geom.kw, geom.kh * geom.kw);
+        self.offsets.clear();
+        self.offsets
+            .extend((0..taps).map(|t| (t / kw * w + t % kw) as i32));
+        self.origins.clear();
+        self.masks.clear();
+        let mut empty = false;
+        for block in 0..(oh * ow).div_ceil(LANES) {
+            let at = self.masks.len();
+            self.masks.resize(at + taps, 0);
+            let mut origin = [0i32; LANES];
+            for (lane, o) in (block * LANES..(oh * ow).min(block * LANES + LANES)).enumerate() {
+                let (oi, oj) = (o / ow, o % ow);
+                let rows = window_span(oi, geom.kh, geom, h);
+                let cols = window_span(oj, geom.kw, geom, w);
+                empty |= rows.is_empty() || cols.is_empty();
+                let i0 = (oi * geom.stride) as isize - geom.pad as isize;
+                let j0 = (oj * geom.stride) as isize - geom.pad as isize;
+                // `as` wraps modulo 2^32 and so does the kernel's index add,
+                // so every in-bounds index, below `h·w ≤ i32::MAX`, is exact.
+                origin[lane] = (i0 * w as isize + j0) as i32;
+                for i in rows {
+                    let ki = i + geom.pad - oi * geom.stride;
+                    for j in cols.clone() {
+                        let kj = j + geom.pad - oj * geom.stride;
+                        self.masks[at + ki * kw + kj] |= 1 << lane;
+                    }
+                }
+            }
+            self.origins.push(origin);
+        }
+        empty
+    }
+}
+
+/// The AVX-512 build: per plane, 16 outputs at a time, one masked gather
+/// per tap at `origin + ki·w + kj` for the lanes whose tap lies inside the
+/// plane; taps outside are masked off, never substituted. Max moves a
+/// lane's first in-bounds tap into `best` and then runs the masked
+/// `vmaxps(x, best)`, which is `if x > best { x } else { best }`; avg adds
+/// each tap to a `+0.0` sum and multiplies by `1/(kh·kw)` once. So every
+/// output applies the same updates to the same taps in the same order as
+/// [`PoolTaps`]. Fails as the sweep body does: max on an empty window
+/// when there is a plane to pool.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn pool_planes_avx512<P: PoolTaps>(
+    data: &[f32],
+    (h, w): (usize, usize),
+    geom: Geometry,
+    (oh, ow): (usize, usize),
+    table: &mut GatherTable,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    use std::arch::x86_64::*;
+    if table.build((h, w), geom, (oh, ow)) && !out.is_empty() {
+        P::empty()?;
+    }
+    let (taps, len, total) = (geom.kh * geom.kw, h * w, oh * ow);
+    let norm = _mm512_set1_ps(1.0 / taps as f32);
+    // The gathers read plane `p` at in-bounds offsets below `h·w`, and
+    // those fit the `i32` lanes: checked once here, relied on below.
+    assert!(i32::try_from(len).is_ok() && data.len() >= out.len() / total * len);
+    for (p, oplane) in out.chunks_exact_mut(total).enumerate() {
+        // SAFETY: plane `p` starts inside `data` by the assert above.
+        let plane = data.as_ptr().add(p * len);
+        for (block, origin) in table.origins.iter().enumerate() {
+            // SAFETY: `origin` is 16 `i32`s, one zmm.
+            let origin = _mm512_loadu_si512(origin.as_ptr().cast());
+            let masks = &table.masks[block * taps..(block + 1) * taps];
+            let mut acc = _mm512_setzero_ps();
+            let mut started: __mmask16 = 0;
+            for (&mask, &offset) in masks.iter().zip(&table.offsets) {
+                if mask == 0 {
+                    continue;
+                }
+                let index = _mm512_add_epi32(origin, _mm512_set1_epi32(offset));
+                // SAFETY: the lanes in `mask` index in-bounds taps of
+                // plane `p`, which lies inside `data` by the assert above;
+                // the other lanes read nothing.
+                let x = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, index, plane);
+                if P::MAX {
+                    acc = _mm512_mask_mov_ps(acc, mask & !started, x);
+                    acc = _mm512_mask_max_ps(acc, mask & started, x, acc);
+                    started |= mask;
+                } else {
+                    acc = _mm512_mask_add_ps(acc, mask, acc, x);
+                }
+            }
+            if !P::MAX {
+                acc = _mm512_mul_ps(acc, norm);
+            }
+            let dst = &mut oplane[block * LANES..total.min(block * LANES + LANES)];
+            // SAFETY: the mask enables exactly `dst.len() ≤ 16` lanes, all
+            // inside `dst`.
+            let valid = ((1u32 << dst.len()) - 1) as __mmask16;
+            _mm512_mask_storeu_ps(dst.as_mut_ptr(), valid, acc);
+        }
+    }
+    Ok(())
 }
 
 /// The AVX2 build of [`pool_planes_body`].
@@ -319,7 +499,10 @@ fn pool_planes_body<P: PoolTaps>(
     let (stride, pad) = (geom.stride, geom.pad);
     let full_rows = full_windows(geom.kh, geom, h, oh);
     let full_cols = full_windows(geom.kw, geom, w, ow);
-    for (plane, oplane) in data.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
+    // Planes by output, so an empty `h·w` plane (only empty windows) does
+    // not panic as a zero chunk size would.
+    for (p, oplane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let plane = &data[p * h * w..(p + 1) * h * w];
         for (oi, orow) in oplane.chunks_exact_mut(ow).enumerate() {
             let (lo, hi) = if full_rows.contains(&oi) {
                 (full_cols.start, full_cols.end)
@@ -575,6 +758,138 @@ mod tests {
             }
         }
         assert!(nans > 0);
+    }
+
+    /// The builds this CPU runs: plain always, AVX2 and the gather kernel
+    /// where the CPU has them.
+    fn builds() -> Vec<Build> {
+        let mut builds = vec![Build::Plain];
+        if crate::has_avx2() {
+            builds.push(Build::Avx2);
+        }
+        if crate::has_avx512f() {
+            builds.push(Build::Avx512);
+        }
+        builds
+    }
+
+    /// Every build this CPU runs, called directly, over the 320 seeded
+    /// geometries of each of the two tests above: max bit for bit against
+    /// [`max_pool2d`]'s output (NaN payloads and zero signs included) or
+    /// its error, avg against the scalar loop with NaN exactly where it has
+    /// NaN. The entry points run only the build the CPU dispatches to.
+    #[test]
+    fn every_build_matches_reference_bitwise() {
+        let (mut cases, mut avx512_cases, mut empty) = (0, 0, 0);
+        for seed in [0x9001_E7A1, 0xA7E_9001] {
+            let mut r = crate::rng::seeded(seed);
+            let mut seeded_cases = 0;
+            while seeded_cases < 320 {
+                let Some((geom, x)) = pool_case(&mut r) else {
+                    continue;
+                };
+                seeded_cases += 1;
+                let (n, c, h, w) = conv_input_dims(&x).unwrap();
+                let (oh, ow) = geom.output_hw(h, w).unwrap();
+                let max_want = max_pool2d(&x, geom);
+                let avg_want = avg_pool2d_reference(&x, geom).unwrap();
+                empty += usize::from(max_want.is_err());
+                for build in builds() {
+                    let ctx = format!("{build:?} {geom:?} {}", x.shape());
+                    avx512_cases += usize::from(build == Build::Avx512);
+                    let mut got = vec![7.0f32; n * c * oh * ow];
+                    let res = pool_planes::<MaxTaps>(
+                        build,
+                        x.as_slice(),
+                        (h, w),
+                        geom,
+                        (oh, ow),
+                        &mut got,
+                    );
+                    match &max_want {
+                        Ok(want) => {
+                            res.unwrap();
+                            for (i, (g, v)) in got.iter().zip(want.output.as_slice()).enumerate() {
+                                assert_eq!(
+                                    g.to_bits(),
+                                    v.to_bits(),
+                                    "max {ctx} at {i}: {g:e} vs {v:e}"
+                                );
+                            }
+                        }
+                        Err(e) => assert_eq!(&res.unwrap_err(), e, "max {ctx}"),
+                    }
+                    let mut got = vec![7.0f32; n * c * oh * ow];
+                    pool_planes::<AvgTaps>(build, x.as_slice(), (h, w), geom, (oh, ow), &mut got)
+                        .unwrap();
+                    for (i, (g, v)) in got.iter().zip(avg_want.as_slice()).enumerate() {
+                        let same = if v.is_nan() {
+                            g.is_nan()
+                        } else {
+                            g.to_bits() == v.to_bits()
+                        };
+                        assert!(same, "avg {ctx} at {i}: {g:e} vs {v:e}");
+                    }
+                }
+            }
+            cases += seeded_cases;
+        }
+        assert!(empty > 0);
+        // On an AVX-512 CPU every case ran the gather kernel, which is also
+        // the build the entry points dispatch to.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert_eq!(avx512_cases, cases);
+            assert_eq!(Build::detect(), Build::Avx512);
+        }
+    }
+
+    /// A window with no in-bounds tap (`k = 1`, `pad = 2`: the outer ring
+    /// of a 3×3 plane's 7×7 output; every window of a plane of height 0):
+    /// every build pools a batch of no images to an empty tensor; with one
+    /// plane, max fails as [`max_pool2d`] does and avg returns `0.0` there.
+    #[test]
+    fn empty_windows_fail_max_only_when_there_is_a_plane() {
+        let geom = Geometry::square(1, 1, 2);
+        let x: Vec<f32> = (1..=9).map(|v| v as f32).collect();
+        let want_err = max_pool2d(&t(Shape::d4(1, 1, 3, 3), x.clone()), geom).unwrap_err();
+        for build in builds() {
+            let mut none: Vec<f32> = Vec::new();
+            pool_planes::<MaxTaps>(build, &[], (3, 3), geom, (7, 7), &mut none).unwrap();
+            pool_planes::<AvgTaps>(build, &[], (3, 3), geom, (7, 7), &mut none).unwrap();
+            let mut out = vec![7.0f32; 49];
+            let err =
+                pool_planes::<MaxTaps>(build, &x, (3, 3), geom, (7, 7), &mut out).unwrap_err();
+            assert_eq!(err, want_err, "{build:?}");
+            pool_planes::<AvgTaps>(build, &x, (3, 3), geom, (7, 7), &mut out).unwrap();
+            for (o, &v) in out.iter().enumerate() {
+                let (oi, oj) = (o / 7, o % 7);
+                let want = if (2..5).contains(&oi) && (2..5).contains(&oj) {
+                    x[(oi - 2) * 3 + oj - 2]
+                } else {
+                    0.0
+                };
+                assert_eq!(v.to_bits(), want.to_bits(), "{build:?} at {o}");
+            }
+        }
+        // A plane of height 0 has only empty windows.
+        let flat = Geometry::square(2, 1, 1);
+        for build in builds() {
+            let mut out = vec![7.0f32; 4];
+            let err = pool_planes::<MaxTaps>(build, &[], (0, 3), flat, (1, 4), &mut out);
+            assert_eq!(err.unwrap_err(), want_err, "{build:?}");
+            pool_planes::<AvgTaps>(build, &[], (0, 3), flat, (1, 4), &mut out).unwrap();
+            assert_eq!(out, [0.0; 4], "{build:?}");
+        }
+        let none = Tensor::zeros(Shape::d4(0, 1, 3, 3));
+        assert_eq!(
+            max_pool2d_eval(&none, geom).unwrap().shape().dims(),
+            &[0, 1, 7, 7]
+        );
+        assert_eq!(
+            avg_pool2d(&none, geom).unwrap().shape().dims(),
+            &[0, 1, 7, 7]
+        );
     }
 
     #[test]
