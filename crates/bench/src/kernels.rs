@@ -34,14 +34,17 @@ fn grid_fixed(f: &Fixed, len: usize, max_raw: i64, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// The `simd` header of the kernels report: the f32 GEMM, i16 panel kernel
-/// and pool builds this CPU ran, as `f32=<build> i16=<build> pool=<build>`.
+/// The `simd` header of the kernels report: the f32 GEMM, i16 panel kernel,
+/// pool, native-conv tile and fixed-point snap builds this CPU ran, as
+/// `f32=<build> i16=<build> pool=<build> tiles=<build> snap=<build>`.
 fn simd_builds() -> Json {
     Json::str(format!(
-        "f32={} i16={} pool={}",
+        "f32={} i16={} pool={} tiles={} snap={}",
         qnn_tensor::gemm::simd_build(),
         qnn_tensor::qgemm::simd_build(),
-        qnn_tensor::pool::simd_build()
+        qnn_tensor::pool::simd_build(),
+        qnn_tensor::qgemm::tile_build(),
+        qnn_quant::Fixed::snap_build()
     ))
 }
 

@@ -121,7 +121,9 @@ impl Conv2d {
 
     /// The native quantized forward pass: per sample, the integer kernel
     /// under the exactness certificate ([`conv_on_grid`]), falling back to
-    /// the f32 route [`conv2d_with`] runs when a sample fails it. Returns
+    /// the f32 route [`conv2d_with`] runs when a sample fails it; each
+    /// declined sample counts as `nn.fwd.fallback.conv2d.<reason>`, the
+    /// [`Fallback`](qnn_quant::packed::Fallback) name. Returns
     /// `None` (and the caller runs the simulated whole-batch path) when the
     /// layer's weights have no packable plan or the input shape is
     /// unexpected.
@@ -170,7 +172,13 @@ impl Conv2d {
             qw,
             &self.bias.value,
             geom,
-            |image, dst| conv_on_grid(&codec, image, (c, h, w), geom, plan, &epi, grid, dst),
+            |image, dst| match conv_on_grid(&codec, image, (c, h, w), geom, plan, &epi, grid, dst) {
+                Ok(()) => true,
+                Err(reason) => {
+                    qnn_trace::counter!(format!("nn.fwd.fallback.conv2d.{}", reason.name()), 1);
+                    false
+                }
+            },
         )
         .ok()?;
         let simulated = n - native;

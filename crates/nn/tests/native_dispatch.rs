@@ -304,16 +304,45 @@ fn every_zoo_network_is_bit_identical_across_paths() {
                 let ctx = format!("{} {precision} @ {threads}t", spec.name());
                 assert_paths_agree(&mut net, &x, &ctx);
             }
+            set_native(Some(true));
+            qnn_trace::start();
+            net.forward(&x, Mode::Eval).unwrap();
+            let trace = qnn_trace::stop();
+            let count = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
+            let ctx = format!("{} {precision}", spec.name());
+            // Every conv image the native route declined, by reason.
+            let declined: Vec<(&String, &u64)> = trace
+                .counters
+                .iter()
+                .filter(|(name, _)| name.starts_with("nn.fwd.fallback.conv2d."))
+                .collect();
+            // One conv forward per conv layer, each over every image.
+            let conv_images = count("tensor.conv.fwd.calls") * x.shape().dim(0) as u64;
             if precision == Precision::fixed(8, 8) || precision == Precision::fixed(4, 4) {
-                set_native(Some(true));
-                qnn_trace::start();
-                net.forward(&x, Mode::Eval).unwrap();
-                let trace = qnn_trace::stop();
-                let native = trace.counters.get("nn.fwd.flops.native").copied();
-                assert!(
-                    native.unwrap_or(0) > 0,
-                    "{} {precision}: no native MACs",
-                    spec.name()
+                assert!(count("nn.fwd.flops.native") > 0, "{ctx}: no native MACs");
+                assert!(declined.is_empty(), "{ctx}: declined {declined:?}");
+                // Where tiles run, every conv image ran on them.
+                if qnn_tensor::qgemm::tile_build() == "amx" {
+                    assert_eq!(count("tensor.qgemm.tile_calls"), conv_images, "{ctx}");
+                }
+            }
+            // 16-bit activations fail the certificate on every conv image
+            // whose weights packed: all of them at fixed16; at pow2 those of
+            // the convs whose exponent span fits an i16 raw (the others
+            // have no plan and never offer an image).
+            let cert_failed = count("nn.fwd.fallback.conv2d.cert_failed");
+            if precision == Precision::fixed(16, 16) {
+                assert_eq!(cert_failed, conv_images, "{ctx}: {declined:?}");
+            }
+            if precision == Precision::power_of_two() {
+                assert!(cert_failed <= conv_images, "{ctx}");
+                assert_eq!(cert_failed % x.shape().dim(0) as u64, 0, "{ctx}");
+            }
+            if precision == Precision::fixed(16, 16) || precision == Precision::power_of_two() {
+                let total: u64 = declined.iter().map(|(_, &n)| n).sum();
+                assert_eq!(
+                    total, cert_failed,
+                    "{ctx}: only the certificate: {declined:?}"
                 );
             }
         }

@@ -301,6 +301,120 @@ impl Fixed {
         self.snap_plain(data)
     }
 
+    /// The slice snap in f32 at 16 lanes. Returns how many 16-lane blocks
+    /// took the f32 path; the rest of `data` ran
+    /// [`snap_plain`](Self::snap_plain)'s f64 body, compiled here.
+    ///
+    /// Per block: `y = x·2^f`; `r = round(y)` (`vrndscaleps` for
+    /// nearest-even and floor, and for half-away `trunc(y) ± 1` where
+    /// `|y − trunc(y)| ≥ 0.5`); clamp to `[−2^(b−1), hi]`; `+0.0` folds
+    /// `−0`; `×2^−f`. With `|f| ≤ 60` and every nonzero `|x|` in
+    /// `[2^−60, 2^60]`, every step is exact: `y` is a normal f32, `y −
+    /// trunc(y)` is exact, and a nonzero fraction means `|y| < 2^23`, so
+    /// `trunc(y) ± 1` is too. The high rail `hi` is `2^(b−1) − 1` up to 25
+    /// bits. Past that it is not an f32, and the f64 body's final narrowing
+    /// rounds `(2^(b−1) − 1)·2^−f` to `2^(b−1−f)` anyway, so `hi` is
+    /// `2^(b−1)`. A block holding NaN, ±∞ or a nonzero `|x|` outside the
+    /// window, the tail shorter than 16, and every format with
+    /// `|frac_bits| > 60` run the f64 body.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F ([`qnn_tensor::has_avx512f`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn snap_avx512(&self, data: &mut [f32]) -> usize {
+        if self.frac_bits.abs() > F32_SNAP_WINDOW {
+            self.snap_plain(data);
+            return 0;
+        }
+        match self.round {
+            RoundMode::NearestAway => self.snap16::<{ RoundMode::AWAY }>(data),
+            RoundMode::NearestEven => self.snap16::<{ RoundMode::EVEN }>(data),
+            RoundMode::Floor => self.snap16::<{ RoundMode::FLOOR }>(data),
+        }
+    }
+
+    /// The body of [`snap_avx512`](Self::snap_avx512) for rounding mode
+    /// `M` and `|frac_bits| ≤ 60`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn snap16<const M: u8>(&self, data: &mut [f32]) -> usize {
+        use std::arch::x86_64::*;
+        let scale = self.scale_f64();
+        let inv = scale.recip();
+        let up = _mm512_set1_ps(scale as f32);
+        let down = _mm512_set1_ps(inv as f32);
+        let lo = _mm512_set1_ps(self.raw_min() as f32);
+        let hi = _mm512_set1_ps(if self.word_bits <= 25 {
+            self.raw_max() as f32
+        } else {
+            -(self.raw_min() as f32)
+        });
+        let magnitude = _mm512_set1_epi32(0x7fff_ffff);
+        // 2^−60 and 2^60 as f32 bit patterns.
+        let (floor, ceil) = (
+            _mm512_set1_epi32((127 - F32_SNAP_WINDOW) << 23),
+            _mm512_set1_epi32((127 + F32_SNAP_WINDOW) << 23),
+        );
+        let half = _mm512_set1_ps(0.5);
+        let sign = _mm512_set1_epi32(i32::MIN);
+        let one = _mm512_castps_si512(_mm512_set1_ps(1.0));
+        let mut blocks = data.chunks_exact_mut(16);
+        let mut fast = 0;
+        for block in &mut blocks {
+            let x = _mm512_loadu_ps(block.as_ptr());
+            let mag = _mm512_and_si512(_mm512_castps_si512(x), magnitude);
+            // Zero, or a magnitude inside the window; NaN, ±∞ and
+            // subnormals all lie outside it.
+            let inside = (_mm512_cmpge_epu32_mask(mag, floor) & _mm512_cmple_epu32_mask(mag, ceil))
+                | _mm512_cmpeq_epi32_mask(mag, _mm512_setzero_si512());
+            if inside != 0xffff {
+                self.quantize_slice_mode::<M>(block, scale, inv);
+                continue;
+            }
+            let y = _mm512_mul_ps(x, up);
+            let r = match M {
+                RoundMode::EVEN => {
+                    _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(y)
+                }
+                RoundMode::FLOOR => {
+                    _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(y)
+                }
+                _ => {
+                    let t = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(y);
+                    let frac = _mm512_abs_ps(_mm512_sub_ps(y, t));
+                    let away = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(frac, half);
+                    // ±1 with the sign of `y`.
+                    let unit = _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(y), sign), one);
+                    _mm512_mask_add_ps(t, away, t, _mm512_castsi512_ps(unit))
+                }
+            };
+            let r = _mm512_add_ps(_mm512_min_ps(_mm512_max_ps(r, lo), hi), _mm512_setzero_ps());
+            _mm512_storeu_ps(block.as_mut_ptr(), _mm512_mul_ps(r, down));
+            fast += 1;
+        }
+        self.quantize_slice_mode::<M>(blocks.into_remainder(), scale, inv);
+        fast
+    }
+
+    /// The name of the build [`Quantizer::quantize_slice`] snaps with on
+    /// this CPU: `"avx512"` (f32 at 16 lanes), `"avx2"` (f64 at 4) or
+    /// `"plain"`.
+    pub fn snap_build() -> &'static str {
+        if qnn_tensor::has_avx512f() {
+            "avx512"
+        } else if qnn_tensor::has_avx2() {
+            "avx2"
+        } else {
+            "plain"
+        }
+    }
+
     /// Decodes a raw two's-complement integer back into the represented
     /// value.
     ///
@@ -317,6 +431,10 @@ impl Fixed {
         self.decode_with_scale(raw, self.scale_f64())
     }
 }
+
+/// The f32 snap's window: formats with `|frac_bits|` at most this, and
+/// nonzero magnitudes within `[2^−60, 2^60]`, keep every step exact.
+const F32_SNAP_WINDOW: i32 = 60;
 
 /// f64 round-half-to-even (stabilized; `f64::round` is half-away).
 fn round_ties_even(x: f64) -> f64 {
@@ -345,9 +463,18 @@ impl Quantizer for Fixed {
     fn quantize_slice(&self, data: &mut [f32]) {
         // The per-value path pays two `exp2` libm calls per element (one
         // inside `encode`, one inside `decode`); the slice body hoists them
-        // and is branch-free, and its AVX2 build also drops the per-element
-        // `round`/`floor` call. Both builds are bit-identical to the default
-        // (`snap_builds_agree_bitwise` pins this).
+        // and is branch-free, its AVX2 build also drops the per-element
+        // `round`/`floor` call, and its AVX-512 build stays in f32 at 16
+        // lanes. Every build is bit-identical to the default
+        // (`snap_builds_agree_bitwise` and `snap_avx512_matches_quantize_value`
+        // pin this).
+        #[cfg(target_arch = "x86_64")]
+        if qnn_tensor::has_avx512f() {
+            // SAFETY: `has_avx512f` verified AVX-512F on this CPU, the only
+            // precondition of the target_feature build.
+            unsafe { self.snap_avx512(data) };
+            return;
+        }
         #[cfg(target_arch = "x86_64")]
         if qnn_tensor::has_avx2() {
             // SAFETY: `has_avx2` verified AVX2 on this CPU, the only
@@ -574,6 +701,118 @@ mod tests {
             }
         }
         assert!(seen_neg_zero_in > 0, "-0.0 must be among the operands");
+    }
+
+    /// Operands for the f32 snap's fast path under `q`: on-grid values,
+    /// half-steps and their ±1 ulp neighbours, both rails ×(1–4), the
+    /// `2^(b−1)−1` step and its neighbours, ±0 and random magnitudes, each
+    /// pulled into the window `[2^−60, 2^60]` when it falls outside.
+    fn window_operands(r: &mut qnn_tensor::rng::Rng, q: &Fixed, len: usize) -> Vec<f32> {
+        let step = (-q.frac_bits() as f64).exp2();
+        let raw = |r: &mut qnn_tensor::rng::Rng| r.gen_range(q.raw_min()..=q.raw_max()) as f64;
+        let (lo, hi) = ((-60f32).exp2(), 60f32.exp2());
+        (0..len)
+            .map(|_| {
+                let x = match r.gen_range(0u32..10) {
+                    0 | 1 => (raw(r) * step) as f32,
+                    2 => ((raw(r) + 0.5) * step) as f32,
+                    3 => (((raw(r) + 0.5) * step) as f32).next_up(),
+                    4 => (((raw(r) + 0.5) * step) as f32).next_down(),
+                    5 => (q.max_value() as f64 * (1.0 + r.next_f64() * 3.0)) as f32,
+                    6 => (q.min_value() as f64 * (1.0 + r.next_f64() * 3.0)) as f32,
+                    7 => {
+                        let top = (q.raw_max() as f64 * step) as f32;
+                        [top, top.next_up(), top.next_down()][r.gen_range(0usize..3)]
+                    }
+                    8 => [0.0, -0.0][r.gen_range(0usize..2)],
+                    _ => {
+                        let mag = (r.next_f64() + 1.0) * (r.gen_range(-61i32..61) as f64).exp2();
+                        (if r.gen_bool(0.5) { -mag } else { mag }) as f32
+                    }
+                };
+                if x == 0.0 {
+                    x
+                } else {
+                    x.signum() * x.abs().clamp(lo, hi)
+                }
+            })
+            .collect()
+    }
+
+    /// The AVX-512 snap called directly, not through dispatch (whose test
+    /// operands mostly leave the fast window): every width 2–32, `frac`
+    /// −60..=60 and all three modes over blocks kept inside `[2^−60,
+    /// 2^60]`, each value against `quantize_value`, with every block on the
+    /// f32 path; then blocks with one NaN, ±∞, subnormal or `2^61` lane and
+    /// formats at `frac` ±96, which must all run the f64 body and agree
+    /// too. Skips, saying why, on a CPU without AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn snap_avx512_matches_quantize_value() {
+        if !qnn_tensor::has_avx512f() {
+            println!(
+                "skipped: no AVX-512F here (snap_build() = {})",
+                Fixed::snap_build()
+            );
+            return;
+        }
+        assert_eq!(Fixed::snap_build(), "avx512");
+        let modes = [
+            RoundMode::NearestAway,
+            RoundMode::NearestEven,
+            RoundMode::Floor,
+        ];
+        let check = |q: &Fixed, input: &[f32]| -> usize {
+            let mut out = input.to_vec();
+            // SAFETY: `has_avx512f` verified AVX-512F on this CPU.
+            let fast = unsafe { q.snap_avx512(&mut out) };
+            for (i, (g, &x)) in out.iter().zip(input).enumerate() {
+                let w = q.quantize_value(x);
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{q:?} at {i}: input {x:e} got {g:e}, want {w:e}"
+                );
+            }
+            fast
+        };
+        let mut r = qnn_tensor::rng::seeded(0x5A4F_16F3);
+        let mut values = 0;
+        for word in 2..=32u32 {
+            for frac in -60..=60 {
+                for mode in modes {
+                    let q = Fixed::with_rounding(word, frac, mode).unwrap();
+                    let input = window_operands(&mut r, &q, 256);
+                    assert_eq!(check(&q, &input), 16, "{q:?}: every block must run in f32");
+                    values += input.len();
+                }
+            }
+        }
+        assert_eq!(values, 31 * 121 * 3 * 256);
+        // One lane outside the window sends its block to the f64 body.
+        let outside = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x0000_0321),
+            -f32::MIN_POSITIVE / 4.0,
+            61f32.exp2(),
+            -(61f32.exp2()),
+        ];
+        for (case, &bad) in outside.iter().cycle().take(7 * 31).enumerate() {
+            let q =
+                Fixed::with_rounding(2 + case as u32 % 31, r.gen_range(-60..=60), modes[case % 3])
+                    .unwrap();
+            let mut input = window_operands(&mut r, &q, 16);
+            input[r.gen_range(0usize..16)] = bad;
+            assert_eq!(check(&q, &input), 0, "{q:?}: a block holding {bad:e}");
+        }
+        // So does every format past |frac_bits| 60.
+        for (case, frac) in [-96, 96, -61, 61].into_iter().cycle().take(24).enumerate() {
+            let q = Fixed::with_rounding(2 + case as u32 % 31, frac, modes[case % 3]).unwrap();
+            let input = window_operands(&mut r, &q, 48);
+            assert_eq!(check(&q, &input), 0, "{q:?}");
+        }
     }
 
     #[test]

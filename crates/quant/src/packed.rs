@@ -23,21 +23,26 @@
 //!    to f32 exactly (a single multiply by a power of two per element) and
 //!    then applies the layer's [`Epilogue`].
 //!
-//! There is one native kernel. Every packable weight tensor — fixed-point,
-//! binary with a power-of-two scale, or power-of-two with a narrow exponent
-//! span — is i16 raws scaled by a power of two ([`PackedWeights`]); the
-//! activations must be fixed-point; and every certified product runs the
-//! register-blocked i16 microkernel. It reaches that kernel in two
+//! There is one native representation. Every packable weight tensor —
+//! fixed-point, binary with a power-of-two scale, or power-of-two with a
+//! narrow exponent span — is i16 raws scaled by a power of two
+//! ([`PackedWeights`]); the activations must be fixed-point; and every
+//! certified product runs the register-blocked i16 microkernel, or its
+//! tile build for narrow convs (below). It reaches that kernel in two
 //! orientations. A matrix product ([`matmul_on_grid_fused`], the dense
 //! layer) puts the activation raws on the kernel's row side, row-major with
 //! `k` contiguous, against the weights' packed-B panel. A convolution
 //! ([`conv_on_grid`]) puts the weights' raws on the row side instead and
 //! writes each image's patches straight into a panel, so every output
-//! channel's row lands in place.
+//! channel's row lands in place. On CPUs with AMX-INT8, a convolution whose
+//! activations are fixed-point of 8 bits or fewer and whose weight raws fit
+//! i8 runs the same orientation on tiles (`qgemm::conv_tiles_emit`), with
+//! the same integer sums.
 
 use crate::{Binary, BitCodec, Fixed, PowerOfTwo, Quantizer, RoundMode};
 use qnn_tensor::conv::Geometry;
 use qnn_tensor::qgemm;
+use std::sync::OnceLock;
 
 /// Trace counter: requantize (integer accumulator → f32) passes.
 const CTR_REQUANT: &str = "quant.requantize.calls";
@@ -468,6 +473,10 @@ pub struct PackedWeights {
     /// The raws, row-major (`rows×cols`).
     raws: Vec<i16>,
     panel: qgemm::PanelB,
+    /// The raws as AMX A tiles for the conv route, built on its first call
+    /// with activations of 8 bits or fewer; `None` inside when tiles are
+    /// unusable here or a raw does not fit i8. Dense plans never build it.
+    tiles: OnceLock<Option<qgemm::TileA>>,
 }
 
 impl PackedWeights {
@@ -491,6 +500,7 @@ impl PackedWeights {
             max_abs_raw,
             raws,
             panel,
+            tiles: OnceLock::new(),
         })
     }
 
@@ -564,32 +574,130 @@ impl Epilogue<'_> {
     pub fn none() -> Self {
         Self::default()
     }
+}
 
-    /// Applies the epilogue to one already-requantized output row.
-    #[inline]
-    fn apply_row(&self, row: &mut [f32]) {
-        if let Some(b) = self.bias {
-            for (o, &bv) in row.iter_mut().zip(b) {
+/// The bias an output row gets after its requantize: none, one value per
+/// column (the dense orientation), or one value for the whole row (the
+/// conv orientation's output channel).
+#[derive(Clone, Copy)]
+enum RowBias<'a> {
+    None,
+    Each(&'a [f32]),
+    All(f32),
+}
+
+/// Requantizes one accumulator row into `out` by the exact power-of-two
+/// `step`, adds `bias`, then snaps it with `out_quant` — the closure body
+/// of the fused kernel calls. `acc as f32` is exact (`|acc| <= 2^24`) and
+/// so is the product, an f32 under the [`dot_exact`] certificate, so this
+/// equals the f64 product narrowed to f32. The bias adds as its own
+/// rounding step, never fused with the product.
+#[inline]
+fn emit_row(
+    step: f32,
+    bias: RowBias,
+    out_quant: Option<&(dyn Quantizer + Send + Sync)>,
+    acc: &[i32],
+    out: &mut [f32],
+) {
+    assert!(acc.len() >= out.len(), "one accumulator per output");
+    if let RowBias::Each(b) = bias {
+        assert!(b.len() >= out.len(), "one bias per output column");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if qnn_tensor::has_avx512f() {
+        // SAFETY: `has_avx512f` verified AVX-512F on this CPU; the lengths
+        // were checked above.
+        unsafe { requantize_avx512(step, bias, acc, out) };
+    } else {
+        requantize_plain(step, bias, acc, out);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    requantize_plain(step, bias, acc, out);
+    if let Some(q) = out_quant {
+        q.quantize_slice(out);
+    }
+}
+
+/// The scalar requantize and bias of [`emit_row`].
+fn requantize_plain(step: f32, bias: RowBias, acc: &[i32], out: &mut [f32]) {
+    for (o, &s) in out.iter_mut().zip(acc) {
+        *o = s as f32 * step;
+    }
+    match bias {
+        RowBias::None => {}
+        RowBias::Each(b) => {
+            for (o, &bv) in out.iter_mut().zip(b) {
                 *o += bv;
             }
         }
-        if let Some(q) = self.out_quant {
-            q.quantize_slice(row);
+        RowBias::All(b) => {
+            for o in out.iter_mut() {
+                *o += b;
+            }
         }
     }
 }
 
-/// Requantizes one accumulator row into `out` by the exact power-of-two
-/// `step` and runs the epilogue on it — the closure body of the fused
-/// panel-kernel call. The product is computed in f64 (24-bit significand ×
-/// exact power of two) and narrowed to an f32 that represents it exactly
-/// under the [`dot_exact`] certificate.
-#[inline]
-fn emit_row(step: f64, epi: &Epilogue, acc: &[i32], out: &mut [f32]) {
-    for (o, &s) in out.iter_mut().zip(acc.iter()) {
-        *o = (s as f64 * step) as f32;
+/// [`requantize_plain`] at zmm width: per 16 outputs one `vcvtdq2ps`, one
+/// `vmulps` by `step` and, with a bias, one `vaddps`, masked on the tail.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `acc`, and a per-column `bias`, must be
+/// at least as long as `out`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn requantize_avx512(step: f32, bias: RowBias, acc: &[i32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let vstep = _mm512_set1_ps(step);
+    let n = out.len();
+    for j in (0..n).step_by(16) {
+        let mask = if n - j >= 16 {
+            0xffff
+        } else {
+            (1u16 << (n - j)) - 1
+        };
+        // SAFETY: the mask enables lanes `j .. min(j + 16, n)`, inside
+        // `out`, `acc` and a per-column `bias` by the caller's contract.
+        let s = _mm512_maskz_loadu_epi32(mask, acc.as_ptr().add(j));
+        let mut v = _mm512_mul_ps(_mm512_cvtepi32_ps(s), vstep);
+        match bias {
+            RowBias::None => {}
+            RowBias::Each(b) => {
+                v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(mask, b.as_ptr().add(j)))
+            }
+            RowBias::All(b) => v = _mm512_add_ps(v, _mm512_set1_ps(b)),
+        }
+        _mm512_mask_storeu_ps(out.as_mut_ptr().add(j), mask, v);
     }
-    epi.apply_row(out);
+}
+
+/// Why [`conv_on_grid`] declined an image; the caller then runs the
+/// simulated route, which is always correct.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Fallback {
+    /// The image, output, bias or weights do not fit the geometry.
+    Shape,
+    /// The activations are not fixed-point of at most 16 bits.
+    NotFixed,
+    /// A pixel is off the activation grid, or is `-0.0`.
+    OffGrid,
+    /// The [`dot_exact`] certificate does not hold over the image.
+    CertFailed,
+}
+
+impl Fallback {
+    /// The reason's name in trace counters: `shape`, `not_fixed`,
+    /// `off_grid` or `cert_failed`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Fallback::Shape => "shape",
+            Fallback::NotFixed => "not_fixed",
+            Fallback::OffGrid => "off_grid",
+            Fallback::CertFailed => "cert_failed",
+        }
+    }
 }
 
 /// Computes `out[i·n + j] = dot(acts_row_i, weight_row_j)` on the native
@@ -660,9 +768,10 @@ pub fn matmul_on_grid_fused(
     let Some(pa) = fixed_raws(f, rows, cols, acts, acts_transposed) else {
         return false;
     };
-    let step = (lsb as f64).exp2();
+    let step = (lsb as f64).exp2() as f32;
+    let bias = epi.bias.map_or(RowBias::None, RowBias::Each);
     qgemm::gemm_nt_i16_panel_emit(m, k, n, &pa, &plan.panel, out, |_r, acc, orow| {
-        emit_row(step, epi, acc, orow)
+        emit_row(step, bias, epi.out_quant, acc, orow)
     });
     qnn_trace::counter!(CTR_REQUANT, 1);
     true
@@ -679,8 +788,8 @@ pub struct ConvGridScratch {
 
 /// One image of a convolution on the native kernel, **bit-identical** to
 /// the simulated route — im2col, the f32 GEMM `W·cols`, the per-channel
-/// bias, then `epi.out_quant` — or `false`, leaving `out` unspecified
-/// (the caller falls back).
+/// bias, then `epi.out_quant` — or the [`Fallback`] reason it declined,
+/// leaving `out` unspecified (the caller falls back).
 ///
 /// `image` is one `(c, h, w)` image of already-quantized activations and
 /// `act_codec` the codec of the quantizer that produced them; `plan` holds
@@ -688,63 +797,94 @@ pub struct ConvGridScratch {
 /// In this orientation `epi.bias` is **per output channel** (length `o`),
 /// one value per output row.
 ///
-/// The image is encoded to i16 once and its patches are written straight
-/// into a panel; the weights' raws run on the kernel's row side, and each
-/// channel's row is requantized, biased and snapped in place. The
-/// certificate bound is taken over the image, not the patches: every patch
-/// value is an image value or a `+0.0` pad, so it is never looser, and it
-/// is the same bound whenever every pixel lies in some window. Returns
-/// `false` for non-fixed or wider-than-16-bit activations, an off-grid or
-/// `-0.0` pixel, a failed certificate, or mismatched shapes.
+/// The image is encoded once; the weights' raws run on the kernel's row
+/// side, and each channel's row is requantized, biased and snapped in
+/// place. With activations of 8 bits or fewer and weight raws that fit i8,
+/// on a CPU with AMX-INT8, the patches go straight into tiles
+/// (`qgemm::conv_tiles_emit`); otherwise they go straight into an i16
+/// panel. Both compute the same integer sums. The certificate bound is
+/// taken over the image, not the patches: every patch value is an image
+/// value or a `+0.0` pad, so it is never looser, and it is the same bound
+/// whenever every pixel lies in some window.
+///
+/// # Errors
+///
+/// [`Fallback::Shape`] for mismatched shapes or an impossible geometry,
+/// [`Fallback::NotFixed`] for activations that are not fixed-point of at
+/// most 16 bits, [`Fallback::CertFailed`] for a failed certificate and
+/// [`Fallback::OffGrid`] for an off-grid or `-0.0` pixel.
 #[allow(clippy::too_many_arguments)]
 pub fn conv_on_grid(
     act_codec: &BitCodec,
     image: &[f32],
-    (c, h, w): (usize, usize, usize),
+    chw: (usize, usize, usize),
     geom: Geometry,
     plan: &PackedWeights,
     epi: &Epilogue,
     scratch: &mut ConvGridScratch,
     out: &mut [f32],
-) -> bool {
-    let Ok((oh, ow)) = geom.output_hw(h, w) else {
-        return false;
+) -> Result<(), Fallback> {
+    let tiles = match act_codec {
+        BitCodec::Fixed(f) if f.word_bits() <= 8 => plan
+            .tiles
+            .get_or_init(|| qgemm::TileA::pack(plan.rows(), plan.cols(), &plan.raws))
+            .as_ref(),
+        _ => None,
     };
+    conv_route(act_codec, image, chw, geom, plan, tiles, epi, scratch, out)
+}
+
+/// [`conv_on_grid`] through the A tiles `tiles` when given, else through
+/// the i16 panel.
+#[allow(clippy::too_many_arguments)]
+fn conv_route(
+    act_codec: &BitCodec,
+    image: &[f32],
+    (c, h, w): (usize, usize, usize),
+    geom: Geometry,
+    plan: &PackedWeights,
+    tiles: Option<&qgemm::TileA>,
+    epi: &Epilogue,
+    scratch: &mut ConvGridScratch,
+    out: &mut [f32],
+) -> Result<(), Fallback> {
+    let (oh, ow) = geom.output_hw(h, w).map_err(|_| Fallback::Shape)?;
     let (o, k, px) = (plan.rows(), c * geom.kh * geom.kw, oh * ow);
-    if plan.cols() != k || image.len() != c * h * w || out.len() != o * px {
-        return false;
+    if plan.cols() != k
+        || image.len() != c * h * w
+        || out.len() != o * px
+        || epi.bias.is_some_and(|b| b.len() != o)
+    {
+        return Err(Fallback::Shape);
     }
-    if epi.bias.is_some_and(|b| b.len() != o) {
-        return false;
-    }
-    let BitCodec::Fixed(f) = act_codec else {
-        return false;
+    let f = match act_codec {
+        BitCodec::Fixed(f) if f.word_bits() <= 16 => f,
+        _ => return Err(Fallback::NotFixed),
     };
     let lsb = plan.lsb_exp - f.frac_bits();
-    if !dot_exact(acts_raw_bound(f, image), plan.max_abs_raw, k, lsb)
-        || !fixed_raws_into(f, image, &mut scratch.raws)
-    {
-        return false;
+    if !dot_exact(acts_raw_bound(f, image), plan.max_abs_raw, k, lsb) {
+        return Err(Fallback::CertFailed);
     }
-    let ConvGridScratch { raws, patches } = scratch;
-    if patches.pack_patches(raws, c, h, w, geom).is_err() {
-        return false;
+    if !fixed_raws_into(f, image, &mut scratch.raws) {
+        return Err(Fallback::OffGrid);
     }
-    let step = (lsb as f64).exp2();
+    let step = (lsb as f64).exp2() as f32;
     // Row `r` is output channel `r`: one bias for the whole row.
-    qgemm::gemm_nt_i16_panel_emit(o, k, px, &plan.raws, patches, out, |r, acc, orow| {
-        emit_row(step, &Epilogue::none(), acc, orow);
-        if let Some(b) = epi.bias {
-            for v in orow.iter_mut() {
-                *v += b[r];
-            }
-        }
-        if let Some(q) = epi.out_quant {
-            q.quantize_slice(orow);
-        }
-    });
+    let emit = |r: usize, acc: &[i32], orow: &mut [f32]| {
+        let bias = epi.bias.map_or(RowBias::None, |b| RowBias::All(b[r]));
+        emit_row(step, bias, epi.out_quant, acc, orow)
+    };
+    let ConvGridScratch { raws, patches } = scratch;
+    let on_tiles =
+        tiles.is_some_and(|t| qgemm::conv_tiles_emit(t, raws, (c, h, w), geom, out, emit));
+    if !on_tiles {
+        patches
+            .pack_patches(raws, c, h, w, geom)
+            .map_err(|_| Fallback::Shape)?;
+        qgemm::gemm_nt_i16_panel_emit(o, k, px, &plan.raws, patches, out, emit);
+    }
     qnn_trace::counter!(CTR_REQUANT, 1);
-    true
+    Ok(())
 }
 
 #[cfg(test)]
@@ -945,14 +1085,183 @@ mod tests {
     fn requantize_is_exact_under_certificate() {
         let acc = [3i32, -5, 0, (1 << 24), -(1 << 24)];
         let mut out = [0.0f32; 5];
-        emit_row((-10f64).exp2(), &Epilogue::none(), &acc, &mut out);
+        emit_row((-10f32).exp2(), RowBias::None, None, &acc, &mut out);
         for (i, &a) in acc.iter().enumerate() {
             assert_eq!(out[i].to_bits(), (a as f32 / 1024.0).to_bits());
         }
         // Subnormal edge: 3 · 2^-149.
         let mut tiny = [0.0f32; 1];
-        emit_row((-149f64).exp2(), &Epilogue::none(), &[3], &mut tiny);
+        emit_row((-149f32).exp2(), RowBias::None, None, &[3], &mut tiny);
         assert_eq!(tiny[0].to_bits(), f32::from_bits(3).to_bits());
+    }
+
+    /// Both requantize builds against the f64 product narrowed to f32, plus
+    /// the bias as its own add, over seeded accumulators within `±2^24`,
+    /// steps `2^-149 ..= 2^103` and every row length up to 40 (so the
+    /// zmm build's masked tail sees every width).
+    #[test]
+    fn requantize_builds_match_the_f64_product() {
+        let mut r = qnn_tensor::rng::seeded(0x2E9A_0517);
+        let mut zmm_rows = 0;
+        for case in 0..600 {
+            let n = case % 41;
+            let lsb = r.gen_range(-149i32..=103);
+            let acc: Vec<i32> = (0..n)
+                .map(|_| match r.gen_range(0u32..8) {
+                    0 => 1 << 24,
+                    1 => -(1 << 24),
+                    _ => r.gen_range(-(1i64 << 24)..=1 << 24) as i32,
+                })
+                .collect();
+            let bias: Vec<f32> = (0..n).map(|_| r.gen_range(-4.0f32..4.0)).collect();
+            let step = (lsb as f64).exp2();
+            let want = |b: &dyn Fn(usize) -> Option<f32>| -> Vec<u32> {
+                (0..n)
+                    .map(|j| {
+                        let v = (acc[j] as f64 * step) as f32;
+                        b(j).map_or(v, |b| v + b).to_bits()
+                    })
+                    .collect()
+            };
+            let b0 = bias.first().copied().unwrap_or(1.5);
+            let cases = [
+                (RowBias::None, want(&|_| None)),
+                (RowBias::Each(&bias), want(&|j| Some(bias[j]))),
+                (RowBias::All(b0), want(&|_| Some(b0))),
+            ];
+            for (bias, want) in &cases {
+                let mut out = vec![f32::NAN; n];
+                requantize_plain(step as f32, *bias, &acc, &mut out);
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(&got, want, "plain case {case} lsb {lsb}");
+                #[cfg(target_arch = "x86_64")]
+                if qnn_tensor::has_avx512f() {
+                    let mut out = vec![f32::NAN; n];
+                    // SAFETY: AVX-512F verified; every slice is `n` long.
+                    unsafe { requantize_avx512(step as f32, *bias, &acc, &mut out) };
+                    let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(&got, want, "avx512 case {case} lsb {lsb}");
+                    zmm_rows += 1;
+                }
+            }
+        }
+        if qnn_tensor::has_avx512f() {
+            assert_eq!(zmm_rows, 1800);
+        }
+    }
+
+    /// The conv route on tiles against the same route on the i16 panel, bit
+    /// for bit, over the 288 geometries of `qnn-tensor`'s `panel_layout`
+    /// test (same seed and draws: c 1–4, h and w 1–13, kernel 1–7, stride
+    /// 1–3, padding 0–3, ceil mode a quarter of the time), with 2- to
+    /// 8-bit activations, 8-bit weights at both i8 ends, 1 to 39 output
+    /// channels, a per-channel bias and an output snap, at 1 and 4
+    /// threads. Skips, saying why, where tiles are unusable.
+    #[test]
+    fn conv_tiles_match_the_panel_route_bitwise() {
+        use qnn_tensor::rng::seeded;
+        if qgemm::tile_build() != "amx" {
+            println!(
+                "skipped: no AMX-INT8 tiles here (tile_build() = {})",
+                qgemm::tile_build()
+            );
+            return;
+        }
+        let mut rng = seeded(0x9A7C_4E55);
+        let mut vr = seeded(0x711E_C0DE);
+        let (mut cases, mut ceil, mut padded, mut tiled) = (0, 0, 0, 0);
+        while cases < 288 {
+            let geom = Geometry {
+                kh: rng.gen_range(1usize..8),
+                kw: rng.gen_range(1usize..8),
+                stride: rng.gen_range(1usize..4),
+                pad: rng.gen_range(0usize..4),
+                ceil: rng.gen_bool(0.25),
+            };
+            let (c, h, w) = (
+                rng.gen_range(1usize..5),
+                rng.gen_range(1usize..14),
+                rng.gen_range(1usize..14),
+            );
+            let Ok((oh, ow)) = geom.output_hw(h, w) else {
+                continue;
+            };
+            // `panel_layout` draws its image here; keep its sequence.
+            for _ in 0..c * h * w {
+                rng.gen_range(-300i32..301);
+            }
+            cases += 1;
+            ceil += usize::from(geom.ceil);
+            padded += usize::from(geom.pad > 0);
+            let (o, k) = (vr.gen_range(1usize..40), c * geom.kh * geom.kw);
+            let bits = vr.gen_range(2u32..=8);
+            let fa = Fixed::new(bits, vr.gen_range(0i32..bits as i32)).unwrap();
+            let image: Vec<f32> = (0..c * h * w)
+                .map(|_| fa.decode(vr.gen_range(-(1i64 << (bits - 1))..1 << (bits - 1))))
+                .collect();
+            let fw = Fixed::new(8, vr.gen_range(0i32..8)).unwrap();
+            let weights: Vec<f32> = (0..o * k)
+                .map(|_| match vr.gen_range(0u32..8) {
+                    0 => fw.decode(-128),
+                    1 => fw.decode(127),
+                    _ => fw.decode(vr.gen_range(-128i64..128)),
+                })
+                .collect();
+            let plan = PackedWeights::pack(&BitCodec::Fixed(fw), o, k, &weights).unwrap();
+            let oq = Fixed::new(8, vr.gen_range(0i32..5)).unwrap();
+            let bias: Vec<f32> = (0..o)
+                .map(|_| oq.decode(vr.gen_range(-64i64..65)))
+                .collect();
+            let epi = Epilogue {
+                bias: Some(&bias),
+                out_quant: Some(&oq),
+            };
+            let tiles = qgemm::TileA::pack(o, k, &plan.raws).expect("i8 raws pack");
+            let codec = BitCodec::Fixed(fa);
+            let run = |tiles: Option<&qgemm::TileA>| {
+                let mut out = vec![f32::NAN; o * oh * ow];
+                let mut scratch = ConvGridScratch::default();
+                let chw = (c, h, w);
+                conv_route(
+                    &codec,
+                    &image,
+                    chw,
+                    geom,
+                    &plan,
+                    tiles,
+                    &epi,
+                    &mut scratch,
+                    &mut out,
+                )
+                .expect("8-bit operands pass the certificate");
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            // The tile route must take the image, not fall back to panels.
+            let mut words = Vec::new();
+            assert!(fixed_raws_into(&fa, &image, &mut words));
+            let mut out = vec![0.0f32; o * oh * ow];
+            let noop = |_: usize, _: &[i32], _: &mut [f32]| {};
+            assert!(qgemm::conv_tiles_emit(
+                &tiles,
+                &words,
+                (c, h, w),
+                geom,
+                &mut out,
+                noop
+            ));
+            for threads in [1, 4] {
+                qnn_tensor::par::set_threads(Some(threads));
+                assert_eq!(
+                    run(Some(&tiles)),
+                    run(None),
+                    "{geom:?} c={c} h={h} w={w} o={o} {fa:?} threads={threads}"
+                );
+                tiled += 1;
+            }
+        }
+        qnn_tensor::par::set_threads(None);
+        assert!(ceil > 0 && padded > 0);
+        assert_eq!(tiled, 2 * 288);
     }
 
     #[test]

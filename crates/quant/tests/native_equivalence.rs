@@ -16,7 +16,8 @@
 //! computed approximately.
 
 use qnn_quant::packed::{
-    conv_on_grid, matmul_on_grid, matmul_on_grid_fused, ConvGridScratch, Epilogue, PackedWeights,
+    conv_on_grid, matmul_on_grid, matmul_on_grid_fused, ConvGridScratch, Epilogue, Fallback,
+    PackedWeights,
 };
 use qnn_quant::{Binary, BitCodec, Fixed, PowerOfTwo, Quantizer};
 use qnn_tensor::conv::{im2col_into, Geometry};
@@ -616,7 +617,9 @@ fn conv_entry_matches_simulated_conv_bias_and_snap() {
             &epi,
             &mut scratch,
             &mut out,
-        ) {
+        )
+        .is_ok()
+        {
             native[family].fetch_add(1, Ordering::Relaxed);
             strided.fetch_add(usize::from(geom.stride > 1), Ordering::Relaxed);
             padded.fetch_add(usize::from(geom.pad > 0), Ordering::Relaxed);
@@ -643,7 +646,8 @@ fn conv_entry_matches_simulated_conv_bias_and_snap() {
 
 /// `conv_on_grid` must decline, never approximate: an off-grid pixel, a
 /// `-0.0` pixel, activations wider than 16 bits and a failed certificate
-/// each return `false`, while the same image otherwise runs native.
+/// each return their [`Fallback`] reason, while the same image otherwise
+/// runs native.
 #[test]
 fn conv_entry_declines_what_it_cannot_compute() {
     let fa = Fixed::new(8, 4).unwrap();
@@ -672,19 +676,29 @@ fn conv_entry_declines_what_it_cannot_compute() {
         )
     };
     let codec = BitCodec::Fixed(fa);
-    assert!(
+    assert_eq!(
         run(&codec, &image, &plan),
+        Ok(()),
         "the on-grid image must run native"
     );
     let mut off = image.clone();
     off[7] = fa.decode(1) / 2.0;
-    assert!(!run(&codec, &off, &plan), "off-grid pixel");
+    assert_eq!(
+        run(&codec, &off, &plan),
+        Err(Fallback::OffGrid),
+        "off-grid pixel"
+    );
     let mut negz = image.clone();
     negz[0] = -0.0;
-    assert!(!run(&codec, &negz, &plan), "-0.0 pixel");
+    assert_eq!(
+        run(&codec, &negz, &plan),
+        Err(Fallback::OffGrid),
+        "-0.0 pixel"
+    );
     let wide = Fixed::new(17, 4).unwrap();
-    assert!(
-        !run(&BitCodec::Fixed(wide), &image, &plan),
+    assert_eq!(
+        run(&BitCodec::Fixed(wide), &image, &plan),
+        Err(Fallback::NotFixed),
         "17-bit activations"
     );
     // 16-bit activations at the rail against 8-bit weights: 2^15·127·18
@@ -695,8 +709,9 @@ fn conv_entry_declines_what_it_cannot_compute() {
         .collect();
     let wplan =
         PackedWeights::pack(&BitCodec::Fixed(fa), o, k, &vec![fa.decode(127); o * k]).unwrap();
-    assert!(
-        !run(&BitCodec::Fixed(f16), &big, &wplan),
+    assert_eq!(
+        run(&BitCodec::Fixed(f16), &big, &wplan),
+        Err(Fallback::CertFailed),
         "failed certificate"
     );
 }

@@ -45,6 +45,18 @@
 //! feature detection can never change results. The `unsafe` at the call
 //! site is the narrow, standard obligation of `target_feature` dispatch:
 //! the feature was verified on this CPU.
+//!
+//! ## AMX-INT8 tiles
+//!
+//! On CPUs with AMX-INT8 the native conv has a fourth build, for operands
+//! that fit i8: [`conv_tiles_emit`] packs one image's patches straight into
+//! AMX B tiles and runs the weights' [`TileA`] against them, one `tdpbssd`
+//! per 16×16×64 block of signed-byte MACs into exact i32 sums. There is no
+//! target feature for it on stable Rust, so the tile instructions are
+//! `asm!` blocks: the compiler never touches `tmm0–7`, so one call's tile
+//! sequence may span several blocks, and every call ends with
+//! `tilerelease`. The tiles run on the calling thread; only the epilogue
+//! fans out.
 
 use crate::conv::{Border, Geometry};
 use crate::error::TensorError;
@@ -55,6 +67,9 @@ use std::cell::RefCell;
 const CTR_CALLS: &str = "tensor.qgemm.calls";
 /// Trace counter: packed multiply-accumulate operations (`m·k·n`).
 const CTR_PACKED_OPS: &str = "tensor.qgemm.packed_ops";
+/// Trace counter: the kernel invocations that ran on AMX tiles (also
+/// counted in [`CTR_CALLS`]).
+const CTR_TILE_CALLS: &str = "tensor.qgemm.tile_calls";
 
 /// Output rows per parallel work unit. Fixed (not derived from the thread
 /// count) so the partition is deterministic; integer math makes any
@@ -68,6 +83,8 @@ thread_local! {
     /// [`PanelB::pack_patches`]' bordered image and its two patch rows in
     /// flight.
     static TLS_PATCH: RefCell<(Vec<i16>, Vec<i16>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// [`conv_tiles_emit`]'s buffers.
+    static TLS_TILE: RefCell<TileScratch> = RefCell::new(TileScratch::default());
 }
 
 /// Which build of the panel microkernel runs. Every build computes the
@@ -628,6 +645,439 @@ pub fn gemm_nt_i16_panel_emit<F>(
     });
 }
 
+// ---------------------------------------------------------------------------
+// AMX-INT8 tile kernel
+// ---------------------------------------------------------------------------
+
+/// Rows of every tile: output rows of an A or C tile, k-quads of a B tile.
+const TILE_ROWS: usize = 16;
+/// Bytes per tile row: 64 bytes of `k` in an A tile, one k-quad of 16
+/// columns in a B tile.
+const TILE_K: usize = 64;
+/// Bytes per A or B tile.
+const TILE_BYTES: usize = TILE_ROWS * TILE_K;
+
+/// The name of the tile build the native conv runs on this CPU: `"amx"`
+/// (AMX-INT8 tiles usable by this process) or `"none"`.
+pub fn tile_build() -> &'static str {
+    if crate::has_amx_int8() {
+        "amx"
+    } else {
+        "none"
+    }
+}
+
+/// The row side of the tile kernel: an `m×k` matrix of i8 raws (a conv's
+/// weights, one output channel per row) in AMX A tiles. Row block `i0`
+/// holds `⌈k/64⌉` tiles of 16 rows × 64 bytes, and byte `r·64 + t` of tile
+/// `(i0, c)` is `a[i0 + r][64c + t]`, zero past `m` and past `k`. Built
+/// once per weight tensor, like [`PanelB`].
+#[derive(Debug, Clone)]
+pub struct TileA {
+    m: usize,
+    k: usize,
+    data: Vec<i8>,
+}
+
+impl TileA {
+    /// Packs `raws` (`m×k` row-major) into A tiles. `None` when this process
+    /// cannot run AMX-INT8 tiles or a raw lies outside `[-128, 127]`.
+    pub fn pack(m: usize, k: usize, raws: &[i16]) -> Option<TileA> {
+        assert_eq!(raws.len(), m * k, "A must be m*k");
+        if !crate::has_amx_int8() || raws.iter().any(|&r| i8::try_from(r).is_err()) {
+            return None;
+        }
+        let kc = k.div_ceil(TILE_K);
+        let mut data = vec![0i8; m.div_ceil(TILE_ROWS) * kc * TILE_BYTES];
+        for (i, row) in raws.chunks_exact(k.max(1)).enumerate() {
+            let block = (i / TILE_ROWS) * kc * TILE_BYTES + (i % TILE_ROWS) * TILE_K;
+            for (c, seg) in row.chunks(TILE_K).enumerate() {
+                let dst = &mut data[block + c * TILE_BYTES..][..seg.len()];
+                for (d, &v) in dst.iter_mut().zip(seg) {
+                    *d = v as i8;
+                }
+            }
+        }
+        Some(TileA { m, k, data })
+    }
+}
+
+/// The column side of the tile kernel: `n` rows of `k` i8 raws (one image's
+/// patches) in AMX B tiles of k-quad rows. Column block `j0` holds `⌈k/64⌉`
+/// tiles of 16 k-quads × 64 bytes, and byte `q·64 + 4j + t` of tile
+/// `(j0, c)` is `b[j0 + j][64c + 4q + t]`, zero past `n` and past `k`:
+/// `tdpbssd` multiplies each A byte quad by the matching B quad of every
+/// column.
+#[derive(Debug, Clone, Default)]
+struct TileB {
+    n: usize,
+    k: usize,
+    data: Vec<i8>,
+}
+
+impl TileB {
+    /// Repacks this operand as the patches of one image under `border`,
+    /// read from its bordered i8 form `src`: the patch walk copies rows
+    /// `4g .. 4g+4` row-major into `quad` (four rows of `n` padded to whole
+    /// column blocks with zeros, like [`PanelB::pack_patches`]' row pairs),
+    /// and [`TileB::put_quad`] interleaves them as k-quad `g`. The quads
+    /// past `k` are zeroed in place.
+    fn pack_patches(&mut self, border: &Border, src: &[i8], quad: &mut Vec<i8>) {
+        let (n, k) = (border.cols(), border.rows());
+        (self.n, self.k) = (n, k);
+        let npad = n.div_ceil(TILE_ROWS) * TILE_ROWS;
+        let kc = k.div_ceil(TILE_K);
+        self.data.resize(npad * kc * TILE_K, 0);
+        quad.clear();
+        quad.resize(4 * npad, 0);
+        let quads = k.div_ceil(4);
+        for g in 0..quads {
+            let rows = 4 * g..(4 * g + 4).min(k);
+            if rows.len() < 4 {
+                // The last quad's rows past `k` are zero.
+                quad[rows.len() * npad..].fill(0);
+            }
+            border.unfold(src, rows, npad, border.row_runs(), quad);
+            self.put_quad(g, quad);
+        }
+        if quads % TILE_ROWS != 0 {
+            // Each column block's last tile ends in zero quads.
+            let tiles = self.data.chunks_exact_mut(TILE_BYTES);
+            for tile in tiles.skip(kc - 1).step_by(kc) {
+                tile[quads % TILE_ROWS * TILE_K..].fill(0);
+            }
+        }
+    }
+
+    /// Writes the four padded patch rows in `quad` as k-quad `g` of every
+    /// column block: column `j`'s four bytes, one per row, side by side.
+    fn put_quad(&mut self, g: usize, quad: &[i8]) {
+        let kc = self.k.div_ceil(TILE_K);
+        let npad = quad.len() / 4;
+        let row = |t: usize| quad[t * npad..(t + 1) * npad].as_chunks::<TILE_ROWS>().0;
+        let cols = row(0).iter().zip(row(1)).zip(row(2).iter().zip(row(3)));
+        for (jb, ((r0, r1), (r2, r3))) in cols.enumerate() {
+            let at = (jb * kc + g / TILE_ROWS) * TILE_BYTES + (g % TILE_ROWS) * TILE_K;
+            let dst = self.data[at..]
+                .first_chunk_mut::<TILE_K>()
+                .expect("k-quad inside its tile");
+            interleave4([r0, r1, r2, r3], dst);
+        }
+    }
+}
+
+/// `dst[4j + t] = rows[t][j]`: column `j`'s byte of each of four rows, side
+/// by side. On x86-64, two rounds of SSE2 unpacks: bytes of rows 0/1 and
+/// 2/3 into pairs, then the pairs into quads.
+#[inline(always)]
+fn interleave4(rows: [&[i8; 16]; 4], dst: &mut [i8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86-64 baseline; each load reads one
+    // whole 16-byte row and each store writes one 16-byte quarter of `dst`.
+    unsafe {
+        use std::arch::x86_64::*;
+        let [r0, r1, r2, r3] = rows.map(|r| _mm_loadu_si128(r.as_ptr().cast()));
+        let (lo01, hi01) = (_mm_unpacklo_epi8(r0, r1), _mm_unpackhi_epi8(r0, r1));
+        let (lo23, hi23) = (_mm_unpacklo_epi8(r2, r3), _mm_unpackhi_epi8(r2, r3));
+        let quads = [
+            _mm_unpacklo_epi16(lo01, lo23),
+            _mm_unpackhi_epi16(lo01, lo23),
+            _mm_unpacklo_epi16(hi01, hi23),
+            _mm_unpackhi_epi16(hi01, hi23),
+        ];
+        for (q, out) in quads.iter().zip(dst.as_chunks_mut::<16>().0) {
+            _mm_storeu_si128(out.as_mut_ptr().cast(), *q);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    for (j, d) in dst.as_chunks_mut::<4>().0.iter_mut().enumerate() {
+        *d = rows.map(|r| r[j]);
+    }
+}
+
+#[cfg(test)]
+impl TileB {
+    /// Packs `b` (`n×k` row-major) into B tiles, straight from the layout
+    /// on the type.
+    fn pack(n: usize, k: usize, b: &[i8]) -> TileB {
+        assert_eq!(b.len(), n * k, "B must be n*k");
+        let kc = k.div_ceil(TILE_K);
+        let mut data = vec![0i8; n.div_ceil(TILE_ROWS) * kc * TILE_BYTES];
+        for (j, row) in b.chunks_exact(k.max(1)).enumerate() {
+            for (kk, &v) in row.iter().enumerate() {
+                let tile = ((j / TILE_ROWS) * kc + kk / TILE_K) * TILE_BYTES;
+                data[tile + (kk % TILE_K / 4) * TILE_K + 4 * (j % TILE_ROWS) + kk % 4] = v;
+            }
+        }
+        TileB { n, k, data }
+    }
+}
+
+/// [`conv_tiles_emit`]'s per-thread buffers: the image narrowed to i8, its
+/// bordered copy, the four patch rows in flight, the B tiles and the i32
+/// product.
+#[derive(Debug, Default)]
+struct TileScratch {
+    image: Vec<i8>,
+    border: Vec<i8>,
+    quad: Vec<i8>,
+    b: TileB,
+    c: Vec<i32>,
+}
+
+/// The tile configuration every call loads: palette 1 and tiles 0–7 at
+/// 16 rows × 64 bytes (`tmm0–3` C, `tmm4–5` A, `tmm6–7` B).
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+struct TileConfig {
+    palette: u8,
+    start_row: u8,
+    reserved: [u8; 14],
+    colsb: [u16; 16],
+    rows: [u8; 16],
+}
+
+/// `C = A·Bᵀ` on AMX tiles into `c`, `⌈m/16⌉·16` rows of `⌈n/16⌉·16` i32s,
+/// every one of them written: 2×2 blocks of 16×16 C tiles (`tmm0–3`)
+/// against two A tiles (`tmm4–5`) and two B tiles (`tmm6–7`), k in 64-byte
+/// steps, with single-block tails in m and n.
+///
+/// `tdpbssd` multiplies signed bytes and adds each group of four products
+/// into its i32 lane, without saturation; under the caller contract
+/// (`Σ_k |A[i][k]·B[j][k]| <= i32::MAX`) no partial sum wraps, so the sums
+/// equal [`gemm_nt_i16`]'s.
+///
+/// # Safety
+///
+/// [`crate::has_amx_int8`] must have returned `true` in this process.
+#[cfg(target_arch = "x86_64")]
+unsafe fn amx_gemm(a: &TileA, b: &TileB, c: &mut [i32]) {
+    use std::arch::asm;
+    assert_eq!(a.k, b.k, "A and B must share k");
+    let kc = a.k.div_ceil(TILE_K);
+    let (mb, nb) = (a.m.div_ceil(TILE_ROWS), b.n.div_ceil(TILE_ROWS));
+    let npad = nb * TILE_ROWS;
+    // Every tile load and store below lies inside these three buffers.
+    assert!(a.data.len() >= mb * kc * TILE_BYTES && b.data.len() >= nb * kc * TILE_BYTES);
+    assert!(c.len() >= mb * TILE_ROWS * npad);
+    let mut cfg = TileConfig {
+        palette: 1,
+        start_row: 0,
+        reserved: [0; 14],
+        colsb: [0; 16],
+        rows: [0; 16],
+    };
+    cfg.colsb[..8].fill(TILE_K as u16);
+    cfg.rows[..8].fill(TILE_ROWS as u8);
+    // SAFETY: the caller verified AMX-INT8 and the tile permission; `cfg`
+    // is a valid palette-1 configuration.
+    asm!("ldtilecfg [{}]", in(reg) &cfg, options(nostack, readonly));
+    let blk = kc * TILE_BYTES;
+    for ib in (0..mb).step_by(2) {
+        for jb in (0..nb).step_by(2) {
+            let ap = a.data.as_ptr().add(ib * blk);
+            let bp = b.data.as_ptr().add(jb * blk);
+            let cp = c.as_mut_ptr().add(ib * TILE_ROWS * npad + jb * TILE_ROWS);
+            // SAFETY: block `ib` (and `ib + 1` when two) of A, block `jb`
+            // (and `jb + 1`) of B and the C tiles they write lie inside the
+            // buffers by the asserts above.
+            match (mb - ib >= 2, nb - jb >= 2) {
+                (true, true) => tile_block::<2, 2>(ap, bp, blk, kc, cp, npad),
+                (true, false) => tile_block::<2, 1>(ap, bp, blk, kc, cp, npad),
+                (false, true) => tile_block::<1, 2>(ap, bp, blk, kc, cp, npad),
+                (false, false) => tile_block::<1, 1>(ap, bp, blk, kc, cp, npad),
+            }
+        }
+    }
+    // SAFETY: as for `ldtilecfg`; the tiles hold nothing that is needed.
+    asm!("tilerelease", options(nomem, nostack));
+}
+
+/// One `MI×NJ` block of C tiles (`MI, NJ ∈ {1, 2}`): `tmm0` is `(a0, b0)`,
+/// `tmm1` `(a0, b1)`, `tmm2` `(a1, b0)` and `tmm3` `(a1, b1)`, where the
+/// second A and B blocks start `blk` bytes past the first. Writes the
+/// tiles to `c`, whose rows are `npad` i32s apart.
+///
+/// # Safety
+///
+/// A tile configuration from [`amx_gemm`] must be loaded; `MI` A blocks
+/// and `NJ` B blocks of `kc` tiles each, and the `MI×NJ` C tiles, must lie
+/// inside their buffers.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile_block<const MI: usize, const NJ: usize>(
+    a0: *const i8,
+    b0: *const i8,
+    blk: usize,
+    kc: usize,
+    c: *mut i32,
+    npad: usize,
+) {
+    use std::arch::asm;
+    asm!(
+        "tilezero tmm0",
+        "tilezero tmm1",
+        "tilezero tmm2",
+        "tilezero tmm3",
+        options(nomem, nostack)
+    );
+    let (a1, b1) = (a0.wrapping_add(blk), b0.wrapping_add(blk));
+    for s in 0..kc {
+        let off = s * TILE_BYTES;
+        let (a0, a1) = (a0.wrapping_add(off), a1.wrapping_add(off));
+        let (b0, b1) = (b0.wrapping_add(off), b1.wrapping_add(off));
+        if MI == 2 && NJ == 2 {
+            asm!(
+                "tileloadd tmm4, [{a0} + {s}*1]",
+                "tileloadd tmm5, [{a1} + {s}*1]",
+                "tileloadd tmm6, [{b0} + {s}*1]",
+                "tileloadd tmm7, [{b1} + {s}*1]",
+                "tdpbssd tmm0, tmm4, tmm6",
+                "tdpbssd tmm1, tmm4, tmm7",
+                "tdpbssd tmm2, tmm5, tmm6",
+                "tdpbssd tmm3, tmm5, tmm7",
+                a0 = in(reg) a0, a1 = in(reg) a1, b0 = in(reg) b0, b1 = in(reg) b1,
+                s = in(reg) TILE_K,
+                options(nostack, readonly)
+            );
+        } else if MI == 2 {
+            asm!(
+                "tileloadd tmm4, [{a0} + {s}*1]",
+                "tileloadd tmm5, [{a1} + {s}*1]",
+                "tileloadd tmm6, [{b0} + {s}*1]",
+                "tdpbssd tmm0, tmm4, tmm6",
+                "tdpbssd tmm2, tmm5, tmm6",
+                a0 = in(reg) a0, a1 = in(reg) a1, b0 = in(reg) b0,
+                s = in(reg) TILE_K,
+                options(nostack, readonly)
+            );
+        } else if NJ == 2 {
+            asm!(
+                "tileloadd tmm4, [{a0} + {s}*1]",
+                "tileloadd tmm6, [{b0} + {s}*1]",
+                "tileloadd tmm7, [{b1} + {s}*1]",
+                "tdpbssd tmm0, tmm4, tmm6",
+                "tdpbssd tmm1, tmm4, tmm7",
+                a0 = in(reg) a0, b0 = in(reg) b0, b1 = in(reg) b1,
+                s = in(reg) TILE_K,
+                options(nostack, readonly)
+            );
+        } else {
+            asm!(
+                "tileloadd tmm4, [{a0} + {s}*1]",
+                "tileloadd tmm6, [{b0} + {s}*1]",
+                "tdpbssd tmm0, tmm4, tmm6",
+                a0 = in(reg) a0, b0 = in(reg) b0,
+                s = in(reg) TILE_K,
+                options(nostack, readonly)
+            );
+        }
+    }
+    let s = npad * 4;
+    let below = c.wrapping_add(TILE_ROWS * npad);
+    asm!("tilestored [{c} + {s}*1], tmm0", c = in(reg) c, s = in(reg) s, options(nostack));
+    if NJ == 2 {
+        let c1 = c.wrapping_add(TILE_ROWS);
+        asm!("tilestored [{c} + {s}*1], tmm1", c = in(reg) c1, s = in(reg) s, options(nostack));
+    }
+    if MI == 2 {
+        asm!("tilestored [{c} + {s}*1], tmm2", c = in(reg) below, s = in(reg) s, options(nostack));
+    }
+    if MI == 2 && NJ == 2 {
+        let c3 = below.wrapping_add(TILE_ROWS);
+        asm!("tilestored [{c} + {s}*1], tmm3", c = in(reg) c3, s = in(reg) s, options(nostack));
+    }
+}
+
+/// `A·Bᵀ` on tiles into `c` (grown as needed), then `emit(row, acc_row,
+/// out_row)` once per row of `out` (`a.m × b.n`), fanned out over the pool
+/// in chunks of [`ROWS_PER_TASK`] rows as in [`gemm_nt_i16_panel_emit`].
+fn tile_gemm_emit<F>(a: &TileA, b: &TileB, c: &mut Vec<i32>, out: &mut [f32], emit: &F)
+where
+    F: Fn(usize, &[i32], &mut [f32]) + Sync,
+{
+    let (m, k, n) = (a.m, a.k, b.n);
+    assert_eq!(out.len(), m * n, "out must be m*n");
+    qnn_trace::counter!(CTR_CALLS, 1);
+    qnn_trace::counter!(CTR_TILE_CALLS, 1);
+    qnn_trace::counter!(CTR_PACKED_OPS, (m * k * n) as u64);
+    let npad = n.div_ceil(TILE_ROWS) * TILE_ROWS;
+    let size = m.div_ceil(TILE_ROWS) * TILE_ROWS * npad;
+    if c.len() < size {
+        c.resize(size, 0);
+    }
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a `TileA` exists only where `has_amx_int8` returned true
+    // (`TileA::pack`).
+    unsafe {
+        amx_gemm(a, b, c)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("TileA::pack refuses every CPU without AMX-INT8");
+    if out.is_empty() {
+        return;
+    }
+    let c = &c[..];
+    par::for_each_chunk_mut(out, ROWS_PER_TASK * n, |ci, chunk| {
+        for (i, orow) in chunk.chunks_exact_mut(n).enumerate() {
+            let r = ci * ROWS_PER_TASK + i;
+            emit(r, &c[r * npad..][..n], orow);
+        }
+    });
+}
+
+/// One image of a convolution on AMX tiles with a fused epilogue: the
+/// `(c, h, w)` image of raws `image` is narrowed to i8 and bordered, its
+/// patches go straight into B tiles ([`TileB::pack_patches`]), the weights
+/// `a` (`o × c·kh·kw`) run against them into a per-thread i32 buffer, and
+/// `emit(row, acc_row, out_row)` converts each output channel's row of
+/// `out` (`o × oh·ow`), as in [`gemm_nt_i16_panel_emit`]. The sums equal
+/// [`gemm_nt_i16`]'s of the weights against the transposed im2col under
+/// the same caller contract.
+///
+/// Returns `false`, writing nothing, when `geom` is impossible for
+/// `(h, w)` or an image raw lies outside `[-128, 127]`.
+///
+/// # Panics
+///
+/// Panics if `image` is not `c·h·w` long, `a` is not `c·kh·kw` wide or
+/// `out` is not `o·oh·ow` long.
+pub fn conv_tiles_emit<F>(
+    a: &TileA,
+    image: &[i16],
+    (c, h, w): (usize, usize, usize),
+    geom: Geometry,
+    out: &mut [f32],
+    emit: F,
+) -> bool
+where
+    F: Fn(usize, &[i32], &mut [f32]) + Sync,
+{
+    let Ok((oh, ow)) = geom.output_hw(h, w) else {
+        return false;
+    };
+    assert_eq!(image.len(), c * h * w, "image slice length mismatch");
+    let border = Border::new((c, h, w), geom, (oh, ow));
+    assert_eq!(a.k, border.rows(), "weights must be c*kh*kw wide");
+    TLS_TILE.with(|s| {
+        let TileScratch {
+            image: narrow,
+            border: buf,
+            quad,
+            b,
+            c,
+        } = &mut *s.borrow_mut();
+        narrow.clear();
+        narrow.extend(image.iter().map(|&v| v as i8));
+        if narrow.iter().zip(image).any(|(&n, &v)| i16::from(n) != v) {
+            return false;
+        }
+        b.pack_patches(&border, border.image(narrow, buf), quad);
+        tile_gemm_emit(a, b, c, out, &emit);
+        true
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,6 +1198,74 @@ mod tests {
             assert_eq!(vnni_cases, CASES);
             assert_eq!(Build::detect(), Build::Vnni);
         }
+    }
+
+    /// Seeded property test of the AMX tile kernel against the
+    /// row-at-a-time [`gemm_nt_i16`], at 1 and 4 threads (the epilogue fans
+    /// out; the tiles run on the caller). `m` and `n` go through every
+    /// residue mod 32, so every 2×2, 2×1, 1×2 and 1×1 block and every
+    /// ragged tile edge runs; `k` takes 0, 1, 63, 64, 65 and 800 or more.
+    /// Raws span `[-128, 127]`, both ends included. The emit hands back each
+    /// row's i32 sums as f32 bit patterns, so the comparison is exact.
+    /// Skips, saying why, where this process cannot run tiles.
+    #[test]
+    fn tile_kernel_matches_reference_over_random_shapes() {
+        if !crate::has_amx_int8() {
+            println!(
+                "skipped: no AMX-INT8 tiles here (tile_build() = {})",
+                tile_build()
+            );
+            return;
+        }
+        const CASES: usize = 96;
+        let mut r = seeded(0x7113_A4C5);
+        let (mut rails, mut wide, mut ran) = (0, 0, 0);
+        for case in 0..CASES {
+            let residue = |v: usize| if v == 0 { 32 } else { v };
+            let m = residue(case % 32) + 32 * r.gen_range(0usize..3);
+            let n = residue((case * 13 + 5) % 32) + 32 * r.gen_range(0usize..3);
+            let k = match case % 6 {
+                5 => r.gen_range(800usize..900),
+                i => [0, 1, 63, 64, 65][i],
+            };
+            wide += usize::from(k >= 800);
+            let words = |r: &mut crate::rng::Rng, len: usize| -> Vec<i16> {
+                (0..len)
+                    .map(|_| match r.gen_range(0u32..8) {
+                        0 => -128,
+                        1 => 127,
+                        _ => r.gen_range(-128i64..128) as i16,
+                    })
+                    .collect()
+            };
+            let (a, b) = (words(&mut r, m * k), words(&mut r, n * k));
+            rails += a.iter().chain(&b).filter(|&&v| v == -128).count();
+            let mut want = vec![0i32; m * n];
+            gemm_nt_i16(m, k, n, &a, &b, &mut want);
+            let ta = TileA::pack(m, k, &a).expect("i8 raws pack where tiles run");
+            let b8: Vec<i8> = b.iter().map(|&v| v as i8).collect();
+            let tb = TileB::pack(n, k, &b8);
+            let bits = |_r: usize, acc: &[i32], orow: &mut [f32]| {
+                for (o, &v) in orow.iter_mut().zip(acc) {
+                    *o = f32::from_bits(v as u32);
+                }
+            };
+            for threads in [1, 4] {
+                crate::par::set_threads(Some(threads));
+                let mut out = vec![f32::NAN; m * n];
+                tile_gemm_emit(&ta, &tb, &mut Vec::new(), &mut out, &bits);
+                let got: Vec<i32> = out.iter().map(|v| v.to_bits() as i32).collect();
+                assert_eq!(got, want, "case {case} threads={threads} {m}x{k}x{n}");
+                ran += 1;
+            }
+        }
+        crate::par::set_threads(None);
+        assert!(rails > 0 && wide > 0);
+        assert_eq!(ran, 2 * CASES);
+        // Raws past i8 do not pack.
+        assert!(TileA::pack(1, 2, &[0, 128]).is_none());
+        assert!(TileA::pack(1, 2, &[-129, 0]).is_none());
+        assert_eq!(tile_build(), "amx");
     }
 
     #[test]
