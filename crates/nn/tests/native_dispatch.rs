@@ -59,8 +59,9 @@ fn batch(n: usize, seed: u64) -> Tensor {
 }
 
 /// Forward `x` through a calibrated net twice — native forced off, then
-/// forced on — and assert the logits agree bit for bit.
-fn assert_paths_agree(net: &mut Network, x: &Tensor, ctx: &str) {
+/// forced on — and assert the logits agree bit for bit. Returns the
+/// simulated and the native logits.
+fn assert_paths_agree(net: &mut Network, x: &Tensor, ctx: &str) -> [Tensor; 2] {
     set_native(Some(false));
     let simulated = net.forward(x, Mode::Eval).unwrap();
     set_native(Some(true));
@@ -78,6 +79,7 @@ fn assert_paths_agree(net: &mut Network, x: &Tensor, ctx: &str) {
             "{ctx}: logit[{i}] simulated {a} != native {b}"
         );
     }
+    [simulated, native]
 }
 
 #[test]
@@ -272,14 +274,90 @@ fn zoo_batch(spec: &NetworkSpec, n: usize, seed: u64) -> Tensor {
     Tensor::from_vec(Shape::d4(n, c, h, w), data).unwrap()
 }
 
+/// The committed digests of [`every_zoo_network_is_bit_identical_across_paths`]'s
+/// logits: one line per (network, precision, path).
+const ZOO_LOGITS: &str = include_str!("zoo_logits.fnv");
+
+/// [`Precision::paper_sweep`]'s rows by their short names, in sweep order.
+const SWEEP_NAMES: [&str; 7] = [
+    "float32", "fixed32", "fixed16", "fixed8", "fixed4", "pow2", "binary",
+];
+
+/// FNV-1a-64 over the little-endian bytes of every value's f32 bits.
+fn fnv1a(values: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The digest file's text for `cells`, each `"network precision path"`
+/// with its digest.
+fn digest_file(cells: &[(String, u64)]) -> String {
+    let mut text = String::from(
+        "# FNV-1a-64 of the Eval logits of native_dispatch's zoo test: every\n\
+         # zoo network x every paper_sweep precision x both paths.\n",
+    );
+    for (cell, digest) in cells {
+        text += &format!("{cell} {digest:016x}\n");
+    }
+    text
+}
+
+/// The `(cell, digest)` lines of a digest file.
+fn cells(text: &str) -> Vec<(&str, &str)> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .collect()
+}
+
+/// Panics, naming each cell whose digest moved, appeared or vanished and
+/// printing the whole new file, unless `got` is the committed file.
+fn assert_digests_pinned(got: &str, ctx: &str) {
+    if got == ZOO_LOGITS {
+        return;
+    }
+    let (want, new) = (cells(ZOO_LOGITS), cells(got));
+    let mut moved: Vec<String> = new
+        .iter()
+        .filter(|c| !want.contains(c))
+        .map(|(cell, d)| {
+            let was = want
+                .iter()
+                .find(|(w, _)| w == cell)
+                .map_or("absent", |w| w.1);
+            format!("  {cell}: {was} -> {d}")
+        })
+        .collect();
+    moved.extend(
+        want.iter()
+            .filter(|(w, _)| !new.iter().any(|(g, _)| g == w))
+            .map(|(cell, d)| format!("  {cell}: {d} -> absent")),
+    );
+    panic!(
+        "{ctx}: zoo logits moved from crates/nn/tests/zoo_logits.fnv in {} cells:\n{}\n\
+         new file:\n{got}",
+        moved.len(),
+        moved.join("\n")
+    );
+}
+
 #[test]
 fn every_zoo_network_is_bit_identical_across_paths() {
     // The paper's own networks at their Table I/II shapes — LeNet,
     // ConvNet, ALEX, ALEX+ and ALEX++ — under every Table III precision:
     // logits with native dispatch off and on must agree bit for bit at 1
     // and 4 threads, and the narrow fixed formats must actually carry
-    // native MACs on every network.
+    // native MACs on every network. The logits' digests must then equal
+    // the committed `zoo_logits.fnv` at both thread counts, which pins the
+    // f32 reference itself across commits: a change both paths share
+    // passes the comparison above but moves a digest.
     let _serial = exclusive();
+    let mut digests: [Vec<(String, u64)>; 2] = Default::default();
     let nets = [
         zoo::lenet(),
         zoo::convnet(),
@@ -290,7 +368,7 @@ fn every_zoo_network_is_bit_identical_across_paths() {
     for (ni, spec) in nets.iter().enumerate() {
         let calib = zoo_batch(spec, 4, derive_seed(0x200c, ni as u64));
         let x = zoo_batch(spec, 2, derive_seed(0x200e, ni as u64));
-        for precision in Precision::paper_sweep() {
+        for (precision, name) in Precision::paper_sweep().into_iter().zip(SWEEP_NAMES) {
             let mut net = Network::build(spec, derive_seed(0x2001, ni as u64)).unwrap();
             net.set_precision(
                 precision,
@@ -299,10 +377,14 @@ fn every_zoo_network_is_bit_identical_across_paths() {
                 ActivationCalibration::PerLayer,
             )
             .unwrap();
-            for threads in [1usize, 4] {
+            for (threads, cells) in [1usize, 4].into_iter().zip(&mut digests) {
                 par::set_threads(Some(threads));
                 let ctx = format!("{} {precision} @ {threads}t", spec.name());
-                assert_paths_agree(&mut net, &x, &ctx);
+                let logits = assert_paths_agree(&mut net, &x, &ctx);
+                for (path, y) in ["simulated", "native"].into_iter().zip(&logits) {
+                    let cell = format!("{} {name} {path}", spec.name());
+                    cells.push((cell, fnv1a(y.as_slice())));
+                }
             }
             set_native(Some(true));
             qnn_trace::start();
@@ -346,5 +428,8 @@ fn every_zoo_network_is_bit_identical_across_paths() {
                 );
             }
         }
+    }
+    for (threads, cells) in [1usize, 4].into_iter().zip(&digests) {
+        assert_digests_pinned(&digest_file(cells), &format!("{threads}t"));
     }
 }
