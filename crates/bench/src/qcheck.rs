@@ -1,12 +1,16 @@
 //! `qkernels` — release-binary self-check of the native quantized kernels.
 //!
-//! Runs a LeNet-style conv/pool/dense network under every Table III
-//! precision with native dispatch forced off and forced on, and demands
-//! **bit-identical** logits, at 1 and 4 worker threads. This is the same
-//! invariant the `qnn-nn` integration tests pin, packaged as a subcommand
-//! so CI (and any user) can verify the fast path on the *installed*
-//! release binary and CPU — the dispatch is feature-detected at runtime,
-//! so the test suite's machine proves nothing about the deployment host.
+//! Runs a LeNet-style 8×8 conv/pool/dense network, then the paper's own
+//! networks (`qnn_nn::zoo`: LeNet, ConvNet, ALEX, ALEX+ and ALEX++ at
+//! batch 2), under every Table III precision with native dispatch forced
+//! off and forced on, and demands **bit-identical** logits, at 1 and 4
+//! worker threads. This is the same invariant the `qnn-nn` integration
+//! tests pin, packaged as a subcommand so CI (and any user) can verify the
+//! fast path on the *installed* release binary and CPU — the dispatch is
+//! feature-detected at runtime, so the test suite's machine proves nothing
+//! about the deployment host. At fixed8 and fixed4 the native route is an
+//! integer oracle that never touches the f32 GEMM, so on the zoo networks
+//! this also checks the f32 conv tile, zero-step skip included.
 //!
 //! The check also reports what fraction of forward MAC flops actually took
 //! the native path (from the `nn.fwd.flops.*` trace counters) and fails if
@@ -14,7 +18,7 @@
 //! equality alone would hold vacuously if the fast path never fired.
 
 use qnn_nn::arch::NetworkSpec;
-use qnn_nn::{set_native, ActivationCalibration, Mode, Network};
+use qnn_nn::{set_native, zoo, ActivationCalibration, Mode, Network};
 use qnn_quant::{calibrate::Method, Precision, Scheme};
 use qnn_tensor::rng::{derive_seed, seeded};
 use qnn_tensor::{par, Shape, Tensor};
@@ -41,10 +45,14 @@ fn spec() -> NetworkSpec {
         .dense(3)
 }
 
-fn batch(n: usize, seed: u64) -> Tensor {
+/// `n` images shaped for `spec`, uniform in `[-1, 1)`.
+fn batch(spec: &NetworkSpec, n: usize, seed: u64) -> Tensor {
+    let (c, h, w) = spec.input();
     let mut r = seeded(seed);
-    let data: Vec<f32> = (0..n * 64).map(|_| r.gen_range(-1.0f32..1.0)).collect();
-    Tensor::from_vec(Shape::d4(n, 1, 8, 8), data).unwrap()
+    let data: Vec<f32> = (0..n * c * h * w)
+        .map(|_| r.gen_range(-1.0f32..1.0))
+        .collect();
+    Tensor::from_vec(Shape::d4(n, c, h, w), data).unwrap()
 }
 
 /// Forwards `x` through `net` twice — native off, then on — returning the
@@ -77,26 +85,53 @@ fn compare_paths(net: &mut Network, x: &Tensor) -> (usize, u64, u64) {
 }
 
 /// Runs the self-check; returns `true` when every precision passed. With
-/// `quick`, one seed instead of three (the thread sweep is kept — the
-/// parallel partition is the part a host difference could break).
+/// `quick`, one seed instead of three on the 8×8 net (the thread sweep is
+/// kept — the parallel partition is the part a host difference could
+/// break); the zoo networks run one seed either way.
 pub fn run(quick: bool) -> bool {
     let seeds = if quick { 1u64 } else { 3 };
-    let mut ok = true;
     println!("qkernels: native-vs-simulated bit-identity on a LeNet-style conv/pool/dense net");
+    let mut ok = check(&spec(), 0..seeds, (8, 4));
+    println!("qkernels: the same on the paper's networks at batch 2");
+    let nets = [
+        zoo::lenet(),
+        zoo::convnet(),
+        zoo::alex(),
+        zoo::alex_plus(),
+        zoo::alex_plus_plus(),
+    ];
+    for (ni, net) in nets.iter().enumerate() {
+        println!(" {}", net.name());
+        let seed = 1000 * (ni as u64 + 1);
+        ok &= check(net, seed..seed + 1, (4, 2));
+    }
+    if ok {
+        println!("qkernels: all precisions bit-identical across paths");
+    } else {
+        println!("qkernels: FAILED");
+    }
+    ok
+}
+
+/// Checks every Table III precision on `spec` over `seeds`, each a
+/// network calibrated on `calib` images and run on `n` (`(calib, n)`),
+/// printing one line per precision; returns `true` when all passed.
+fn check(spec: &NetworkSpec, seeds: std::ops::Range<u64>, (calib, n): (usize, usize)) -> bool {
+    let mut ok = true;
     for precision in Precision::paper_sweep() {
         let mut mismatches = 0usize;
         let mut nat_total = 0u64;
         let mut sim_total = 0u64;
-        for seed in 0..seeds {
-            let mut net = Network::build(&spec(), derive_seed(0x9c, seed)).unwrap();
+        for seed in seeds.clone() {
+            let mut net = Network::build(spec, derive_seed(0x9c, seed)).unwrap();
             net.set_precision(
                 precision,
                 Method::MaxAbs,
-                &batch(8, derive_seed(0xca, seed)),
+                &batch(spec, calib, derive_seed(0xca, seed)),
                 ActivationCalibration::PerLayer,
             )
             .unwrap();
-            let x = batch(4, derive_seed(0xba, seed));
+            let x = batch(spec, n, derive_seed(0xba, seed));
             for threads in [1usize, 4] {
                 par::set_threads(Some(threads));
                 let (m, nat, sim) = compare_paths(&mut net, &x);
@@ -127,11 +162,6 @@ pub fn run(quick: bool) -> bool {
         if mismatches > 0 {
             println!("    {mismatches} logit(s) differ between simulated and native paths");
         }
-    }
-    if ok {
-        println!("qkernels: all precisions bit-identical across paths");
-    } else {
-        println!("qkernels: FAILED");
     }
     ok
 }

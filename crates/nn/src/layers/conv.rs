@@ -1,4 +1,5 @@
-use qnn_quant::packed::{conv_on_grid, ConvGridScratch, Epilogue};
+use qnn_quant::packed::{conv_on_grid, ConvGridScratch, Epilogue, Fallback};
+use qnn_quant::BitCodec;
 use qnn_tensor::conv::{
     conv2d_backward_with, conv2d_each_with, conv2d_with, ConvScratch, Geometry,
 };
@@ -123,10 +124,11 @@ impl Conv2d {
     /// under the exactness certificate ([`conv_on_grid`]), falling back to
     /// the f32 route [`conv2d_with`] runs when a sample fails it; each
     /// declined sample counts as `nn.fwd.fallback.conv2d.<reason>`, the
-    /// [`Fallback`](qnn_quant::packed::Fallback) name. Returns
-    /// `None` (and the caller runs the simulated whole-batch path) when the
-    /// layer's weights have no packable plan or the input shape is
-    /// unexpected.
+    /// [`Fallback`] name. Returns `None` (and the caller runs the
+    /// simulated whole-batch path) when the input shape is unexpected, or
+    /// when no sample can go native: activations that are not fixed-point
+    /// of at most 16 bits count every sample as `not_fixed`, and weights
+    /// with no packable plan count every sample as `unpackable`.
     ///
     /// Both branches replicate the reference computation exactly — the
     /// same patches, the same GEMM semantics, the same per-channel bias add
@@ -144,16 +146,25 @@ impl Conv2d {
     fn forward_native(&mut self, input: &Tensor, qw: &Tensor) -> Option<Tensor> {
         let iq = self.input_q.as_ref()?;
         let wq = self.weight_q.as_ref()?;
-        let codec = iq.bit_codec()?;
         let shape = input.shape();
         if shape.rank() != 4 || shape.dim(1) != self.in_channels {
             return None;
         }
         let (n, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
         let (oh, ow) = self.geom.output_hw(h, w).ok()?;
+        let decline = |reason: Fallback| {
+            qnn_trace::counter!(format!("nn.fwd.fallback.conv2d.{}", reason.name()), n);
+            None
+        };
+        let codec = match iq.bit_codec() {
+            Some(codec @ BitCodec::Fixed(f)) if f.word_bits() <= 16 => codec,
+            _ => return decline(Fallback::NotFixed),
+        };
         let kdim = c * self.geom.kh * self.geom.kw;
         let o = self.out_channels;
-        let plan = self.plan.plan_for(wq.as_ref(), o, kdim, qw.as_slice())?;
+        let Some(plan) = self.plan.plan_for(wq.as_ref(), o, kdim, qw.as_slice()) else {
+            return decline(Fallback::Unpackable);
+        };
         let sample_flops = (2 * o * oh * ow * kdim) as u64;
         let out_q = if qnn_trace::enabled() {
             None

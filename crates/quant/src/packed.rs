@@ -673,14 +673,18 @@ unsafe fn requantize_avx512(step: f32, bias: RowBias, acc: &[i32], out: &mut [f3
     }
 }
 
-/// Why [`conv_on_grid`] declined an image; the caller then runs the
-/// simulated route, which is always correct.
+/// Why a native conv image did not run: [`conv_on_grid`] declined it, or
+/// its layer could not offer it. The caller then runs the simulated
+/// route, which is always correct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fallback {
     /// The image, output, bias or weights do not fit the geometry.
     Shape,
     /// The activations are not fixed-point of at most 16 bits.
     NotFixed,
+    /// The weights have no [`PackedWeights`] plan (see
+    /// [`PackedWeights::pack`]), so no image is offered.
+    Unpackable,
     /// A pixel is off the activation grid, or is `-0.0`.
     OffGrid,
     /// The [`dot_exact`] certificate does not hold over the image.
@@ -689,11 +693,12 @@ pub enum Fallback {
 
 impl Fallback {
     /// The reason's name in trace counters: `shape`, `not_fixed`,
-    /// `off_grid` or `cert_failed`.
+    /// `unpackable`, `off_grid` or `cert_failed`.
     pub fn name(self) -> &'static str {
         match self {
             Fallback::Shape => "shape",
             Fallback::NotFixed => "not_fixed",
+            Fallback::Unpackable => "unpackable",
             Fallback::OffGrid => "off_grid",
             Fallback::CertFailed => "cert_failed",
         }

@@ -26,7 +26,7 @@
 //! adjoint, summing into a bordered buffer and copying the image part out.
 
 use crate::error::TensorError;
-use crate::gemm::{gemm_nt_with, gemm_packed, GemmScratch, PackedA, PackedB};
+use crate::gemm::{gemm_nt_with, gemm_packed, GemmScratch, PackedA, PackedB, Steps};
 use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -253,6 +253,64 @@ impl Border {
                     self.stride(),
                 );
             }
+        }
+    }
+
+    /// Fills `steps` (overwritten) with the patch rows of each tile
+    /// column of `width` patch columns that may hold a value that is not
+    /// `±0.0` (a subnormal or a NaN counts as a value). A row is left out
+    /// when every one of its taps in the column lies in a row of the
+    /// bordered image `src` that is all `±0.0`: a padding row, or an image
+    /// row a dead channel or a zero region left. The test looks at whole
+    /// image rows, so a row it keeps may still be all `±0.0`. `live` is
+    /// scratch. A kernel with no rows or more than 64 leaves `steps` empty.
+    pub(crate) fn nonzero_steps(
+        &self,
+        src: &[f32],
+        width: usize,
+        live: &mut Vec<u64>,
+        steps: &mut Steps,
+    ) {
+        let g = self.geom;
+        steps.clear();
+        if !(1..=64).contains(&g.kh) {
+            return;
+        }
+        // Bit `ci·hp + y`: bordered row `y` of channel `ci` holds a value.
+        // One spare word lets `window` read past the last row.
+        live.clear();
+        live.resize((self.c * self.hp).div_ceil(64) + 1, 0);
+        let pad = g.pad;
+        for row in (0..self.c).flat_map(|ci| ci * self.hp + pad..ci * self.hp + pad + self.h) {
+            let at = row * self.wp + pad;
+            let bits = src[at..at + self.w]
+                .iter()
+                .fold(0, |any, v| any | v.to_bits());
+            live[row / 64] |= u64::from(bits << 1 != 0) << (row % 64);
+        }
+        // Bits `at .. at + kh` of `live`, as bits `0 .. kh`.
+        let window = |at: usize| {
+            let (word, bit) = (at / 64, at % 64);
+            let spill = live[word + 1] << 1 << (63 - bit);
+            (live[word] >> bit | spill) & (u64::MAX >> (64 - g.kh))
+        };
+        let cols = self.cols();
+        for t in 0..cols.div_ceil(width) {
+            let out_rows = t * width / self.ow..=(((t + 1) * width).min(cols) - 1) / self.ow;
+            for ci in 0..self.c {
+                // Bit `ki`: kernel row `ki` reads a row that holds a value.
+                let mut kernel_rows = out_rows
+                    .clone()
+                    .fold(0, |any, oi| any | window(ci * self.hp + oi * g.stride));
+                while kernel_rows != 0 {
+                    let lo = kernel_rows.trailing_zeros() as usize;
+                    let len = (!(kernel_rows >> lo)).trailing_zeros() as usize;
+                    let row = (ci * g.kh + lo) * g.kw;
+                    steps.add(row..row + len * g.kw);
+                    kernel_rows &= !(u64::MAX >> (64 - lo - len));
+                }
+            }
+            steps.end_column();
         }
     }
 
@@ -1042,20 +1100,70 @@ mod tests {
         }
     }
 
+    /// One finite conv operand: [`operand`] with its ±inf and NaN redrawn.
+    fn finite_operand(r: &mut crate::rng::Rng) -> f32 {
+        loop {
+            let v = operand(r);
+            if v.is_finite() {
+                return v;
+            }
+        }
+    }
+
+    /// A `(c, h, w)` image of finite operands in which some channels are
+    /// dead (all `±0.0`) and others hold zero regions: bands of whole rows
+    /// and patches of a few columns. The zeros take both signs. The
+    /// subnormals among the other values stay, and some regions keep one,
+    /// which no skip may drop.
+    fn zeroed_image(r: &mut crate::rng::Rng, (c, h, w): (usize, usize, usize)) -> Vec<f32> {
+        let mut img: Vec<f32> = (0..c * h * w).map(|_| finite_operand(r)).collect();
+        for plane in img.chunks_exact_mut(h * w) {
+            let (rows, cols) = match r.gen_range(0u32..4) {
+                0 => (0..h, 0..w),
+                1 => {
+                    let y = r.gen_range(0..h);
+                    (y..r.gen_range(y..h) + 1, 0..w)
+                }
+                2 => {
+                    let (y, x) = (r.gen_range(0..h), r.gen_range(0..w));
+                    (y..r.gen_range(y..h) + 1, x..r.gen_range(x..w) + 1)
+                }
+                _ => continue,
+            };
+            let keep = (r.gen_range(rows.clone()), r.gen_range(cols.clone()));
+            for y in rows {
+                for v in &mut plane[y * w..][cols.clone()] {
+                    *v = if r.gen_bool(0.5) { 0.0 } else { -0.0 };
+                }
+            }
+            if r.gen_bool(0.3) {
+                plane[keep.0 * w + keep.1] = f32::from_bits(r.gen_range(1u32..0x0080_0000));
+            }
+        }
+        img
+    }
+
     /// `conv2d_with` and `conv2d_each_with` against the per-element im2col,
     /// the naive triple-loop GEMM and a per-channel bias add, over 256+
     /// seeded geometries, a quarter of them ceil mode (whose last window
     /// can reach past `h + 2·pad`), at 1 and 4 threads with a reused
     /// scratch. Every output row-panel residue (`o mod 4`) and several
-    /// 16-column panels occur. Non-NaN outputs
-    /// must be bit-equal; NaN must appear exactly where the reference has
-    /// NaN (which NaN survives an add of two is up to instruction
-    /// selection, see `gemm`'s module docs).
+    /// 16-column panels occur. A third of the cases draw every operand at
+    /// random, ±inf and NaN among them; a third give the images dead
+    /// channels and zero regions under finite weights, so the AVX-512
+    /// tile skips all-zero patch rows (the trace counter
+    /// `tensor.conv.fwd.macs_skipped` must show it, for both entry
+    /// points); the last third add one ±inf or NaN weight to those
+    /// images, which must turn the skip off. Non-NaN outputs must be
+    /// bit-equal; NaN must appear exactly where the reference has NaN
+    /// (which NaN survives an add of two is up to instruction selection,
+    /// see `gemm`'s module docs).
     #[test]
     fn conv_matches_im2col_naive_gemm_and_bias_bitwise() {
         let mut r = crate::rng::seeded(0xC0_2D_3E_F5);
         let mut scratch = ConvScratch::new();
         let (mut cases, mut residues, mut wide, mut nans, mut beyond) = (0, [0usize; 4], 0, 0, 0);
+        let (mut kinds, mut skipped) = ([0usize; 3], [0u64; 2]);
         while cases < 288 {
             let geom = Geometry {
                 kh: r.gen_range(1usize..8),
@@ -1079,8 +1187,22 @@ mod tests {
             beyond += usize::from((oh - 1) * geom.stride + geom.kh > h + 2 * geom.pad);
             wide += usize::from(oh * ow > 32);
             let (px, kdim) = (oh * ow, c * geom.kh * geom.kw);
-            let x: Vec<f32> = (0..n * c * h * w).map(|_| operand(&mut r)).collect();
-            let wt: Vec<f32> = (0..o * kdim).map(|_| operand(&mut r)).collect();
+            let kind = cases % 3;
+            kinds[kind] += 1;
+            let (x, wt) = if kind == 0 {
+                let x: Vec<f32> = (0..n * c * h * w).map(|_| operand(&mut r)).collect();
+                (x, (0..o * kdim).map(|_| operand(&mut r)).collect())
+            } else {
+                let x = (0..n)
+                    .flat_map(|_| zeroed_image(&mut r, (c, h, w)))
+                    .collect();
+                let mut wt: Vec<f32> = (0..o * kdim).map(|_| finite_operand(&mut r)).collect();
+                if kind == 2 {
+                    let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                    wt[r.gen_range(0..o * kdim)] = poison[r.gen_range(0..poison.len())];
+                }
+                (x, wt)
+            };
             let b: Vec<f32> = (0..o).map(|_| operand(&mut r)).collect();
             let mut want = Vec::with_capacity(n * o * px);
             for img in x.chunks_exact(c * h * w) {
@@ -1099,21 +1221,43 @@ mod tests {
             let x = t(Shape::d4(n, c, h, w), x);
             let wt = t(Shape::d4(o, c, geom.kh, geom.kw), wt);
             let b = t(Shape::d1(o), b);
+            // The skip counter of one call, for the zeroed finite-weight kind.
+            let mut traced = |entry: usize, call: &mut dyn FnMut()| {
+                qnn_trace::start();
+                call();
+                let count = qnn_trace::stop()
+                    .counters
+                    .get("tensor.conv.fwd.macs_skipped")
+                    .copied();
+                if kind == 1 {
+                    skipped[entry] += count.unwrap_or(0);
+                }
+            };
             for threads in [1, 4] {
                 crate::par::set_threads(Some(threads));
-                let got = conv2d_with(&mut scratch, &x, &wt, &b, geom).unwrap();
+                let mut got = None;
+                traced(0, &mut || {
+                    got = Some(conv2d_with(&mut scratch, &x, &wt, &b, geom).unwrap())
+                });
+                let got = got.unwrap();
                 // `conv2d_each_with`: image 0 is taken as the reference
                 // output, the others run the f32 route.
                 let mut seen = 0;
-                let (each, taken) = conv2d_each_with(&mut scratch, &x, &wt, &b, geom, |_, dst| {
-                    seen += 1;
-                    if seen > 1 {
-                        return false;
-                    }
-                    dst.copy_from_slice(&want[..o * px]);
-                    true
-                })
-                .unwrap();
+                let mut each = None;
+                traced(1, &mut || {
+                    each = Some(
+                        conv2d_each_with(&mut scratch, &x, &wt, &b, geom, |_, dst| {
+                            seen += 1;
+                            if seen > 1 {
+                                return false;
+                            }
+                            dst.copy_from_slice(&want[..o * px]);
+                            true
+                        })
+                        .unwrap(),
+                    )
+                });
+                let (each, taken) = each.unwrap();
                 assert_eq!((seen, taken), (n, 1));
                 assert_eq!(each.shape(), got.shape());
                 let both = got.as_slice().iter().chain(each.as_slice());
@@ -1133,6 +1277,13 @@ mod tests {
         }
         crate::par::set_threads(None);
         assert!(residues.iter().all(|&k| k > 0) && wide > 0 && nans > 0 && beyond > 0);
+        assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
+        if crate::gemm::simd_build() == "avx512" {
+            assert!(
+                skipped.iter().all(|&s| s > 0),
+                "skip never engaged: {skipped:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! weight gradient `dYᵀ·X`). The conv forward skips both of their packing
 //! passes: it packs its weights once per call (`PackedA`) and writes each
 //! image's patches straight into the column panels (`PackedB`), then runs
-//! the same microkernel through `gemm_packed`.
+//! the same microkernel through `gemm_packed`, which on AVX-512 skips the
+//! k steps whose patch rows are all `±0.0` (see below).
 //!
 //! **Bit-exactness contract.** Each output element is produced by a single
 //! accumulator that walks `k` in ascending order with one multiply and one
@@ -22,6 +23,19 @@
 //! `0 · inf`) is negative, and LLVM treats `fadd` as commutative, so when
 //! both addends are NaN which one survives is up to instruction selection,
 //! in either build.
+//!
+//! **Skipped zero steps.** The conv forward's AVX-512 tile leaves out the
+//! k steps whose `B` row is `±0.0` across its whole tile column, and the
+//! bits stay the reference's. A finite `a` times `±0.0` is `±0.0`
+//! exactly. An accumulator that starts at `+0.0` is never `−0.0` under
+//! round-to-nearest: `+0.0 + −0.0` is `+0.0`, and an exact cancellation
+//! gives `+0.0`. So every skipped add is `x + ±0.0` with `x` not `−0.0`,
+//! which returns `x` itself (a NaN stays NaN, an infinity stays
+//! infinite). The walk stays ascending, so each output gets the
+//! reference's other products in the reference's order. The argument
+//! needs every `a` finite: `±inf · 0` and `NaN · 0` are NaN. So the skip
+//! runs only when every weight is finite (`PackedA::pack` checks), and a
+//! subnormal or a NaN in `B` counts as a value, never as zero.
 //!
 //! **SIMD dispatch.** rustc's x86-64 baseline is SSE2, so the microkernel
 //! has three builds, chosen at runtime by `Build::detect`: a plain one
@@ -192,7 +206,7 @@ fn gemm(
         Layout::Tn => ASide::Cols(a),
         Layout::Nn | Layout::Nt => ASide::Rows(a),
     };
-    driver(build, (m, k, n), a, &scratch.packed_b, c);
+    driver(build, (m, k, n), a, &scratch.packed_b, None, c);
 }
 
 /// `C = A·B` (`c` is `m×n`, overwritten) on operands already in panel
@@ -204,11 +218,18 @@ pub(crate) fn gemm_packed(a: &PackedA, b: &PackedB, c: &mut [f32]) {
     debug_assert_eq!(c.len(), m * n);
     qnn_trace::counter!("tensor.gemm.calls", 1);
     qnn_trace::counter!("tensor.gemm.flops", (2 * m * k * n) as u64);
+    let steps = (a.finite && !b.steps.ends.is_empty()).then_some(&b.steps);
+    if let Some(st) = steps {
+        // The tile's loads trust these bounds.
+        assert!(st.ends.len() == n.div_ceil(2 * NR) && st.ranges.iter().all(|r| r.1 <= k));
+        qnn_trace::counter!("tensor.conv.fwd.macs_skipped", m * st.skipped(k, n));
+    }
     driver(
         Build::detect(),
         (m, k, n),
         ASide::Panels(&a.data),
         &b.data,
+        steps,
         c,
     );
 }
@@ -223,6 +244,10 @@ pub(crate) struct PackedA {
     m: usize,
     k: usize,
     data: Vec<f32>,
+    /// Whether every value is finite, so that a `±0.0` of `B` adds
+    /// nothing to any output ([`gemm_packed`]). Set by [`PackedA::pack`];
+    /// [`PackedA::pack_transposed`] does not look and leaves it false.
+    finite: bool,
 }
 
 impl PackedA {
@@ -230,6 +255,7 @@ impl PackedA {
     pub(crate) fn pack(&mut self, m: usize, k: usize, a: &[f32]) {
         debug_assert_eq!(a.len(), m * k);
         self.pack_with(m, k, |i0, h, dst| pack_a_rows(a, k, i0, h, dst));
+        self.finite = a.iter().fold(true, |all, v| all & v.is_finite());
     }
 
     /// Repacks `A` (`m×k`) given as its row-major transpose `at`
@@ -237,6 +263,7 @@ impl PackedA {
     pub(crate) fn pack_transposed(&mut self, m: usize, k: usize, at: &[f32]) {
         debug_assert_eq!(at.len(), m * k);
         self.pack_with(m, k, |i0, h, dst| pack_a_cols(at, m, k, i0, h, dst));
+        self.finite = false;
     }
 
     /// Sizes the panels for `m×k` and fills each with `pack(i0, h, dst)`.
@@ -263,6 +290,62 @@ pub(crate) struct PackedB {
     data: Vec<f32>,
     /// The patch walk's runs, split where they cross a panel.
     runs: Vec<Run>,
+    /// The k steps the AVX-512 tile walks. Only
+    /// [`PackedB::pack_patches`] fills them, and only where that build
+    /// runs; while they are empty, every build walks every step.
+    steps: Steps,
+    /// Scratch of the test that fills `steps`.
+    live: Vec<u64>,
+}
+
+/// The k steps the AVX-512 tile walks in each tile column of a
+/// [`PackedB`] (each pair of adjacent panels, and a lone last panel):
+/// ascending, disjoint ranges of rows, outside which every row of the
+/// column is `±0.0`.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Steps {
+    /// Each column's `(start, end)` ranges, column after column.
+    ranges: Vec<(usize, usize)>,
+    /// The end of each column's ranges in `ranges`.
+    ends: Vec<usize>,
+}
+
+impl Steps {
+    /// Adds rows `rows` to the column being built, after its ranges so far.
+    pub(crate) fn add(&mut self, rows: std::ops::Range<usize>) {
+        let column = self.ends.last().map_or(0, |&end| end);
+        match self.ranges[column..].last_mut() {
+            Some(last) if last.1 == rows.start => last.1 = rows.end,
+            _ => self.ranges.push((rows.start, rows.end)),
+        }
+    }
+
+    /// Ends the column being built.
+    pub(crate) fn end_column(&mut self) {
+        self.ends.push(self.ranges.len());
+    }
+
+    /// Empties every column.
+    pub(crate) fn clear(&mut self) {
+        self.ranges.clear();
+        self.ends.clear();
+    }
+
+    /// Tile column `t`'s ranges.
+    fn column(&self, t: usize) -> &[(usize, usize)] {
+        let start = if t == 0 { 0 } else { self.ends[t - 1] };
+        &self.ranges[start..self.ends[t]]
+    }
+
+    /// The `(k row, column)` cells of a `k×n` product the walk skips.
+    fn skipped(&self, k: usize, n: usize) -> usize {
+        (0..self.ends.len())
+            .map(|t| {
+                let walked: usize = self.column(t).iter().map(|r| r.1 - r.0).sum();
+                (k - walked) * (n - t * 2 * NR).min(2 * NR)
+            })
+            .sum()
+    }
 }
 
 impl PackedB {
@@ -271,6 +354,7 @@ impl PackedB {
         debug_assert_eq!(b.len(), k * n);
         (self.k, self.n) = (k, n);
         pack_b_nn(&mut self.data, k, n, b);
+        self.steps.clear();
     }
 
     /// Repacks in place as the patch matrix of one image, `src` in the
@@ -304,6 +388,10 @@ impl PackedB {
             }
         }
         border.unfold(src, 0..k, NR, self.runs.iter().copied(), &mut self.data);
+        match Build::detect() {
+            Build::Avx512 => border.nonzero_steps(src, 2 * NR, &mut self.live, &mut self.steps),
+            _ => self.steps.clear(),
+        }
     }
 }
 
@@ -411,6 +499,7 @@ fn driver(
     (m, k, n): (usize, usize, usize),
     a: ASide,
     packed_b: &[f32],
+    steps: Option<&Steps>,
     c: &mut [f32],
 ) {
     if m == 0 || n == 0 {
@@ -425,21 +514,21 @@ fn driver(
         TLS_PANEL_A.with(|buf| {
             let mut buf = buf.borrow_mut();
             let pa = a.panel((m, k), ip, &mut buf);
-            row_panel(build, k, n, h, pa, packed_b, c_slab);
+            row_panel(build, (k, n, h), pa, packed_b, steps, c_slab);
         });
     });
 }
 
 /// Computes one `h×n` output slab (`h ≤ MR`) from a packed A panel and all
 /// packed B panels, through the vector build `build` asks for when the CPU
-/// has it, else the plain build.
+/// has it, else the plain build. Only the AVX-512 build reads `steps`;
+/// the others walk every k step.
 fn row_panel(
     build: Build,
-    k: usize,
-    n: usize,
-    h: usize,
+    (k, n, h): (usize, usize, usize),
     pa: &[f32],
     packed_b: &[f32],
+    steps: Option<&Steps>,
     c_slab: &mut [f32],
 ) {
     match build {
@@ -447,7 +536,7 @@ fn row_panel(
         Build::Avx512 if crate::has_avx512f() => {
             // SAFETY: `has_avx512f` verified AVX-512F on this CPU, the only
             // precondition of the target_feature build.
-            unsafe { row_panel_avx512(k, n, h, pa, packed_b, c_slab) }
+            unsafe { row_panel_avx512((k, n, h), pa, packed_b, steps, c_slab) }
         }
         #[cfg(target_arch = "x86_64")]
         Build::Avx2 if crate::has_avx2() => {
@@ -464,6 +553,7 @@ fn row_panel(
 /// Per k step the pair tile loads two B rows, broadcasts four A values and
 /// runs 8 `vmulps` and then 8 `vaddps`, in ascending k: one rounded
 /// multiply and one rounded add per accumulator, as in the naive loop.
+/// Given `steps`, a tile walks only its column's ranges of k steps.
 ///
 /// # Safety
 ///
@@ -471,11 +561,10 @@ fn row_panel(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn row_panel_avx512(
-    k: usize,
-    n: usize,
-    h: usize,
+    (k, n, h): (usize, usize, usize),
     pa: &[f32],
     packed_b: &[f32],
+    steps: Option<&Steps>,
     c_slab: &mut [f32],
 ) {
     let pstride = k * NR;
@@ -484,19 +573,30 @@ unsafe fn row_panel_avx512(
     // rows of up to `n` columns: checked once here, relied on below.
     assert!(h <= MR && pa.len() >= k * MR && c_slab.len() >= h * n);
     assert!(packed_b.len() >= n_panels * pstride);
-    let mut jp = 0;
+    let (mut jp, mut start) = (0, 0);
     while jp < n_panels {
         let j0 = jp * NR;
         let w = (n - j0).min(2 * NR);
         // SAFETY: panels `jp` (and `jp + 1` for a pair) lie inside
         // `packed_b` by the assert above; `pa` holds `k·MR` values.
         let pb = packed_b.as_ptr().add(jp * pstride);
+        // This tile column's ranges, written out: a call here would cost
+        // a `vzeroupper` per tile.
+        let ranges = match steps {
+            Some(st) => {
+                let end = st.ends[jp / 2];
+                let column = &st.ranges[start..end];
+                start = end;
+                Some(column)
+            }
+            None => None,
+        };
         if jp + 1 < n_panels {
-            let acc = tile_f32::<2>(k, pa.as_ptr(), pb, pstride);
+            let acc = tile_f32::<2>(k, pa.as_ptr(), pb, pstride, ranges);
             store_tile(&acc, h, n, w, &mut c_slab[j0..]);
             jp += 2;
         } else {
-            let acc = tile_f32::<1>(k, pa.as_ptr(), pb, pstride);
+            let acc = tile_f32::<1>(k, pa.as_ptr(), pb, pstride, ranges);
             store_tile(&acc, h, n, w, &mut c_slab[j0..]);
             jp += 1;
         }
@@ -504,12 +604,13 @@ unsafe fn row_panel_avx512(
 }
 
 /// One `MR × P·NR` tile: `acc[r][q]` accumulates `pa[kk, r] · B[kk, q·NR ..]`
-/// over panels `pb + q·pstride`, multiply then add, for ascending `kk`.
+/// over panels `pb + q·pstride`, multiply then add, for ascending `kk`:
+/// every `kk < k`, or only those of `ranges`, ascending and disjoint.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F; `pa` must hold `k·MR` values and `pb`
-/// `P` panels of `k·NR` values, `pstride` apart.
+/// `P` panels of `k·NR` values, `pstride` apart; no range ends past `k`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -518,19 +619,22 @@ unsafe fn tile_f32<const P: usize>(
     pa: *const f32,
     pb: *const f32,
     pstride: usize,
+    ranges: Option<&[(usize, usize)]>,
 ) -> [[std::arch::x86_64::__m512; P]; MR] {
     use std::arch::x86_64::*;
     let mut acc = [[_mm512_setzero_ps(); P]; MR];
-    for kk in 0..k {
-        let mut b = [_mm512_setzero_ps(); P];
-        for (q, bq) in b.iter_mut().enumerate() {
-            *bq = _mm512_loadu_ps(pb.add(q * pstride + kk * NR));
-        }
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let a = _mm512_set1_ps(*pa.add(kk * MR + r));
-            for (acc_rq, &bq) in acc_r.iter_mut().zip(&b) {
-                // Two roundings, never a fused multiply-add.
-                *acc_rq = _mm512_add_ps(*acc_rq, _mm512_mul_ps(a, bq));
+    for &(start, end) in ranges.unwrap_or(&[(0, k)]) {
+        for kk in start..end {
+            let mut b = [_mm512_setzero_ps(); P];
+            for (q, bq) in b.iter_mut().enumerate() {
+                *bq = _mm512_loadu_ps(pb.add(q * pstride + kk * NR));
+            }
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a = _mm512_set1_ps(*pa.add(kk * MR + r));
+                for (acc_rq, &bq) in acc_r.iter_mut().zip(&b) {
+                    // Two roundings, never a fused multiply-add.
+                    *acc_rq = _mm512_add_ps(*acc_rq, _mm512_mul_ps(a, bq));
+                }
             }
         }
     }
