@@ -264,13 +264,20 @@ impl Border {
     /// row a dead channel or a zero region left. The test looks at whole
     /// image rows, so a row it keeps may still be all `±0.0`. `live` is
     /// scratch. A kernel with no rows or more than 64 leaves `steps` empty.
-    pub(crate) fn nonzero_steps(
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn nonzero_steps(
         &self,
         src: &[f32],
         width: usize,
         live: &mut Vec<u64>,
         steps: &mut Steps,
     ) {
+        use std::arch::x86_64::*;
         let g = self.geom;
         steps.clear();
         if !(1..=64).contains(&g.kh) {
@@ -280,13 +287,31 @@ impl Border {
         // One spare word lets `window` read past the last row.
         live.clear();
         live.resize((self.c * self.hp).div_ceil(64) + 1, 0);
-        let pad = g.pad;
-        for row in (0..self.c).flat_map(|ci| ci * self.hp + pad..ci * self.hp + pad + self.h) {
-            let at = row * self.wp + pad;
-            let bits = src[at..at + self.w]
-                .iter()
-                .fold(0, |any, v| any | v.to_bits());
-            live[row / 64] |= u64::from(bits << 1 != 0) << (row % 64);
+        let magnitude = _mm512_set1_epi32(0x7fff_ffff);
+        // Each image row is `whole` blocks of 16 lanes and a `tail`.
+        let (whole, tail) = (self.w / 16, ((1u32 << (self.w % 16)) - 1) as __mmask16);
+        // The word being filled, kept in a register across rows.
+        let (mut word, mut bits) = (0, 0u64);
+        for ci in 0..self.c {
+            for row in ci * self.hp + g.pad..ci * self.hp + g.pad + self.h {
+                let at = src[row * self.wp + g.pad..][..self.w].as_ptr();
+                // SAFETY: the loads read the row's `w` lanes and no more.
+                let mut any = _mm512_maskz_loadu_epi32(tail, at.add(16 * whole).cast());
+                for b in 0..whole {
+                    any = _mm512_or_si512(any, _mm512_loadu_si512(at.add(16 * b).cast()));
+                }
+                if row / 64 != word {
+                    live[word] |= bits;
+                    (word, bits) = (row / 64, 0);
+                }
+                let holds = _mm512_test_epi32_mask(any, magnitude) != 0;
+                bits |= u64::from(holds) << (row % 64);
+            }
+        }
+        live[word] |= bits;
+        // Every bordered row holds a value: there is nothing to skip.
+        if live.iter().map(|w| w.count_ones() as usize).sum::<usize>() == self.c * self.hp {
+            return;
         }
         // Bits `at .. at + kh` of `live`, as bits `0 .. kh`.
         let window = |at: usize| {
@@ -294,9 +319,20 @@ impl Border {
             let spill = live[word + 1] << 1 << (63 - bit);
             (live[word] >> bit | spill) & (u64::MAX >> (64 - g.kh))
         };
-        let cols = self.cols();
+        let (cols, ow) = (self.cols(), self.ow);
+        // Output row and column of tile column `t`'s first pixel, advanced
+        // by subtraction: a division per column cost more than the rest.
+        let (mut oi, mut oj) = (0, 0);
         for t in 0..cols.div_ceil(width) {
-            let out_rows = t * width / self.ow..=(((t + 1) * width).min(cols) - 1) / self.ow;
+            let (mut last, mut lj) = (oi, oj + width.min(cols - t * width) - 1);
+            while lj >= ow {
+                (last, lj) = (last + 1, lj - ow);
+            }
+            let out_rows = oi..last + 1;
+            oj += width;
+            while oj >= ow {
+                (oi, oj) = (oi + 1, oj - ow);
+            }
             for ci in 0..self.c {
                 // Bit `ki`: kernel row `ki` reads a row that holds a value.
                 let mut kernel_rows = out_rows
@@ -311,6 +347,10 @@ impl Border {
                 }
             }
             steps.end_column();
+        }
+        // No column skips a step: the plain walk is cheaper.
+        if steps.walks_every(self.rows()) {
+            steps.clear();
         }
     }
 
@@ -733,7 +773,7 @@ fn conv_image(
     dst: &mut [f32],
 ) {
     let src = d.b.image(image, &mut slot.border);
-    slot.panels.pack_patches(&d.b, src);
+    slot.panels.pack_patches(&d.b, src, d.o);
     gemm_packed(weights, &slot.panels, dst);
     for (row, &b) in dst.chunks_exact_mut(d.b.cols()).zip(bias) {
         for v in row {
