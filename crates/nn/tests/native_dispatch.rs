@@ -11,7 +11,9 @@
 //! paper network of `qnn_nn::zoo` at its full shape.
 
 use qnn_nn::arch::NetworkSpec;
-use qnn_nn::{set_native, zoo, ActivationCalibration, Mode, Network};
+use qnn_nn::{
+    set_native, zoo, ActivationCalibration, Mode, Network, QatConfig, Trainer, TrainerConfig,
+};
 use qnn_quant::{calibrate::Method, Precision};
 use qnn_tensor::rng::{derive_seed, seeded};
 use qnn_tensor::{par, Shape, Tensor};
@@ -275,7 +277,8 @@ fn zoo_batch(spec: &NetworkSpec, n: usize, seed: u64) -> Tensor {
 }
 
 /// The committed digests of [`every_zoo_network_is_bit_identical_across_paths`]'s
-/// logits: one line per (network, precision, path).
+/// logits, one line per (network, precision, path or `trace`), and of
+/// [`lenet_qat_trained_weights_are_pinned`]'s weights (`qat`).
 const ZOO_LOGITS: &str = include_str!("zoo_logits.fnv");
 
 /// [`Precision::paper_sweep`]'s rows by their short names, in sweep order.
@@ -294,19 +297,6 @@ fn fnv1a(values: &[f32]) -> u64 {
     h
 }
 
-/// The digest file's text for `cells`, each `"network precision path"`
-/// with its digest.
-fn digest_file(cells: &[(String, u64)]) -> String {
-    let mut text = String::from(
-        "# FNV-1a-64 of the Eval logits of native_dispatch's zoo test: every\n\
-         # zoo network x every paper_sweep precision x both paths.\n",
-    );
-    for (cell, digest) in cells {
-        text += &format!("{cell} {digest:016x}\n");
-    }
-    text
-}
-
 /// The `(cell, digest)` lines of a digest file.
 fn cells(text: &str) -> Vec<(&str, &str)> {
     text.lines()
@@ -315,14 +305,46 @@ fn cells(text: &str) -> Vec<(&str, &str)> {
         .collect()
 }
 
-/// Panics, naming each cell whose digest moved, appeared or vanished and
-/// printing the whole new file, unless `got` is the committed file.
-fn assert_digests_pinned(got: &str, ctx: &str) {
-    if got == ZOO_LOGITS {
+/// The last word of a cell: the path (`simulated`, `native`), `trace` or
+/// `qat`. Each test owns the cells of its kinds.
+fn kind(cell: &str) -> &str {
+    cell.rsplit(' ').next().unwrap_or(cell)
+}
+
+/// The committed file with its cells of `got`'s kinds replaced by `got`,
+/// in place of the first of them (or at the end when there were none).
+fn digest_file(got: &[(String, u64)]) -> String {
+    let ours = |cell: &str| got.iter().any(|(c, _)| kind(c) == kind(cell));
+    let got_lines: String = got.iter().map(|(c, d)| format!("{c} {d:016x}\n")).collect();
+    let mut text = String::new();
+    let mut placed = false;
+    for line in ZOO_LOGITS.lines() {
+        match line.rsplit_once(' ') {
+            Some((cell, _)) if !line.starts_with('#') && ours(cell) => {
+                if !placed {
+                    text += &got_lines;
+                    placed = true;
+                }
+            }
+            _ => text += &format!("{line}\n"),
+        }
+    }
+    if !placed {
+        text += &got_lines;
+    }
+    text
+}
+
+/// Panics, naming each cell of `got`'s kinds whose digest moved, appeared
+/// or vanished and printing the whole new file, unless those cells equal
+/// the committed ones.
+fn assert_digests_pinned(got: &[(String, u64)], ctx: &str) {
+    let new = digest_file(got);
+    if new == ZOO_LOGITS {
         return;
     }
-    let (want, new) = (cells(ZOO_LOGITS), cells(got));
-    let mut moved: Vec<String> = new
+    let (want, new_cells) = (cells(ZOO_LOGITS), cells(&new));
+    let mut moved: Vec<String> = new_cells
         .iter()
         .filter(|c| !want.contains(c))
         .map(|(cell, d)| {
@@ -335,12 +357,12 @@ fn assert_digests_pinned(got: &str, ctx: &str) {
         .collect();
     moved.extend(
         want.iter()
-            .filter(|(w, _)| !new.iter().any(|(g, _)| g == w))
+            .filter(|(w, _)| !new_cells.iter().any(|(g, _)| g == w))
             .map(|(cell, d)| format!("  {cell}: {d} -> absent")),
     );
     panic!(
-        "{ctx}: zoo logits moved from crates/nn/tests/zoo_logits.fnv in {} cells:\n{}\n\
-         new file:\n{got}",
+        "{ctx}: digests moved from crates/nn/tests/zoo_logits.fnv in {} cells:\n{}\n\
+         new file:\n{new}",
         moved.len(),
         moved.join("\n")
     );
@@ -385,6 +407,15 @@ fn every_zoo_network_is_bit_identical_across_paths() {
                     let cell = format!("{} {name} {path}", spec.name());
                     cells.push((cell, fnv1a(y.as_slice())));
                 }
+                // `forward_trace`, the capture calibration and repobench's
+                // per-layer replay read, at the default dispatch.
+                set_native(None);
+                let trace = net.forward_trace(&x).unwrap();
+                let last = trace.last().expect("a traced forward has an output");
+                cells.push((
+                    format!("{} {name} trace", spec.name()),
+                    fnv1a(last.as_slice()),
+                ));
             }
             set_native(Some(true));
             qnn_trace::start();
@@ -444,6 +475,59 @@ fn every_zoo_network_is_bit_identical_across_paths() {
         }
     }
     for (threads, cells) in [1usize, 4].into_iter().zip(&digests) {
-        assert_digests_pinned(&digest_file(cells), &format!("{threads}t"));
+        assert_digests_pinned(cells, &format!("{threads}t"));
     }
+}
+
+/// FNV-1a-64 over the bits of every parameter, in `params` order.
+fn weight_digest(net: &Network) -> u64 {
+    let values: Vec<f32> = net
+        .params()
+        .iter()
+        .flat_map(|p| p.value.as_slice().iter().copied())
+        .collect();
+    fnv1a(&values)
+}
+
+#[test]
+fn lenet_qat_trained_weights_are_pinned() {
+    // A short QAT fine-tune of the full-size LeNet under every Table III
+    // precision: its Train forwards run the f32 conv route and its
+    // backward the transposed one, so the trained weights pin both. They
+    // must be identical at 1 and 4 threads and equal the committed
+    // `qat` cells of `zoo_logits.fnv`.
+    let _serial = exclusive();
+    let spec = zoo::lenet();
+    let images = zoo_batch(&spec, 16, 0x9A7);
+    let mut r = seeded(0x1AB);
+    let labels: Vec<usize> = (0..16).map(|_| r.gen_range(0usize..10)).collect();
+    let trainer = Trainer::new(TrainerConfig {
+        epochs: 1,
+        batch_size: 8,
+        seed: 0x5ED,
+        ..TrainerConfig::default()
+    })
+    .unwrap();
+    let mut digests: [Vec<(String, u64)>; 2] = Default::default();
+    for (precision, name) in Precision::paper_sweep().into_iter().zip(SWEEP_NAMES) {
+        for (threads, cells) in [1usize, 4].into_iter().zip(&mut digests) {
+            par::set_threads(Some(threads));
+            let mut net = Network::build(&spec, 0x2017).unwrap();
+            let qat = QatConfig::new(precision);
+            let report = trainer
+                .train_qat(&mut net, &qat, &images, &labels, 4)
+                .unwrap();
+            assert!(
+                report.epoch_losses.iter().all(|l| l.is_finite()),
+                "{name} @ {threads}t: {:?}",
+                report.epoch_losses
+            );
+            cells.push((format!("lenet {name} qat"), weight_digest(&net)));
+        }
+    }
+    assert_eq!(
+        digests[0], digests[1],
+        "trained weights differ at 1 and 4 threads"
+    );
+    assert_digests_pinned(&digests[0], "qat");
 }
