@@ -463,14 +463,23 @@ fn every_zoo_network_is_bit_identical_across_paths() {
             if let Some(r) = sole {
                 assert_eq!(reason(r), conv_images, "{ctx}: {declined:?}");
             }
-            // The f32 conv skips the all-zero patch rows ReLU leaves in
-            // ConvNet's and ALEX's later convs, so the digests below pin
-            // logits that went through skipped steps.
-            if name == "float32"
-                && matches!(spec.name(), "convnet" | "alex")
-                && qnn_tensor::gemm::simd_build() == "avx512"
-            {
+            // The f32 conv's lanes route skips the all-zero steps ReLU
+            // leaves in ConvNet's and ALEX's later convs, so the digests
+            // below pin logits that went through skipped steps.
+            let avx512 = qnn_tensor::gemm::simd_build() == "avx512";
+            if name == "float32" && matches!(spec.name(), "convnet" | "alex") && avx512 {
                 assert!(count("tensor.conv.fwd.macs_skipped") > 0, "{ctx}");
+            }
+            // On every row that runs the f32 conv, ConvNet conv2 (512
+            // output channels) takes the lanes route and conv1 (16, not a
+            // multiple of 32) the panel route.
+            let f32_conv = matches!(name, "float32" | "fixed32" | "fixed16" | "pow2" | "binary");
+            if spec.name() == "convnet" && f32_conv && avx512 {
+                let routes = (
+                    count("tensor.conv.fwd.route.lanes"),
+                    count("tensor.conv.fwd.route.panels"),
+                );
+                assert_eq!(routes, (1, 1), "{ctx}: (lanes, panels) calls");
             }
         }
     }

@@ -14,19 +14,29 @@
 //! and bias gradient partials, reduced in block order — so results are
 //! bit-identical at any thread count.
 //!
-//! The forward never materialises the patch matrix. Its weights, already
-//! the GEMM's `A` operand, are packed into the kernel's row panels once per
-//! call, and each image's patches are written straight into the column
-//! panels of `B`. Every patch transform reads the image through one
-//! zero-bordered layout (`Border`), copied once per image unless `pad` is 0
-//! and every window lies inside, so that each patch row of each output row
-//! is one plain run of taps. One walk over those runs fills the row-major
-//! matrix of [`im2col_into`], the f32 GEMM's panels and the row pairs the
-//! i16 kernel's [`crate::qgemm::PanelB`] is zipped from; col2im is its
-//! adjoint, summing into a bordered buffer and copying the image part out.
+//! The forward never materialises the patch matrix, and takes one of two
+//! f32 routes, picked per layer from its shape ([`lanes::suits`]). On the
+//! panel route its weights, already the GEMM's `A` operand, are packed
+//! into the kernel's row panels once per call, and each image's patches
+//! are written straight into the column panels of `B`. On the lanes route
+//! (AVX-512, `o` a multiple of 32) output channels sit on the lanes, the
+//! windows are read straight from the bordered image and each group of 8
+//! pixels skips its all-zero k steps ([`lanes`]). Every patch transform
+//! reads the image through one zero-bordered layout (`Border`), copied
+//! once per image unless `pad` is 0 and every window lies inside, so that
+//! each patch row of each output row is one plain run of taps. One walk
+//! over those runs fills the row-major matrix of [`im2col_into`], the f32
+//! GEMM's panels and the row pairs the i16 kernel's
+//! [`crate::qgemm::PanelB`] is zipped from; col2im is its adjoint, summing
+//! into a bordered buffer and copying the image part out.
+
+#[cfg(target_arch = "x86_64")]
+mod lanes;
+#[cfg(target_arch = "x86_64")]
+use lanes::{PackedWt, Walk};
 
 use crate::error::TensorError;
-use crate::gemm::{gemm_nt_with, gemm_packed, GemmScratch, PackedA, PackedB, Steps};
+use crate::gemm::{gemm_nt_with, gemm_packed, GemmScratch, PackedA, PackedB};
 use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -256,104 +266,6 @@ impl Border {
         }
     }
 
-    /// Fills `steps` (overwritten) with the patch rows of each tile
-    /// column of `width` patch columns that may hold a value that is not
-    /// `±0.0` (a subnormal or a NaN counts as a value). A row is left out
-    /// when every one of its taps in the column lies in a row of the
-    /// bordered image `src` that is all `±0.0`: a padding row, or an image
-    /// row a dead channel or a zero region left. The test looks at whole
-    /// image rows, so a row it keeps may still be all `±0.0`. `live` is
-    /// scratch. A kernel with no rows or more than 64 leaves `steps` empty.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn nonzero_steps(
-        &self,
-        src: &[f32],
-        width: usize,
-        live: &mut Vec<u64>,
-        steps: &mut Steps,
-    ) {
-        use std::arch::x86_64::*;
-        let g = self.geom;
-        steps.clear();
-        if !(1..=64).contains(&g.kh) {
-            return;
-        }
-        // Bit `ci·hp + y`: bordered row `y` of channel `ci` holds a value.
-        // One spare word lets `window` read past the last row.
-        live.clear();
-        live.resize((self.c * self.hp).div_ceil(64) + 1, 0);
-        let magnitude = _mm512_set1_epi32(0x7fff_ffff);
-        // Each image row is `whole` blocks of 16 lanes and a `tail`.
-        let (whole, tail) = (self.w / 16, ((1u32 << (self.w % 16)) - 1) as __mmask16);
-        // The word being filled, kept in a register across rows.
-        let (mut word, mut bits) = (0, 0u64);
-        for ci in 0..self.c {
-            for row in ci * self.hp + g.pad..ci * self.hp + g.pad + self.h {
-                let at = src[row * self.wp + g.pad..][..self.w].as_ptr();
-                // SAFETY: the loads read the row's `w` lanes and no more.
-                let mut any = _mm512_maskz_loadu_epi32(tail, at.add(16 * whole).cast());
-                for b in 0..whole {
-                    any = _mm512_or_si512(any, _mm512_loadu_si512(at.add(16 * b).cast()));
-                }
-                if row / 64 != word {
-                    live[word] |= bits;
-                    (word, bits) = (row / 64, 0);
-                }
-                let holds = _mm512_test_epi32_mask(any, magnitude) != 0;
-                bits |= u64::from(holds) << (row % 64);
-            }
-        }
-        live[word] |= bits;
-        // Every bordered row holds a value: there is nothing to skip.
-        if live.iter().map(|w| w.count_ones() as usize).sum::<usize>() == self.c * self.hp {
-            return;
-        }
-        // Bits `at .. at + kh` of `live`, as bits `0 .. kh`.
-        let window = |at: usize| {
-            let (word, bit) = (at / 64, at % 64);
-            let spill = live[word + 1] << 1 << (63 - bit);
-            (live[word] >> bit | spill) & (u64::MAX >> (64 - g.kh))
-        };
-        let (cols, ow) = (self.cols(), self.ow);
-        // Output row and column of tile column `t`'s first pixel, advanced
-        // by subtraction: a division per column cost more than the rest.
-        let (mut oi, mut oj) = (0, 0);
-        for t in 0..cols.div_ceil(width) {
-            let (mut last, mut lj) = (oi, oj + width.min(cols - t * width) - 1);
-            while lj >= ow {
-                (last, lj) = (last + 1, lj - ow);
-            }
-            let out_rows = oi..last + 1;
-            oj += width;
-            while oj >= ow {
-                (oi, oj) = (oi + 1, oj - ow);
-            }
-            for ci in 0..self.c {
-                // Bit `ki`: kernel row `ki` reads a row that holds a value.
-                let mut kernel_rows = out_rows
-                    .clone()
-                    .fold(0, |any, oi| any | window(ci * self.hp + oi * g.stride));
-                while kernel_rows != 0 {
-                    let lo = kernel_rows.trailing_zeros() as usize;
-                    let len = (!(kernel_rows >> lo)).trailing_zeros() as usize;
-                    let row = (ci * g.kh + lo) * g.kw;
-                    steps.add(row..row + len * g.kw);
-                    kernel_rows &= !(u64::MAX >> (64 - lo - len));
-                }
-            }
-            steps.end_column();
-        }
-        // No column skips a step: the plain walk is cheaper.
-        if steps.walks_every(self.rows()) {
-            steps.clear();
-        }
-    }
-
     /// col2im, the adjoint of the walk: adds the row-major patch matrix
     /// `cols` onto the taps it unfolds from and overwrites `dst` (`c·h·w`)
     /// with the image part. The sums run in `dst` itself when the image
@@ -541,6 +453,8 @@ pub fn col2im(
 #[derive(Debug, Default, Clone)]
 struct Slot {
     panels: PackedB,
+    #[cfg(target_arch = "x86_64")]
+    walk: Walk,
     border: Vec<f32>,
     cols: Vec<f32>,
     gcols: Vec<f32>,
@@ -577,11 +491,34 @@ thread_local! {
     static TLS_CONV_SCRATCH: RefCell<ConvScratch> = RefCell::new(ConvScratch::new());
     /// The bordered image of [`im2col_into`], which takes no scratch.
     static TLS_BORDER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// The packed weights of one call: `W` for the forward, `Wᵀ` for the
-    /// backward. They live only for that call, so one buffer per thread,
-    /// grown to the largest layer it has run, serves every layer: no layer
-    /// keeps a second copy of its weights.
-    static TLS_WEIGHTS: RefCell<PackedA> = RefCell::new(PackedA::default());
+    /// The packed weights of one call: the forward's, in the form its
+    /// route reads, and `Wᵀ` for the backward. They live only for that
+    /// call, so one buffer per thread, grown to the largest layer it has
+    /// run, serves every layer: no layer keeps a second copy of its weights.
+    static TLS_WEIGHTS: RefCell<Weights> = RefCell::new(Weights::default());
+}
+
+/// A forward's packed weights: `W` in the GEMM's row panels for the panel
+/// route, `Wᵀ` in channel panels for the lanes route.
+#[derive(Debug, Default)]
+struct Weights {
+    panels: PackedA,
+    #[cfg(target_arch = "x86_64")]
+    lanes: PackedWt,
+}
+
+impl Weights {
+    /// Packs `weight` for the route `d` takes, and counts the route.
+    fn pack(&mut self, d: &ConvDims, weight: &[f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if d.lanes {
+            qnn_trace::counter!("tensor.conv.fwd.route.lanes", 1);
+            self.lanes.pack(d.o, d.b.rows(), weight);
+            return;
+        }
+        qnn_trace::counter!("tensor.conv.fwd.route.panels", 1);
+        self.panels.pack(d.o, d.b.rows(), weight);
+    }
 }
 
 /// Samples per weight-gradient partial block. Fixed (never derived from the
@@ -626,22 +563,22 @@ pub fn conv2d_with(
     geom: Geometry,
 ) -> Result<Tensor, TensorError> {
     let d = ConvDims::of(input, weight, bias, geom)?;
-    TLS_WEIGHTS.with(|w| {
-        let mut weights = w.borrow_mut();
-        weights.pack(d.o, d.b.rows(), weight.as_slice());
-        conv2d_batch(scratch, &d, &weights, input, bias)
-    })
+    TLS_WEIGHTS.with(|w| conv2d_batch(scratch, &d, &mut w.borrow_mut(), input, weight, bias))
 }
 
-/// The body of [`conv2d_with`]: the batch's images spread over the pool,
-/// one slot per worker, against weights already packed.
+/// The body of [`conv2d_with`] on the route `d` names: the weights packed
+/// into `weights`, then the batch's images spread over the pool, one slot
+/// per worker.
 fn conv2d_batch(
     scratch: &mut ConvScratch,
     d: &ConvDims,
-    weights: &PackedA,
+    weights: &mut Weights,
     input: &Tensor,
+    weight: &Tensor,
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
+    weights.pack(d, weight.as_slice());
+    let weights = &*weights;
     let n = d.n;
     let sample_out = d.o * d.b.cols();
     let in_data = input.as_slice();
@@ -701,7 +638,7 @@ where
                 continue;
             }
             if !packed {
-                weights.pack(d.o, d.b.rows(), weight.as_slice());
+                weights.pack(&d, weight.as_slice());
                 packed = true;
             }
             conv_image(&d, &weights, slot, image, bias.as_slice(), dst);
@@ -711,12 +648,15 @@ where
 }
 
 /// The validated dimensions of one conv forward: the batch, the output
-/// channels and each image's bordered layout.
+/// channels, each image's bordered layout and the f32 route.
 #[derive(Debug, Clone, Copy)]
 struct ConvDims {
     n: usize,
     o: usize,
     b: Border,
+    /// Whether the forward takes the lanes route ([`lanes::suits`]).
+    #[cfg(target_arch = "x86_64")]
+    lanes: bool,
 }
 
 impl ConvDims {
@@ -747,7 +687,13 @@ impl ConvDims {
         let b = Border::new((c, h, w), geom, geom.output_hw(h, w)?);
         qnn_trace::counter!("tensor.conv.fwd.calls", 1);
         qnn_trace::counter!("tensor.conv.fwd.macs", (n * o * b.cols() * b.rows()) as u64);
-        Ok(ConvDims { n, o, b })
+        Ok(ConvDims {
+            n,
+            o,
+            b,
+            #[cfg(target_arch = "x86_64")]
+            lanes: lanes::suits(&b, o),
+        })
     }
 
     fn out_shape(&self) -> Shape {
@@ -761,20 +707,26 @@ impl ConvDims {
     }
 }
 
-/// The f32 route for one image: its patches straight from the bordered
-/// image into `slot`'s column panels, the GEMM against the packed weights into `dst` (`o × oh·ow`),
-/// then the per-channel bias.
+/// The f32 route for one image into `dst` (`o × oh·ow`): the lanes route
+/// where `d` takes it, else the panel route: its patches straight from the
+/// bordered image into `slot`'s column panels, the GEMM against the packed
+/// weights, then the per-channel bias.
 fn conv_image(
     d: &ConvDims,
-    weights: &PackedA,
+    weights: &Weights,
     slot: &mut Slot,
     image: &[f32],
     bias: &[f32],
     dst: &mut [f32],
 ) {
     let src = d.b.image(image, &mut slot.border);
-    slot.panels.pack_patches(&d.b, src, d.o);
-    gemm_packed(weights, &slot.panels, dst);
+    #[cfg(target_arch = "x86_64")]
+    if d.lanes {
+        lanes::conv_image(&d.b, &weights.lanes, &mut slot.walk, src, bias, dst);
+        return;
+    }
+    slot.panels.pack_patches(&d.b, src);
+    gemm_packed(&weights.panels, &slot.panels, dst);
     for (row, &b) in dst.chunks_exact_mut(d.b.cols()).zip(bias) {
         for v in row {
             *v += b;
@@ -842,7 +794,7 @@ pub fn conv2d_backward_with(
     let mut partials: Vec<(Vec<f32>, Vec<f32>)> = vec![(Vec::new(), Vec::new()); n_blocks];
     // Wᵀ (kdim×o) for every image's dCols; the buffer goes back to the
     // thread-local once the workers are done.
-    let mut wt = TLS_WEIGHTS.take();
+    let mut wt = TLS_WEIGHTS.with(|w| std::mem::take(&mut w.borrow_mut().panels));
     wt.pack_transposed(kdim, o, weight.as_slice());
 
     // Processes the samples of blocks `blocks`, writing dX into `gx_slab`
@@ -903,7 +855,7 @@ pub fn conv2d_backward_with(
     par::run_parts(parts, |(((blocks, gx_slab), (_, parts)), slot)| {
         run(blocks, gx_slab, parts, slot)
     });
-    TLS_WEIGHTS.set(wt);
+    TLS_WEIGHTS.with(|w| w.borrow_mut().panels = wt);
 
     // Sequential reduction in ascending block order: the summation tree is
     // a function of (n, GRAD_BLOCK) only, never of the worker count.
@@ -1183,27 +1135,34 @@ mod tests {
         img
     }
 
-    /// `conv2d_with` and `conv2d_each_with` against the per-element im2col,
-    /// the naive triple-loop GEMM and a per-channel bias add, over 256+
-    /// seeded geometries, a quarter of them ceil mode (whose last window
-    /// can reach past `h + 2·pad`), at 1 and 4 threads with a reused
-    /// scratch. Every output row-panel residue (`o mod 4`) and several
-    /// 16-column panels occur. A third of the cases draw every operand at
-    /// random, ±inf and NaN among them; a third give the images dead
-    /// channels and zero regions under finite weights, so the AVX-512
-    /// tile skips all-zero patch rows (the trace counter
-    /// `tensor.conv.fwd.macs_skipped` must show it, for both entry
-    /// points); the last third add one ±inf or NaN weight to those
-    /// images, which must turn the skip off. Non-NaN outputs must be
-    /// bit-equal; NaN must appear exactly where the reference has NaN
-    /// (which NaN survives an add of two is up to instruction selection,
-    /// see `gemm`'s module docs).
+    /// `conv2d_with`, `conv2d_each_with` and, where AVX-512F runs, the
+    /// lanes route called directly for every shape, against the
+    /// per-element im2col, the naive triple-loop GEMM and a per-channel
+    /// bias add, over 288 seeded geometries at 1 and 4 threads with a
+    /// reused scratch: strides 1–3, pads 0–3, a quarter ceil mode (whose
+    /// last window can reach past `h + 2·pad`), output channels through
+    /// every residue mod 32 (the lanes tile's width) and mod 4 (the panel
+    /// tile's rows), output rows whose width is not a multiple of the
+    /// lanes route's 8-pixel groups, and an eighth of the cases with more
+    /// kernel rows than one k-block holds. A third of the cases draw every
+    /// operand at random, ±0, subnormals, ±inf and NaN among them; a third
+    /// give the images dead channels and zero regions (some keeping one
+    /// subnormal) under finite weights, so the lanes route skips steps,
+    /// which `tensor.conv.fwd.macs_skipped` must show; the last third add
+    /// one ±inf or NaN weight to those images, which must turn the skip
+    /// off. Non-NaN outputs must be bit-equal; NaN must appear exactly
+    /// where the reference has NaN (which NaN survives an add of two is up
+    /// to instruction selection, see `gemm`'s module docs).
     #[test]
     fn conv_matches_im2col_naive_gemm_and_bias_bitwise() {
         let mut r = crate::rng::seeded(0xC0_2D_3E_F5);
         let mut scratch = ConvScratch::new();
-        let (mut cases, mut residues, mut wide, mut nans, mut beyond) = (0, [0usize; 4], 0, 0, 0);
-        let (mut kinds, mut skipped) = ([0usize; 3], [0u64; 2]);
+        let (mut cases, mut residues, mut quads, mut nans, mut beyond) =
+            (0, [0usize; 32], [0usize; 4], 0, 0);
+        let (mut kinds, mut partial, mut blocked, mut strides, mut pads) =
+            ([0usize; 3], 0, 0, [0usize; 3], [0usize; 4]);
+        // Lanes route calls, and the steps they skipped per kind.
+        let (mut lanes_calls, mut skipped) = (0, [0u64; 3]);
         while cases < 288 {
             let geom = Geometry {
                 kh: r.gen_range(1usize..8),
@@ -1212,20 +1171,29 @@ mod tests {
                 pad: r.gen_range(0usize..4),
                 ceil: r.gen_bool(0.25),
             };
-            let (n, c, h, w) = (
+            // An eighth of the cases: enough channels for two k-blocks.
+            let c = if cases % 8 == 7 {
+                r.gen_range(8usize..13)
+            } else {
+                r.gen_range(1usize..5)
+            };
+            let (n, h, w) = (
                 r.gen_range(1usize..4),
-                r.gen_range(1usize..5),
                 r.gen_range(1usize..14),
                 r.gen_range(1usize..14),
             );
             let Ok((oh, ow)) = geom.output_hw(h, w) else {
                 continue;
             };
-            let o = r.gen_range(1usize..41);
+            let o = cases % 64 + 1;
             cases += 1;
-            residues[o % 4] += 1;
+            residues[o % 32] += 1;
+            quads[o % 4] += 1;
+            strides[geom.stride - 1] += 1;
+            pads[geom.pad] += 1;
             beyond += usize::from((oh - 1) * geom.stride + geom.kh > h + 2 * geom.pad);
-            wide += usize::from(oh * ow > 32);
+            partial += usize::from(ow % 8 != 0);
+            blocked += usize::from(c * geom.kh > (256 / geom.kw).max(1));
             let (px, kdim) = (oh * ow, c * geom.kh * geom.kw);
             let kind = cases % 3;
             kinds[kind] += 1;
@@ -1261,47 +1229,9 @@ mod tests {
             let x = t(Shape::d4(n, c, h, w), x);
             let wt = t(Shape::d4(o, c, geom.kh, geom.kw), wt);
             let b = t(Shape::d1(o), b);
-            // The skip counter of one call, for the zeroed finite-weight kind.
-            let mut traced = |entry: usize, call: &mut dyn FnMut()| {
-                qnn_trace::start();
-                call();
-                let count = qnn_trace::stop()
-                    .counters
-                    .get("tensor.conv.fwd.macs_skipped")
-                    .copied();
-                if kind == 1 {
-                    skipped[entry] += count.unwrap_or(0);
-                }
-            };
-            for threads in [1, 4] {
-                crate::par::set_threads(Some(threads));
-                let mut got = None;
-                traced(0, &mut || {
-                    got = Some(conv2d_with(&mut scratch, &x, &wt, &b, geom).unwrap())
-                });
-                let got = got.unwrap();
-                // `conv2d_each_with`: image 0 is taken as the reference
-                // output, the others run the f32 route.
-                let mut seen = 0;
-                let mut each = None;
-                traced(1, &mut || {
-                    each = Some(
-                        conv2d_each_with(&mut scratch, &x, &wt, &b, geom, |_, dst| {
-                            seen += 1;
-                            if seen > 1 {
-                                return false;
-                            }
-                            dst.copy_from_slice(&want[..o * px]);
-                            true
-                        })
-                        .unwrap(),
-                    )
-                });
-                let (each, taken) = each.unwrap();
-                assert_eq!((seen, taken), (n, 1));
-                assert_eq!(each.shape(), got.shape());
-                let both = got.as_slice().iter().chain(each.as_slice());
-                for (i, (&g, &v)) in both.zip(want.iter().cycle()).enumerate() {
+            let check = |got: &Tensor, what: &str, threads: usize| {
+                assert_eq!(got.shape().dims(), &[n, o, oh, ow]);
+                for (i, (&g, &v)) in got.as_slice().iter().zip(&want).enumerate() {
                     let same = if v.is_nan() {
                         g.is_nan()
                     } else {
@@ -1309,20 +1239,59 @@ mod tests {
                     };
                     assert!(
                         same,
-                        "{geom:?} n={n} c={c} h={h} w={w} o={o} threads={threads} at {i}: \
-                         got {g:e}, want {v:e}"
+                        "{what}: {geom:?} n={n} c={c} h={h} w={w} o={o} threads={threads} \
+                         at {i}: got {g:e}, want {v:e}"
                     );
+                }
+            };
+            for threads in [1, 4] {
+                crate::par::set_threads(Some(threads));
+                check(
+                    &conv2d_with(&mut scratch, &x, &wt, &b, geom).unwrap(),
+                    "conv2d_with",
+                    threads,
+                );
+                // `conv2d_each_with`: image 0 is taken as the reference
+                // output, the others run the f32 route.
+                let mut seen = 0;
+                let (each, taken) = conv2d_each_with(&mut scratch, &x, &wt, &b, geom, |_, dst| {
+                    seen += 1;
+                    if seen > 1 {
+                        return false;
+                    }
+                    dst.copy_from_slice(&want[..o * px]);
+                    true
+                })
+                .unwrap();
+                assert_eq!((seen, taken), (n, 1));
+                check(&each, "conv2d_each_with", threads);
+                // The lanes route, whatever the rule picks for this shape.
+                #[cfg(target_arch = "x86_64")]
+                if crate::has_avx512f() {
+                    qnn_trace::start();
+                    let mut d = ConvDims::of(&x, &wt, &b, geom).unwrap();
+                    d.lanes = true;
+                    let got = TLS_WEIGHTS
+                        .with(|w| conv2d_batch(&mut scratch, &d, &mut w.borrow_mut(), &x, &wt, &b));
+                    let trace = qnn_trace::stop();
+                    check(&got.unwrap(), "lanes", threads);
+                    let count = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
+                    lanes_calls += count("tensor.conv.fwd.route.lanes");
+                    skipped[kind] += count("tensor.conv.fwd.macs_skipped");
                 }
             }
         }
         crate::par::set_threads(None);
-        assert!(residues.iter().all(|&k| k > 0) && wide > 0 && nans > 0 && beyond > 0);
+        assert!(residues.iter().all(|&k| k > 0) && quads.iter().all(|&k| k > 0));
+        assert!(strides.iter().all(|&k| k > 0) && pads.iter().all(|&k| k > 0));
+        assert!(nans > 0 && beyond > 0 && partial > 0 && blocked > 0);
         assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
-        if crate::gemm::simd_build() == "avx512" {
-            assert!(
-                skipped.iter().all(|&s| s > 0),
-                "skip never engaged: {skipped:?}"
-            );
+        if crate::has_avx512f() {
+            // Every direct call took the lanes route; the finite-weight
+            // zeroed images skipped steps and one non-finite weight
+            // turned the skip off.
+            assert_eq!(lanes_calls, 2 * cases as u64);
+            assert!(skipped[1] > 0 && skipped[2] == 0, "skipped {skipped:?}");
         }
     }
 

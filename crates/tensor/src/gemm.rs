@@ -4,11 +4,11 @@
 //! Three variants cover every product the network layers need without
 //! materialising a transpose: `C = A·B` ([`gemm_nn`]), `C = A·Bᵀ`
 //! ([`gemm_nt`], dense forward `x·Wᵀ`) and `C = Aᵀ·B` ([`gemm_tn`], dense
-//! weight gradient `dYᵀ·X`). The conv forward skips both of their packing
-//! passes: it packs its weights once per call (`PackedA`) and writes each
-//! image's patches straight into the column panels (`PackedB`), then runs
-//! the same microkernel through `gemm_packed`, which on AVX-512 skips the
-//! k steps whose patch rows are all `±0.0` (see below).
+//! weight gradient `dYᵀ·X`). The conv forward's panel route skips both of
+//! their packing passes: it packs its weights once per call (`PackedA`)
+//! and writes each image's patches straight into the column panels
+//! (`PackedB`), then runs the same microkernel through `gemm_packed`.
+//! Panels start on 64-byte boundaries ([`Panels`]).
 //!
 //! **Bit-exactness contract.** Each output element is produced by a single
 //! accumulator that walks `k` in ascending order with one multiply and one
@@ -23,19 +23,6 @@
 //! `0 · inf`) is negative, and LLVM treats `fadd` as commutative, so when
 //! both addends are NaN which one survives is up to instruction selection,
 //! in either build.
-//!
-//! **Skipped zero steps.** The conv forward's AVX-512 tile leaves out the
-//! k steps whose `B` row is `±0.0` across its whole tile column, and the
-//! bits stay the reference's. A finite `a` times `±0.0` is `±0.0`
-//! exactly. An accumulator that starts at `+0.0` is never `−0.0` under
-//! round-to-nearest: `+0.0 + −0.0` is `+0.0`, and an exact cancellation
-//! gives `+0.0`. So every skipped add is `x + ±0.0` with `x` not `−0.0`,
-//! which returns `x` itself (a NaN stays NaN, an infinity stays
-//! infinite). The walk stays ascending, so each output gets the
-//! reference's other products in the reference's order. The argument
-//! needs every `a` finite: `±inf · 0` and `NaN · 0` are NaN. So the skip
-//! runs only when every weight is finite (`PackedA::pack` checks), and a
-//! subnormal or a NaN in `B` counts as a value, never as zero.
 //!
 //! **SIMD dispatch.** rustc's x86-64 baseline is SSE2, so the microkernel
 //! has three builds, chosen at runtime by `Build::detect`: a plain one
@@ -65,7 +52,56 @@ pub const NR: usize = 16;
 /// `Tensor::matmul*` wrappers fall back to a thread-local instance.
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
-    packed_b: Vec<f32>,
+    packed_b: Panels,
+}
+
+/// One 64-byte cache line of `f32`s, the unit [`Panels`] allocates in.
+#[derive(Debug, Default, Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([f32; 16]);
+
+/// A growable `f32` buffer that starts on a 64-byte boundary, so a panel
+/// row of 16 values at a multiple of 16 never splits two cache lines
+/// under a zmm load (a split load cost the tile 8–21% per GEMM).
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Panels {
+    lines: Vec<Line>,
+    len: usize,
+}
+
+impl Panels {
+    /// Resizes to `len` values, like `Vec::resize(len, 0.0)`.
+    pub(crate) fn resize(&mut self, len: usize) {
+        let old = self.len;
+        self.lines.resize(len.div_ceil(16), Line::default());
+        self.len = len;
+        if old < len {
+            self[old..].fill(0.0);
+        }
+    }
+
+    /// Resizes to `len` values, all `+0.0`.
+    pub(crate) fn zeroed(&mut self, len: usize) {
+        self.len = 0;
+        self.resize(len);
+    }
+}
+
+impl std::ops::Deref for Panels {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        // SAFETY: `Line` is `repr(C)` over 16 `f32`s, so `lines` is
+        // `16·lines.len() ≥ len` initialised, contiguous `f32`s.
+        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast(), self.len) }
+    }
+}
+
+impl std::ops::DerefMut for Panels {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        // SAFETY: as in `deref`, and `&mut self` makes the view unique.
+        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast(), self.len) }
+    }
 }
 
 thread_local! {
@@ -206,7 +242,7 @@ fn gemm(
         Layout::Tn => ASide::Cols(a),
         Layout::Nn | Layout::Nt => ASide::Rows(a),
     };
-    driver(build, (m, k, n), a, &scratch.packed_b, None, c);
+    driver(build, (m, k, n), a, &scratch.packed_b, c);
 }
 
 /// `C = A·B` (`c` is `m×n`, overwritten) on operands already in panel
@@ -218,18 +254,11 @@ pub(crate) fn gemm_packed(a: &PackedA, b: &PackedB, c: &mut [f32]) {
     debug_assert_eq!(c.len(), m * n);
     qnn_trace::counter!("tensor.gemm.calls", 1);
     qnn_trace::counter!("tensor.gemm.flops", (2 * m * k * n) as u64);
-    let steps = (a.finite && !b.steps.ends.is_empty()).then_some(&b.steps);
-    if let Some(st) = steps {
-        // The tile's loads trust these bounds.
-        assert!(st.ends.len() == n.div_ceil(2 * NR) && st.ranges.iter().all(|r| r.1 <= k));
-        qnn_trace::counter!("tensor.conv.fwd.macs_skipped", m * st.skipped(k, n));
-    }
     driver(
         Build::detect(),
         (m, k, n),
         ASide::Panels(&a.data),
         &b.data,
-        steps,
         c,
     );
 }
@@ -244,10 +273,6 @@ pub(crate) struct PackedA {
     m: usize,
     k: usize,
     data: Vec<f32>,
-    /// Whether every value is finite, so that a `±0.0` of `B` adds
-    /// nothing to any output ([`gemm_packed`]). Set by [`PackedA::pack`];
-    /// [`PackedA::pack_transposed`] does not look and leaves it false.
-    finite: bool,
 }
 
 impl PackedA {
@@ -255,7 +280,6 @@ impl PackedA {
     pub(crate) fn pack(&mut self, m: usize, k: usize, a: &[f32]) {
         debug_assert_eq!(a.len(), m * k);
         self.pack_with(m, k, |i0, h, dst| pack_a_rows(a, k, i0, h, dst));
-        self.finite = a.iter().fold(true, |all, v| all & v.is_finite());
     }
 
     /// Repacks `A` (`m×k`) given as its row-major transpose `at`
@@ -263,7 +287,6 @@ impl PackedA {
     pub(crate) fn pack_transposed(&mut self, m: usize, k: usize, at: &[f32]) {
         debug_assert_eq!(at.len(), m * k);
         self.pack_with(m, k, |i0, h, dst| pack_a_cols(at, m, k, i0, h, dst));
-        self.finite = false;
     }
 
     /// Sizes the panels for `m×k` and fills each with `pack(i0, h, dst)`.
@@ -287,70 +310,9 @@ impl PackedA {
 pub(crate) struct PackedB {
     k: usize,
     n: usize,
-    data: Vec<f32>,
+    data: Panels,
     /// The patch walk's runs, split where they cross a panel.
     runs: Vec<Run>,
-    /// The k steps the AVX-512 tile walks. Only
-    /// [`PackedB::pack_patches`] fills them, and only where that build
-    /// runs; while they are empty, every build walks every step.
-    steps: Steps,
-    /// Scratch of the test that fills `steps`.
-    live: Vec<u64>,
-}
-
-/// The k steps the AVX-512 tile walks in each tile column of a
-/// [`PackedB`] (each pair of adjacent panels, and a lone last panel):
-/// ascending, disjoint ranges of rows, outside which every row of the
-/// column is `±0.0`.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct Steps {
-    /// Each column's `(start, end)` ranges, column after column.
-    ranges: Vec<(usize, usize)>,
-    /// The end of each column's ranges in `ranges`.
-    ends: Vec<usize>,
-}
-
-impl Steps {
-    /// Adds rows `rows` to the column being built, after its ranges so far.
-    pub(crate) fn add(&mut self, rows: std::ops::Range<usize>) {
-        let column = self.ends.last().map_or(0, |&end| end);
-        match self.ranges[column..].last_mut() {
-            Some(last) if last.1 == rows.start => last.1 = rows.end,
-            _ => self.ranges.push((rows.start, rows.end)),
-        }
-    }
-
-    /// Ends the column being built.
-    pub(crate) fn end_column(&mut self) {
-        self.ends.push(self.ranges.len());
-    }
-
-    /// Whether every column walks all of its `k` rows.
-    pub(crate) fn walks_every(&self, k: usize) -> bool {
-        self.ranges.len() == self.ends.len() && self.ranges.iter().all(|&r| r == (0, k))
-    }
-
-    /// Empties every column.
-    pub(crate) fn clear(&mut self) {
-        self.ranges.clear();
-        self.ends.clear();
-    }
-
-    /// Tile column `t`'s ranges.
-    fn column(&self, t: usize) -> &[(usize, usize)] {
-        let start = if t == 0 { 0 } else { self.ends[t - 1] };
-        &self.ranges[start..self.ends[t]]
-    }
-
-    /// The `(k row, column)` cells of a `k×n` product the walk skips.
-    fn skipped(&self, k: usize, n: usize) -> usize {
-        (0..self.ends.len())
-            .map(|t| {
-                let walked: usize = self.column(t).iter().map(|r| r.1 - r.0).sum();
-                (k - walked) * (n - t * 2 * NR).min(2 * NR)
-            })
-            .sum()
-    }
 }
 
 impl PackedB {
@@ -359,7 +321,6 @@ impl PackedB {
         debug_assert_eq!(b.len(), k * n);
         (self.k, self.n) = (k, n);
         pack_b_nn(&mut self.data, k, n, b);
-        self.steps.clear();
     }
 
     /// Repacks in place as the patch matrix of one image, `src` in the
@@ -368,14 +329,11 @@ impl PackedB {
     /// is the same for every patch row, so it is made once here, and each
     /// patch row is then one copy per stretch. The lanes past column `n`
     /// are set to `+0.0`: they are never written back, but a stale
-    /// subnormal there would still slow the kernel. Where the AVX-512
-    /// tile runs and the product with an `m`-row `A` is large enough for
-    /// the skip to pay ([`SKIP_MIN_MACS`]), the steps it walks are found
-    /// too.
-    pub(crate) fn pack_patches(&mut self, border: &Border, src: &[f32], m: usize) {
+    /// subnormal there would still slow the kernel.
+    pub(crate) fn pack_patches(&mut self, border: &Border, src: &[f32]) {
         let (k, n) = (border.rows(), border.cols());
         (self.k, self.n) = (k, n);
-        self.data.resize(n.div_ceil(NR) * k * NR, 0.0);
+        self.data.resize(n.div_ceil(NR) * k * NR);
         let tail = n % NR;
         if tail != 0 {
             for row in self.data[(n / NR) * k * NR..].chunks_exact_mut(NR) {
@@ -396,30 +354,16 @@ impl PackedB {
             }
         }
         border.unfold(src, 0..k, NR, self.runs.iter().copied(), &mut self.data);
-        self.steps.clear();
-        #[cfg(target_arch = "x86_64")]
-        if Build::detect() == Build::Avx512 && m * k * n >= SKIP_MIN_MACS {
-            // SAFETY: `detect` found AVX-512F on this CPU.
-            unsafe { border.nonzero_steps(src, 2 * NR, &mut self.live, &mut self.steps) }
-        }
     }
 }
-
-/// The smallest product, in MACs per image, whose zero steps
-/// [`PackedB::pack_patches`] looks for. The test scales with the image,
-/// not with `m`: on the zoo's convs it takes 0.1–3 µs per image, about
-/// 1% of their pack and GEMM time, but on the 8×8 serving net's convs
-/// (3,456 and 8,640 MACs) it took a tenth.
-const SKIP_MIN_MACS: usize = 1 << 16;
 
 /// Packs `B` (`k×n`, row-major) into `⌈n/NR⌉` column panels: panel `jp`
 /// holds, for each `kk`, the `NR` values `b[kk, jp·NR .. jp·NR+NR]`
 /// (zero-padded past column `n`). Padding only ever multiplies into
 /// output lanes that are never written back.
-fn pack_b_nn(packed_b: &mut Vec<f32>, k: usize, n: usize, b: &[f32]) {
+fn pack_b_nn(packed_b: &mut Panels, k: usize, n: usize, b: &[f32]) {
     let n_panels = n.div_ceil(NR);
-    packed_b.clear();
-    packed_b.resize(n_panels * k * NR, 0.0);
+    packed_b.zeroed(n_panels * k * NR);
     for jp in 0..n_panels {
         let j0 = jp * NR;
         let w = NR.min(n - j0);
@@ -436,8 +380,7 @@ fn pack_b_nn(packed_b: &mut Vec<f32>, k: usize, n: usize, b: &[f32]) {
 /// `k×n` operand) into the same panel layout as [`pack_b_nn`].
 fn pack_b_nt(scratch: &mut GemmScratch, k: usize, n: usize, b: &[f32]) {
     let n_panels = n.div_ceil(NR);
-    scratch.packed_b.clear();
-    scratch.packed_b.resize(n_panels * k * NR, 0.0);
+    scratch.packed_b.zeroed(n_panels * k * NR);
     for jp in 0..n_panels {
         let j0 = jp * NR;
         let w = NR.min(n - j0);
@@ -516,7 +459,6 @@ fn driver(
     (m, k, n): (usize, usize, usize),
     a: ASide,
     packed_b: &[f32],
-    steps: Option<&Steps>,
     c: &mut [f32],
 ) {
     if m == 0 || n == 0 {
@@ -531,21 +473,19 @@ fn driver(
         TLS_PANEL_A.with(|buf| {
             let mut buf = buf.borrow_mut();
             let pa = a.panel((m, k), ip, &mut buf);
-            row_panel(build, (k, n, h), pa, packed_b, steps, c_slab);
+            row_panel(build, (k, n, h), pa, packed_b, c_slab);
         });
     });
 }
 
 /// Computes one `h×n` output slab (`h ≤ MR`) from a packed A panel and all
 /// packed B panels, through the vector build `build` asks for when the CPU
-/// has it, else the plain build. Only the AVX-512 build reads `steps`;
-/// the others walk every k step.
+/// has it, else the plain build.
 fn row_panel(
     build: Build,
     (k, n, h): (usize, usize, usize),
     pa: &[f32],
     packed_b: &[f32],
-    steps: Option<&Steps>,
     c_slab: &mut [f32],
 ) {
     match build {
@@ -553,7 +493,7 @@ fn row_panel(
         Build::Avx512 if crate::has_avx512f() => {
             // SAFETY: `has_avx512f` verified AVX-512F on this CPU, the only
             // precondition of the target_feature build.
-            unsafe { row_panel_avx512((k, n, h), pa, packed_b, steps, c_slab) }
+            unsafe { row_panel_avx512((k, n, h), pa, packed_b, c_slab) }
         }
         #[cfg(target_arch = "x86_64")]
         Build::Avx2 if crate::has_avx2() => {
@@ -570,7 +510,6 @@ fn row_panel(
 /// Per k step the pair tile loads two B rows, broadcasts four A values and
 /// runs 8 `vmulps` and then 8 `vaddps`, in ascending k: one rounded
 /// multiply and one rounded add per accumulator, as in the naive loop.
-/// Given `steps`, a tile walks only its column's ranges of k steps.
 ///
 /// # Safety
 ///
@@ -581,7 +520,6 @@ unsafe fn row_panel_avx512(
     (k, n, h): (usize, usize, usize),
     pa: &[f32],
     packed_b: &[f32],
-    steps: Option<&Steps>,
     c_slab: &mut [f32],
 ) {
     let pstride = k * NR;
@@ -590,30 +528,19 @@ unsafe fn row_panel_avx512(
     // rows of up to `n` columns: checked once here, relied on below.
     assert!(h <= MR && pa.len() >= k * MR && c_slab.len() >= h * n);
     assert!(packed_b.len() >= n_panels * pstride);
-    let (mut jp, mut start) = (0, 0);
+    let mut jp = 0;
     while jp < n_panels {
         let j0 = jp * NR;
         let w = (n - j0).min(2 * NR);
         // SAFETY: panels `jp` (and `jp + 1` for a pair) lie inside
         // `packed_b` by the assert above; `pa` holds `k·MR` values.
         let pb = packed_b.as_ptr().add(jp * pstride);
-        // This tile column's ranges, written out: a call here would cost
-        // a `vzeroupper` per tile.
-        let ranges = match steps {
-            Some(st) => {
-                let end = st.ends[jp / 2];
-                let column = &st.ranges[start..end];
-                start = end;
-                Some(column)
-            }
-            None => None,
-        };
         if jp + 1 < n_panels {
-            let acc = tile_f32::<2>(k, pa.as_ptr(), pb, pstride, ranges);
+            let acc = tile_f32::<2>(k, pa.as_ptr(), pb, pstride);
             store_tile(&acc, h, n, w, &mut c_slab[j0..]);
             jp += 2;
         } else {
-            let acc = tile_f32::<1>(k, pa.as_ptr(), pb, pstride, ranges);
+            let acc = tile_f32::<1>(k, pa.as_ptr(), pb, pstride);
             store_tile(&acc, h, n, w, &mut c_slab[j0..]);
             jp += 1;
         }
@@ -621,13 +548,12 @@ unsafe fn row_panel_avx512(
 }
 
 /// One `MR × P·NR` tile: `acc[r][q]` accumulates `pa[kk, r] · B[kk, q·NR ..]`
-/// over panels `pb + q·pstride`, multiply then add, for ascending `kk`:
-/// every `kk < k`, or only those of `ranges`, ascending and disjoint.
+/// over panels `pb + q·pstride`, multiply then add, for ascending `kk < k`.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F; `pa` must hold `k·MR` values and `pb`
-/// `P` panels of `k·NR` values, `pstride` apart; no range ends past `k`.
+/// `P` panels of `k·NR` values, `pstride` apart.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -636,22 +562,19 @@ unsafe fn tile_f32<const P: usize>(
     pa: *const f32,
     pb: *const f32,
     pstride: usize,
-    ranges: Option<&[(usize, usize)]>,
 ) -> [[std::arch::x86_64::__m512; P]; MR] {
     use std::arch::x86_64::*;
     let mut acc = [[_mm512_setzero_ps(); P]; MR];
-    for &(start, end) in ranges.unwrap_or(&[(0, k)]) {
-        for kk in start..end {
-            let mut b = [_mm512_setzero_ps(); P];
-            for (q, bq) in b.iter_mut().enumerate() {
-                *bq = _mm512_loadu_ps(pb.add(q * pstride + kk * NR));
-            }
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let a = _mm512_set1_ps(*pa.add(kk * MR + r));
-                for (acc_rq, &bq) in acc_r.iter_mut().zip(&b) {
-                    // Two roundings, never a fused multiply-add.
-                    *acc_rq = _mm512_add_ps(*acc_rq, _mm512_mul_ps(a, bq));
-                }
+    for kk in 0..k {
+        let mut b = [_mm512_setzero_ps(); P];
+        for (q, bq) in b.iter_mut().enumerate() {
+            *bq = _mm512_loadu_ps(pb.add(q * pstride + kk * NR));
+        }
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let a = _mm512_set1_ps(*pa.add(kk * MR + r));
+            for (acc_rq, &bq) in acc_r.iter_mut().zip(&b) {
+                // Two roundings, never a fused multiply-add.
+                *acc_rq = _mm512_add_ps(*acc_rq, _mm512_mul_ps(a, bq));
             }
         }
     }
