@@ -1142,8 +1142,9 @@ mod tests {
     /// reused scratch: strides 1–3, pads 0–3, a quarter ceil mode (whose
     /// last window can reach past `h + 2·pad`), output channels through
     /// every residue mod 32 (the lanes tile's width) and mod 4 (the panel
-    /// tile's rows), output rows whose width is not a multiple of the
-    /// lanes route's 8-pixel groups, and an eighth of the cases with more
+    /// tile's rows), several 16-column panels and 16-pixel transpose
+    /// blocks, output rows whose width is not a multiple of the lanes
+    /// route's 8-pixel groups, and an eighth of the cases with more
     /// kernel rows than one k-block holds. A third of the cases draw every
     /// operand at random, ±0, subnormals, ±inf and NaN among them; a third
     /// give the images dead channels and zero regions (some keeping one
@@ -1157,8 +1158,8 @@ mod tests {
     fn conv_matches_im2col_naive_gemm_and_bias_bitwise() {
         let mut r = crate::rng::seeded(0xC0_2D_3E_F5);
         let mut scratch = ConvScratch::new();
-        let (mut cases, mut residues, mut quads, mut nans, mut beyond) =
-            (0, [0usize; 32], [0usize; 4], 0, 0);
+        let (mut cases, mut residues, mut quads, mut wide, mut nans, mut beyond) =
+            (0, [0usize; 32], [0usize; 4], 0, 0, 0);
         let (mut kinds, mut partial, mut blocked, mut strides, mut pads) =
             ([0usize; 3], 0, 0, [0usize; 3], [0usize; 4]);
         // Lanes route calls, and the steps they skipped per kind.
@@ -1189,6 +1190,7 @@ mod tests {
             cases += 1;
             residues[o % 32] += 1;
             quads[o % 4] += 1;
+            wide += usize::from(oh * ow > 32);
             strides[geom.stride - 1] += 1;
             pads[geom.pad] += 1;
             beyond += usize::from((oh - 1) * geom.stride + geom.kh > h + 2 * geom.pad);
@@ -1284,7 +1286,7 @@ mod tests {
         crate::par::set_threads(None);
         assert!(residues.iter().all(|&k| k > 0) && quads.iter().all(|&k| k > 0));
         assert!(strides.iter().all(|&k| k > 0) && pads.iter().all(|&k| k > 0));
-        assert!(nans > 0 && beyond > 0 && partial > 0 && blocked > 0);
+        assert!(wide > 0 && nans > 0 && beyond > 0 && partial > 0 && blocked > 0);
         assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
         if crate::has_avx512f() {
             // Every direct call took the lanes route; the finite-weight
