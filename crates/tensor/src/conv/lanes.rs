@@ -60,9 +60,11 @@ const BLOCK_STEPS: usize = 256;
 /// 32 so that every tile column fills its lanes. Measured per conv in
 /// DESIGN §4: this route won on every conv whose `o` is a multiple of 32
 /// and lost or tied on the others (LeNet's 20 and 50, ConvNet conv1's 16,
-/// the 8×8 serving net's 6 and 10), which keep the panel route.
+/// the 8×8 serving net's 6 and 10), which keep the panel route. A step's
+/// two offsets must fit 32 bits each.
 pub(crate) fn suits(b: &Border, o: usize) -> bool {
-    crate::has_avx512f() && o > 0 && o.is_multiple_of(WIDTH) && b.rows() > 0
+    let fits = b.rows() * WIDTH <= u32::MAX as usize && b.c * b.hp * b.wp <= u32::MAX as usize;
+    crate::has_avx512f() && o > 0 && o.is_multiple_of(WIDTH) && b.rows() > 0 && fits
 }
 
 /// A conv's weights `W` (`o×k`, row-major) packed once per call as `Wᵀ`:
