@@ -70,20 +70,24 @@ pub(crate) struct Panels {
 }
 
 impl Panels {
-    /// Resizes to `len` values, like `Vec::resize(len, 0.0)`.
+    /// Resizes to `len` values, for a caller that writes every one it
+    /// reads: the values are left as they come.
     pub(crate) fn resize(&mut self, len: usize) {
-        let old = self.len;
-        self.lines.resize(len.div_ceil(16), Line::default());
-        self.len = len;
-        if old < len {
-            self[old..].fill(0.0);
+        let lines = len.div_ceil(16);
+        if lines > self.lines.capacity() {
+            // Over-aligned lines cannot grow in place, so growing copies:
+            // drop the old values first instead of holding both buffers
+            // (that raised zoo-qat's peak RSS by 4 MiB).
+            self.lines = Vec::new();
         }
+        self.lines.resize(lines, Line::default());
+        self.len = len;
     }
 
     /// Resizes to `len` values, all `+0.0`.
     pub(crate) fn zeroed(&mut self, len: usize) {
-        self.len = 0;
         self.resize(len);
+        self.fill(0.0);
     }
 }
 
