@@ -55,17 +55,17 @@ pub struct GemmScratch {
     packed_b: Panels,
 }
 
-/// One 64-byte cache line of `f32`s, the unit [`Panels`] allocates in.
-#[derive(Debug, Default, Clone, Copy)]
-#[repr(C, align(64))]
-struct Line([f32; 16]);
-
-/// A growable `f32` buffer that starts on a 64-byte boundary, so a panel
-/// row of 16 values at a multiple of 16 never splits two cache lines
-/// under a zmm load (a split load cost the tile 8–21% per GEMM).
+/// A growable `f32` buffer whose values start on a 64-byte boundary, so a
+/// panel row of 16 values at a multiple of 16 never splits two cache
+/// lines under a zmm load (a split load cost the tile 8–21% per GEMM).
+/// The view starts up to 15 values into a plain `Vec`: an over-aligned
+/// allocation cannot grow in place, and it raised zoo-qat's peak RSS by
+/// 4–8 MiB.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Panels {
-    lines: Vec<Line>,
+    buf: Vec<f32>,
+    /// Where the view starts in `buf`.
+    start: usize,
     len: usize,
 }
 
@@ -73,14 +73,10 @@ impl Panels {
     /// Resizes to `len` values, for a caller that writes every one it
     /// reads: the values are left as they come.
     pub(crate) fn resize(&mut self, len: usize) {
-        let lines = len.div_ceil(16);
-        if lines > self.lines.capacity() {
-            // Over-aligned lines cannot grow in place, so growing copies:
-            // drop the old values first instead of holding both buffers
-            // (that raised zoo-qat's peak RSS by 4 MiB).
-            self.lines = Vec::new();
-        }
-        self.lines.resize(lines, Line::default());
+        self.buf.resize(len + 15, 0.0);
+        // Alignment only speeds the loads: `min` keeps the view inside
+        // should `align_offset` not find the boundary.
+        self.start = self.buf.as_ptr().align_offset(64).min(15);
         self.len = len;
     }
 
@@ -95,16 +91,13 @@ impl std::ops::Deref for Panels {
     type Target = [f32];
 
     fn deref(&self) -> &[f32] {
-        // SAFETY: `Line` is `repr(C)` over 16 `f32`s, so `lines` is
-        // `16·lines.len() ≥ len` initialised, contiguous `f32`s.
-        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast(), self.len) }
+        &self.buf[self.start..][..self.len]
     }
 }
 
 impl std::ops::DerefMut for Panels {
     fn deref_mut(&mut self) -> &mut [f32] {
-        // SAFETY: as in `deref`, and `&mut self` makes the view unique.
-        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast(), self.len) }
+        &mut self.buf[self.start..][..self.len]
     }
 }
 
