@@ -266,6 +266,82 @@ fn weight_mutation_invalidates_packed_plans() {
     assert_paths_agree(&mut net, &x, "after mutation");
 }
 
+#[test]
+fn every_weight_change_reaches_the_next_native_forward() {
+    // A layer keeps its packed plan while it reuses its frozen quantized
+    // weights, so each way its weights or quantizers change must reach
+    // the next Eval forward: at fixed8 with native on, after each change
+    // the native logits (run first) must equal the simulated ones, must
+    // differ from the logits before the change, and must carry native
+    // MACs, so the plans really were repacked and used.
+    use qnn_faults::FaultInjector;
+    let _serial = exclusive();
+    par::set_threads(Some(1));
+    let fixed8 = Precision::fixed(8, 8);
+    let calib = batch(8, 0x51);
+    let x = batch(4, 0x52);
+    let mut net = Network::build(&lenet_spec(), 0x50).unwrap();
+    let donor = Network::build(&lenet_spec(), 0x53).unwrap();
+    net.set_precision(
+        fixed8,
+        Method::MaxAbs,
+        &calib,
+        ActivationCalibration::PerLayer,
+    )
+    .unwrap();
+    set_native(Some(true));
+    let mut before = net.forward(&x, Mode::Eval).unwrap();
+    for what in [
+        "params_mut",
+        "inject_weight_faults",
+        "load_state",
+        "set_precision",
+    ] {
+        match what {
+            "params_mut" => {
+                for p in net.params_mut() {
+                    for v in p.value.as_mut_slice() {
+                        *v = -*v;
+                    }
+                }
+            }
+            "inject_weight_faults" => {
+                let mut inj = FaultInjector::new(0.05, 0x54).unwrap();
+                assert!(net.inject_weight_faults(&mut inj) > 0);
+            }
+            "load_state" => net.load_state(&donor.state_dict()).unwrap(),
+            _ => {
+                let calib = batch(8, 0x55).map(|v| 4.0 * v);
+                net.set_precision(
+                    fixed8,
+                    Method::MaxAbs,
+                    &calib,
+                    ActivationCalibration::PerLayer,
+                )
+                .unwrap();
+            }
+        }
+        set_native(Some(true));
+        qnn_trace::start();
+        let native = net.forward(&x, Mode::Eval).unwrap();
+        let trace = qnn_trace::stop();
+        assert!(
+            trace.counters.get("nn.fwd.flops.native").copied() > Some(0),
+            "{what}: no native MACs"
+        );
+        set_native(Some(false));
+        let simulated = net.forward(&x, Mode::Eval).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&native),
+            bits(&simulated),
+            "{what}: native != simulated"
+        );
+        assert_ne!(bits(&native), bits(&before), "{what}: logits did not move");
+        before = native;
+    }
+}
+
 /// A batch of `n` images shaped for `spec`, uniform in `[0, 1)`.
 fn zoo_batch(spec: &NetworkSpec, n: usize, seed: u64) -> Tensor {
     let (c, h, w) = spec.input();
@@ -470,16 +546,28 @@ fn every_zoo_network_is_bit_identical_across_paths() {
             if name == "float32" && matches!(spec.name(), "convnet" | "alex") && avx512 {
                 assert!(count("tensor.conv.fwd.macs_skipped") > 0, "{ctx}");
             }
-            // On every row that runs the f32 conv, ConvNet conv2 (512
-            // output channels) takes the lanes route and conv1 (16, not a
-            // multiple of 32) the panel route.
+            // On every row that runs the f32 conv, each ConvNet and ALEX
+            // conv takes the lanes route on the tile its output channels
+            // pick: ConvNet conv1 (16) 16 × 16 and conv2 (512) 2 × 128,
+            // ALEX conv1 and conv2 (32) 8 × 32 and conv3 (64) 4 × 64.
             let f32_conv = matches!(name, "float32" | "fixed32" | "fixed16" | "pow2" | "binary");
-            if spec.name() == "convnet" && f32_conv && avx512 {
-                let routes = (
-                    count("tensor.conv.fwd.route.lanes"),
-                    count("tensor.conv.fwd.route.panels"),
-                );
-                assert_eq!(routes, (1, 1), "{ctx}: (lanes, panels) calls");
+            let want: &[(&str, u64)] = match spec.name() {
+                "convnet" => &[("16x16", 1), ("2x128", 1)],
+                "alex" => &[("4x64", 1), ("8x32", 2)],
+                _ => &[],
+            };
+            if f32_conv && avx512 && !want.is_empty() {
+                let tiles: Vec<(&str, u64)> = trace
+                    .counters
+                    .iter()
+                    .filter_map(|(c, &n)| {
+                        Some((c.strip_prefix("tensor.conv.fwd.route.lanes.")?, n))
+                    })
+                    .collect();
+                let lanes = |t: &[(&str, u64)]| t.iter().map(|(_, n)| n).sum::<u64>();
+                let routes = (lanes(&tiles), count("tensor.conv.fwd.route.panels"));
+                assert_eq!(routes, (lanes(want), 0), "{ctx}: (lanes, panels) calls");
+                assert_eq!(tiles, want, "{ctx}: lanes calls per tile");
             }
         }
     }

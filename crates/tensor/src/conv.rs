@@ -19,8 +19,8 @@
 //! panel route its weights, already the GEMM's `A` operand, are packed
 //! into the kernel's row panels once per call, and each image's patches
 //! are written straight into the column panels of `B`. On the lanes route
-//! (AVX-512, `o` a multiple of 32) output channels sit on the lanes, the
-//! windows are read straight from the bordered image and each group of 8
+//! (AVX-512, `o` a multiple of 16) output channels sit on the lanes, the
+//! windows are read straight from the bordered image and each group of
 //! pixels skips its all-zero k steps ([`lanes`]). Every patch transform
 //! reads the image through one zero-bordered layout (`Border`), copied
 //! once per image unless `pad` is 0 and every window lies inside, so that
@@ -33,7 +33,7 @@
 #[cfg(target_arch = "x86_64")]
 mod lanes;
 #[cfg(target_arch = "x86_64")]
-use lanes::{PackedWt, Walk};
+use lanes::{PackedWt, Tile, Walk};
 
 use crate::error::TensorError;
 use crate::gemm::{gemm_nt_with, gemm_packed, GemmScratch, PackedA, PackedB};
@@ -508,12 +508,13 @@ struct Weights {
 }
 
 impl Weights {
-    /// Packs `weight` for the route `d` takes, and counts the route.
+    /// Packs `weight` for the route `d` takes, and counts the route, on
+    /// the lanes route by its tile.
     fn pack(&mut self, d: &ConvDims, weight: &[f32]) {
         #[cfg(target_arch = "x86_64")]
-        if d.lanes {
-            qnn_trace::counter!("tensor.conv.fwd.route.lanes", 1);
-            self.lanes.pack(d.o, d.b.rows(), weight);
+        if let Some(tile) = d.lanes {
+            qnn_trace::counter!(tile.counter(), 1);
+            self.lanes.pack(tile, d.o, d.b.rows(), weight);
             return;
         }
         qnn_trace::counter!("tensor.conv.fwd.route.panels", 1);
@@ -654,9 +655,10 @@ struct ConvDims {
     n: usize,
     o: usize,
     b: Border,
-    /// Whether the forward takes the lanes route ([`lanes::suits`]).
+    /// The lanes route's tile, where the forward takes that route
+    /// ([`lanes::suits`]).
     #[cfg(target_arch = "x86_64")]
-    lanes: bool,
+    lanes: Option<Tile>,
 }
 
 impl ConvDims {
@@ -721,7 +723,7 @@ fn conv_image(
 ) {
     let src = d.b.image(image, &mut slot.border);
     #[cfg(target_arch = "x86_64")]
-    if d.lanes {
+    if d.lanes.is_some() {
         lanes::conv_image(&d.b, &weights.lanes, &mut slot.walk, src, bias, dst);
         return;
     }
@@ -1141,14 +1143,17 @@ mod tests {
     /// bias add, over 288 seeded geometries at 1 and 4 threads with a
     /// reused scratch: strides 1–3, pads 0–3, a quarter ceil mode (whose
     /// last window can reach past `h + 2·pad`), output channels through
-    /// every residue mod 32 (the lanes tile's width) and mod 4 (the panel
-    /// tile's rows), several 16-column panels and 16-pixel transpose
-    /// blocks, output rows whose width is not a multiple of the lanes
-    /// route's 8-pixel groups, and an eighth of the cases with more
-    /// kernel rows than one k-block holds. A third of the cases draw every
-    /// operand at random, ±0, subnormals, ±inf and NaN among them; a third
-    /// give the images dead channels and zero regions (some keeping one
-    /// subnormal) under finite weights, so the lanes route skips steps,
+    /// every residue mod 32 and mod 4 (the panel tile's rows) and every
+    /// multiple of 16 that picks a lanes tile (16, 48, 64, 96, 128, 192
+    /// and 256), several 16-column panels and 16-pixel transpose blocks,
+    /// and, for each of the four lanes tiles, output rows that end in a
+    /// partial group (also past a whole 16-pixel group) and cases with
+    /// more kernel rows than one k-block holds. The direct call takes the
+    /// tile the rule picks for `o`, and each tile in turn where none fits,
+    /// so channels past `o` pad a tile column. A third of the cases draw
+    /// every operand at random, ±0, subnormals, ±inf and NaN among them; a
+    /// third give the images dead channels and zero regions (some keeping
+    /// one subnormal) under finite weights, so the lanes route skips steps,
     /// which `tensor.conv.fwd.macs_skipped` must show; the last third add
     /// one ±inf or NaN weight to those images, which must turn the skip
     /// off. Non-NaN outputs must be bit-equal; NaN must appear exactly
@@ -1156,37 +1161,60 @@ mod tests {
     /// to instruction selection, see `gemm`'s module docs).
     #[test]
     fn conv_matches_im2col_naive_gemm_and_bias_bitwise() {
+        const SHAPES: [usize; 7] = [16, 48, 64, 96, 128, 192, 256];
         let mut r = crate::rng::seeded(0xC0_2D_3E_F5);
         let mut scratch = ConvScratch::new();
         let (mut cases, mut residues, mut quads, mut wide, mut nans, mut beyond) =
             (0, [0usize; 32], [0usize; 4], 0, 0, 0);
-        let (mut kinds, mut partial, mut blocked, mut strides, mut pads) =
-            ([0usize; 3], 0, 0, [0usize; 3], [0usize; 4]);
+        let (mut kinds, mut shapes, mut strides, mut pads) =
+            ([0usize; 3], [0usize; 7], [0usize; 3], [0usize; 4]);
+        // Per lanes tile, widest first: direct calls, calls with a
+        // partial last group, with one past a whole 16-pixel group, and
+        // with more than one k-block.
+        let (mut tiles, mut partial, mut partial16, mut blocked) =
+            ([0usize; 4], [0usize; 4], 0, [0usize; 4]);
         // Lanes route calls, and the steps they skipped per kind.
         let (mut lanes_calls, mut skipped) = (0, [0u64; 3]);
         while cases < 288 {
+            // An eighth of the cases: enough kernel rows for two k-blocks
+            // of every tile; another eighth: output rows past 16 pixels.
+            let (deep, long) = (cases % 8 == 7, cases % 8 == 3);
+            let kernel = if deep { 6usize..8 } else { 1..8 };
             let geom = Geometry {
-                kh: r.gen_range(1usize..8),
-                kw: r.gen_range(1usize..8),
+                kh: r.gen_range(kernel.clone()),
+                kw: r.gen_range(kernel),
                 stride: r.gen_range(1usize..4),
                 pad: r.gen_range(0usize..4),
                 ceil: r.gen_bool(0.25),
             };
-            // An eighth of the cases: enough channels for two k-blocks.
-            let c = if cases % 8 == 7 {
-                r.gen_range(8usize..13)
+            let c = if deep {
+                r.gen_range(16usize..20)
             } else {
                 r.gen_range(1usize..5)
             };
-            let (n, h, w) = (
-                r.gen_range(1usize..4),
-                r.gen_range(1usize..14),
-                r.gen_range(1usize..14),
-            );
+            let (n, h, w) = if long {
+                (
+                    r.gen_range(1usize..3),
+                    r.gen_range(1usize..5),
+                    r.gen_range(20usize..48),
+                )
+            } else {
+                (
+                    r.gen_range(1usize..4),
+                    r.gen_range(1usize..14),
+                    r.gen_range(1usize..14),
+                )
+            };
             let Ok((oh, ow)) = geom.output_hw(h, w) else {
                 continue;
             };
-            let o = cases % 64 + 1;
+            // Every other case a multiple of 16, else 1..=64 in turn.
+            let o = if cases % 2 == 1 {
+                shapes[cases / 2 % 7] += 1;
+                SHAPES[cases / 2 % 7]
+            } else {
+                cases / 2 % 64 + 1
+            };
             cases += 1;
             residues[o % 32] += 1;
             quads[o % 4] += 1;
@@ -1194,8 +1222,6 @@ mod tests {
             strides[geom.stride - 1] += 1;
             pads[geom.pad] += 1;
             beyond += usize::from((oh - 1) * geom.stride + geom.kh > h + 2 * geom.pad);
-            partial += usize::from(ow % 8 != 0);
-            blocked += usize::from(c * geom.kh > (256 / geom.kw).max(1));
             let (px, kdim) = (oh * ow, c * geom.kh * geom.kw);
             let kind = cases % 3;
             kinds[kind] += 1;
@@ -1246,6 +1272,17 @@ mod tests {
                     );
                 }
             };
+            // The lanes tile of the direct call.
+            #[cfg(target_arch = "x86_64")]
+            let tile = Tile::for_channels(o).unwrap_or(Tile::ALL[cases % 4]);
+            #[cfg(target_arch = "x86_64")]
+            if lanes::supported() {
+                let ti = Tile::ALL.iter().position(|&t| t == tile).unwrap();
+                tiles[ti] += 1;
+                partial[ti] += usize::from(!ow.is_multiple_of(tile.pixels()));
+                partial16 += usize::from(tile.pixels() == 16 && ow > 16 && ow % 16 != 0);
+                blocked[ti] += usize::from(c * geom.kh > 8192 / tile.width() / geom.kw);
+            }
             for threads in [1, 4] {
                 crate::par::set_threads(Some(threads));
                 check(
@@ -1267,18 +1304,18 @@ mod tests {
                 .unwrap();
                 assert_eq!((seen, taken), (n, 1));
                 check(&each, "conv2d_each_with", threads);
-                // The lanes route, whatever the rule picks for this shape.
+                // The lanes route on `tile`, whatever the rule picks.
                 #[cfg(target_arch = "x86_64")]
-                if crate::has_avx512f() {
+                if lanes::supported() {
                     qnn_trace::start();
                     let mut d = ConvDims::of(&x, &wt, &b, geom).unwrap();
-                    d.lanes = true;
+                    d.lanes = Some(tile);
                     let got = TLS_WEIGHTS
                         .with(|w| conv2d_batch(&mut scratch, &d, &mut w.borrow_mut(), &x, &wt, &b));
                     let trace = qnn_trace::stop();
-                    check(&got.unwrap(), "lanes", threads);
+                    check(&got.unwrap(), tile.counter(), threads);
                     let count = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
-                    lanes_calls += count("tensor.conv.fwd.route.lanes");
+                    lanes_calls += count(tile.counter());
                     skipped[kind] += count("tensor.conv.fwd.macs_skipped");
                 }
             }
@@ -1286,12 +1323,22 @@ mod tests {
         crate::par::set_threads(None);
         assert!(residues.iter().all(|&k| k > 0) && quads.iter().all(|&k| k > 0));
         assert!(strides.iter().all(|&k| k > 0) && pads.iter().all(|&k| k > 0));
-        assert!(wide > 0 && nans > 0 && beyond > 0 && partial > 0 && blocked > 0);
+        assert!(shapes.iter().all(|&k| k > 0), "{shapes:?}");
+        assert!(wide > 0 && nans > 0 && beyond > 0);
         assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
-        if crate::has_avx512f() {
-            // Every direct call took the lanes route; the finite-weight
+        #[cfg(target_arch = "x86_64")]
+        if lanes::supported() {
+            // Every tile ran, with partial groups and several k-blocks;
+            // every direct call took the lanes route; the finite-weight
             // zeroed images skipped steps and one non-finite weight
             // turned the skip off.
+            for counts in [tiles, partial, blocked] {
+                assert!(
+                    counts.iter().all(|&k| k > 0),
+                    "{tiles:?} {partial:?} {blocked:?}"
+                );
+            }
+            assert!(partial16 > 0);
             assert_eq!(lanes_calls, 2 * cases as u64);
             assert!(skipped[1] > 0 && skipped[2] == 0, "skipped {skipped:?}");
         }

@@ -4,10 +4,18 @@
 //! The panel route (`gemm`'s tile) puts 32 output pixels on its lanes and
 //! broadcasts weights, so it must first copy every patch into column
 //! panels. This route turns the tile around, as the paper's DianNao-style
-//! tile does (16 neuron units fed one broadcast input): two zmm hold 32
-//! output channels of `Wᵀ`, packed once per call, and each k step
-//! broadcasts the values of [`PIXELS`] adjacent output pixels of one
-//! output row, read straight from the bordered image. No patch is copied.
+//! tile does (16 neuron units fed one broadcast input): `Z` zmm hold
+//! `16·Z` output channels of `Wᵀ`, packed once per call, and each k step
+//! broadcasts the values of `P` adjacent output pixels of one output row,
+//! read straight from the bordered image. No patch is copied.
+//!
+//! **The tile.** Every tile keeps 16 zmm accumulators, `P` pixels by `Z`
+//! zmm with `P·Z = 16`, so each step issues 16 `vmulps` and 16 `vaddps`
+//! from `Z` row loads and `P` broadcasts, enough independent chains to
+//! hide the add latency. [`Tile::for_channels`] takes the widest `Z` of 8,
+//! 4, 2 and 1 whose `16·Z` divides `o`: 2 × 128, 4 × 64, 8 × 32 or
+//! 16 × 16. Fewer pixels per group leave out more zero steps (below), and
+//! 128 channels is the widest row that leaves a k-block enough steps.
 //!
 //! **Skipped zero steps.** A group leaves out the k steps whose taps are
 //! `±0.0` for all of its pixels (padding, dead ReLU channels, zero
@@ -20,24 +28,22 @@
 //! reference's other products in the reference's order. The argument
 //! needs every `w` finite (`±inf · 0` and `NaN · 0` are NaN), so one
 //! non-finite weight turns the skip off, and a subnormal or a NaN tap
-//! counts as a value, never as zero. A step drops out when just 8 values
-//! are `±0.0`, where the panel route's 32 pixels made that rare: on
-//! zoo-infer's inputs, 29% of ConvNet conv2's steps at 8 pixels against
-//! 23% at 32.
+//! counts as a value, never as zero. A step drops out when just `P`
+//! values are `±0.0`: on zoo-infer's inputs, 40% of ConvNet conv2's steps
+//! at 2 pixels, 29% at 8 and 23% at the panel route's 32.
 //!
 //! **The walk.** Per image, a bit array marks the taps that hold a value,
-//! OR-ed over a group's 8 pixels, so one read per group and kernel row
+//! OR-ed over a group's `P` pixels, so one read per group and kernel row
 //! gives the row's live steps. Each group's live steps go into a list,
 //! compressed 8 at a time; a loop per run of live steps would mispredict
-//! once per run. Then, per tile column of 32 output channels, the groups
-//! walk their lists through k-blocks of whole kernel rows, about
-//! [`BLOCK_STEPS`] steps each, so the block's `Wᵀ` rows stay in L1 while
-//! every group of the image reuses them; a group's partial sums wait in a
-//! pixels × channels buffer between blocks. Last, the buffer is
-//! transposed into the output's `(o, oh·ow)` rows, in 16 × 16 register
-//! blocks, and the bias is added after the sum. Each output is one
-//! accumulator that takes one multiply and one add per live step, in
-//! ascending k, never a fused multiply-add.
+//! once per run. Then, per tile column, the groups walk their lists
+//! through k-blocks of whole kernel rows, about 32 KiB of `Wᵀ` each, so
+//! the block's `Wᵀ` rows stay in L1 while every group of the image reuses
+//! them; a group's partial sums wait in a pixels × channels buffer between
+//! blocks. Last, the buffer is transposed into the output's `(o, oh·ow)`
+//! rows, in 16 × 16 register blocks, and the bias is added after the sum.
+//! Each output is one accumulator that takes one multiply and one add per
+//! live step, in ascending k, never a fused multiply-add.
 
 use super::Border;
 use crate::gemm::Panels;
@@ -45,33 +51,81 @@ use crate::par;
 use std::arch::x86_64::*;
 use std::cell::RefCell;
 
-/// Output channels per tile column: two zmm of `f32`.
-const WIDTH: usize = 32;
+/// `Wᵀ` values per k-block: 32 KiB, inside the 48 KiB L1 data cache of the
+/// hosts this was tuned on.
+const BLOCK_VALUES: usize = 8192;
 
-/// Output pixels per group, one accumulator pair each.
-const PIXELS: usize = 8;
+/// This route's tile: [`Tile::pixels`] adjacent output pixels of one
+/// output row by [`Tile::width`] output channels, 16 zmm accumulators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tile {
+    /// zmm per `Wᵀ` row: 8, 4, 2 or 1.
+    z: usize,
+}
 
-/// About how many k steps one k-block holds: 32 KiB of `Wᵀ`, inside the
-/// 48 KiB L1 data cache of the hosts this was tuned on.
-const BLOCK_STEPS: usize = 256;
+impl Tile {
+    /// Every tile, widest first.
+    pub(crate) const ALL: [Tile; 4] = [Tile { z: 8 }, Tile { z: 4 }, Tile { z: 2 }, Tile { z: 1 }];
 
-/// The route rule: whether a conv of `o` output channels over images in
-/// layout `b` takes this route. It needs AVX-512F, and `o` a multiple of
-/// 32 so that every tile column fills its lanes. Measured per conv in
-/// DESIGN §4: this route won on every conv whose `o` is a multiple of 32
-/// and lost or tied on the others (LeNet's 20 and 50, ConvNet conv1's 16,
-/// the 8×8 serving net's 6 and 10), which keep the panel route. A step's
-/// two offsets must fit 32 bits each.
-pub(crate) fn suits(b: &Border, o: usize) -> bool {
-    let fits = b.rows() * WIDTH <= u32::MAX as usize && b.c * b.hp * b.wp <= u32::MAX as usize;
-    crate::has_avx512f() && o > 0 && o.is_multiple_of(WIDTH) && b.rows() > 0 && fits
+    /// The tile for `o` output channels: the widest, up to 128 channels,
+    /// whose width divides `o`, so that every tile column fills its lanes.
+    pub(crate) fn for_channels(o: usize) -> Option<Tile> {
+        Tile::ALL
+            .into_iter()
+            .find(|t| o > 0 && o.is_multiple_of(t.width()))
+    }
+
+    /// Output channels per tile column.
+    pub(crate) fn width(self) -> usize {
+        16 * self.z
+    }
+
+    /// Output pixels per group.
+    pub(crate) fn pixels(self) -> usize {
+        16 / self.z
+    }
+
+    /// The trace counter of this tile's calls, named `pixels x channels`.
+    pub(crate) fn counter(self) -> &'static str {
+        match self.z {
+            8 => "tensor.conv.fwd.route.lanes.2x128",
+            4 => "tensor.conv.fwd.route.lanes.4x64",
+            2 => "tensor.conv.fwd.route.lanes.8x32",
+            _ => "tensor.conv.fwd.route.lanes.16x16",
+        }
+    }
+}
+
+impl Default for Tile {
+    fn default() -> Tile {
+        Tile { z: 1 }
+    }
+}
+
+/// Whether this CPU runs this route: AVX-512F, and BMI2 for the walk's
+/// `pext`.
+pub(crate) fn supported() -> bool {
+    crate::has_avx512f() && std::arch::is_x86_feature_detected!("bmi2")
+}
+
+/// The route rule: the tile a conv of `o` output channels over images in
+/// layout `b` takes on this route, or `None` for the panel route. It
+/// needs a CPU that runs it ([`supported`]) and a tile whose width divides `o`
+/// ([`Tile::for_channels`]). Measured per conv in DESIGN §4: LeNet's 20
+/// and 50 and the 8×8 serving net's 6 and 10 keep the panel route. A
+/// step and its tap offset must fit 32 bits each.
+pub(crate) fn suits(b: &Border, o: usize) -> Option<Tile> {
+    let tile = Tile::for_channels(o)?;
+    let fits = b.rows() <= u32::MAX as usize && b.c * b.hp * b.wp <= u32::MAX as usize;
+    (supported() && b.rows() > 0 && fits).then_some(tile)
 }
 
 /// A conv's weights `W` (`o×k`, row-major) packed once per call as `Wᵀ`:
-/// `⌈o/32⌉` tile columns of `k` rows of 32 output channels, `+0.0` past
+/// `⌈o/width⌉` tile columns of `k` rows of the tile's width, `+0.0` past
 /// channel `o`, each column on a cache-line boundary.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct PackedWt {
+    tile: Tile,
     k: usize,
     o: usize,
     data: Panels,
@@ -80,50 +134,97 @@ pub(crate) struct PackedWt {
 }
 
 impl PackedWt {
-    /// Repacks `w` (`o×k`) in place, reusing the buffer.
-    pub(crate) fn pack(&mut self, o: usize, k: usize, w: &[f32]) {
-        debug_assert_eq!(w.len(), o * k);
-        (self.k, self.o) = (k, o);
-        self.data.zeroed(o.div_ceil(WIDTH) * k * WIDTH);
-        if k == 0 {
-            return;
+    /// Repacks `w` (`o×k`) for `tile` in place, reusing the buffer.
+    pub(crate) fn pack(&mut self, tile: Tile, o: usize, k: usize, w: &[f32]) {
+        assert!(supported(), "the lanes route needs AVX-512F and BMI2");
+        assert_eq!(w.len(), o * k);
+        (self.tile, self.k, self.o) = (tile, k, o);
+        let len = o.div_ceil(tile.width()) * k * tile.width();
+        // The pack writes every channel below `o` rounded up to 16.
+        if o.is_multiple_of(tile.width()) {
+            self.data.resize(len);
+        } else {
+            self.data.zeroed(len);
         }
-        for (c, row) in w.chunks_exact(k).enumerate() {
-            let column = &mut self.data[(c / WIDTH) * k * WIDTH..][..k * WIDTH];
-            for (dst, &v) in column[c % WIDTH..].iter_mut().step_by(WIDTH).zip(row) {
-                *dst = v;
-            }
-        }
+        // SAFETY: the CPU supports AVX-512F, checked above.
+        unsafe { transpose_wt(w, o, k, tile.width(), &mut self.data) };
         self.finite = w.iter().fold(true, |all, v| all & v.is_finite());
     }
 }
 
-/// Up to [`PIXELS`] adjacent output pixels of one output row.
+/// Writes `w` (`o×k`, row-major) into `wt` as `Wᵀ` in tile columns of
+/// `width` channels, `wt[(c / width)·k·width + kk·width + c % width] =
+/// w[c·k + kk]`, through 16 × 16 blocks transposed in registers; the
+/// channels from `o` up to the next multiple of 16 get `+0.0`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_wt(w: &[f32], o: usize, k: usize, width: usize, wt: &mut [f32]) {
+    assert!(w.len() == o * k && width.is_multiple_of(16));
+    assert!(wt.len() >= o.div_ceil(width) * k * width);
+    for c in (0..o).step_by(16) {
+        let column = (c / width) * k * width + c % width;
+        for kk in (0..k).step_by(16) {
+            let n = (k - kk).min(16);
+            let mask = (u32::MAX >> (32 - n)) as __mmask16;
+            let mut rows = [_mm512_setzero_ps(); 16];
+            for (i, row) in rows.iter_mut().enumerate().take(o - c) {
+                // SAFETY: the mask reads `w[(c + i)·k + kk ..][..n]`, inside
+                // row `c + i < o`.
+                *row = _mm512_maskz_loadu_ps(mask, w.as_ptr().add((c + i) * k + kk));
+            }
+            for (j, &v) in transpose16(rows).iter().enumerate().take(n) {
+                // SAFETY: channels `c % width .. + 16 ≤ width` of row
+                // `kk + j < k` of column `c / width`, inside `wt`.
+                _mm512_storeu_ps(wt.as_mut_ptr().add(column + (kk + j) * width), v);
+            }
+        }
+    }
+}
+
+/// Up to [`Tile::pixels`] adjacent output pixels of one output row.
 #[derive(Debug, Clone, Copy)]
 struct Group {
     /// Offset in the bordered image of the first pixel's window.
     origin: usize,
     /// The first pixel's index in `0..oh·ow`.
     first: usize,
-    /// How many pixels, `1..=PIXELS`.
+    /// How many pixels, `1..=pixels`.
     width: usize,
+}
+
+/// Up to 16 consecutive steps that one 64-bit read of the walk's bit
+/// array tests: kernel rows of one input channel, `wp` apart in the
+/// bordered image, whole or 16 taps of a row wider than 16.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// The first step.
+    kk: u32,
+    /// Its tap's offset for a group's first pixel, past the group's origin.
+    at: u32,
+    /// The steps' bits in the 64 read from `at`, in step order.
+    pattern: u64,
 }
 
 /// One image's walk, and the per-worker scratch of this route.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Walk {
     groups: Vec<Group>,
-    /// The live steps, group after group, ascending: step `kk` as
-    /// `kk·32 | at << 32`, the offset of its `Wᵀ` row and that of its tap
-    /// for a group's first pixel, past the group's origin.
-    steps: Vec<u64>,
+    /// The live steps `kk`, group after group, ascending.
+    steps: Vec<u32>,
+    /// Each step's tap offset for a group's first pixel, past the group's
+    /// origin.
+    taps: Vec<u32>,
     /// The end in `steps` of group `g`'s block `b`, at `g·blocks + b`.
     ends: Vec<usize>,
     blocks: usize,
     /// Whether every group walks group 0's list: every step.
     shared: bool,
-    /// Each walked kernel row's first step.
-    rows: Vec<u64>,
+    /// The walked spans, block after block, and the end of each block's.
+    spans: Vec<Span>,
+    span_ends: Vec<usize>,
     /// Scratch of the zero test: [`window_bits`]'s bit arrays.
     held: Vec<u64>,
     live: Vec<u64>,
@@ -132,124 +233,137 @@ pub(crate) struct Walk {
 impl Walk {
     /// Group `g`'s steps in block `b`.
     #[inline]
-    fn steps(&self, g: usize, b: usize) -> &[u64] {
+    fn steps(&self, g: usize, b: usize) -> &[u32] {
         let at = if self.shared { b } else { g * self.blocks + b };
         let start = if at == 0 { 0 } else { self.ends[at - 1] };
         &self.steps[start..self.ends[at]]
     }
 
-    /// Builds the walk of the bordered image `src`. Where `skip`, each
-    /// group's steps whose taps are all `±0.0` drop out. Returns how many
-    /// (step, pixel) products were dropped.
+    /// Builds the walk of the bordered image `src` for `tile`. Where
+    /// `skip`, each group's steps whose taps are all `±0.0` drop out.
+    /// Returns how many (step, pixel) products were dropped.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F.
-    #[target_feature(enable = "avx512f,popcnt")]
-    unsafe fn build(&mut self, b: &Border, src: &[f32], skip: bool) -> usize {
-        let g = b.geom;
-        let k = b.rows();
+    /// The CPU must support AVX-512F and BMI2 ([`supported`]).
+    #[target_feature(enable = "avx512f,bmi2,popcnt")]
+    unsafe fn build(&mut self, b: &Border, src: &[f32], skip: bool, tile: Tile) -> usize {
+        let (g, k) = (b.geom, b.rows());
+        let pixels = tile.pixels();
         self.groups.clear();
         for oi in 0..b.oh {
-            for oj in (0..b.ow).step_by(PIXELS) {
+            for oj in (0..b.ow).step_by(pixels) {
                 self.groups.push(Group {
                     origin: (oi * b.wp + oj) * g.stride,
                     first: oi * b.ow + oj,
-                    width: PIXELS.min(b.ow - oj),
+                    width: pixels.min(b.ow - oj),
                 });
             }
         }
-        // Every tap of every window lies inside `src`, and every offset
-        // fits its half of a step: the tile's loads rely on both.
+        // Every tap of every window lies inside `src`, and every step and
+        // tap offset fits 32 bits: the tile's loads rely on both.
         let last = self.groups.last().expect("a conv has an output pixel");
         assert!(last.origin + (last.width - 1) * g.stride + b.base(k - 1) < src.len());
-        assert!(k * WIDTH <= u32::MAX as usize && src.len() <= u32::MAX as usize);
+        assert!(k <= u32::MAX as usize && src.len() <= u32::MAX as usize);
+        self.taps.clear();
+        for ci in 0..b.c {
+            for ki in 0..g.kh {
+                let at = (ci * b.hp + ki) * b.wp;
+                self.taps.extend((at..at + g.kw).map(|x| x as u32));
+            }
+        }
         // A kernel row wider than a word walks every step.
         self.shared = !skip || g.kw > 64;
         if !self.shared {
-            window_bits(src, g.stride, &mut self.held, &mut self.live);
+            window_bits(src, g.stride, pixels, &mut self.held, &mut self.live);
         }
-        // Each kernel row `(ci, ki)`'s first step, `(ci, ki, 0)`, but for
-        // the channels that are all `±0.0`, which no group then tests.
-        self.rows.clear();
+        // The spans of the kernel rows `(ci, ki)`, but for the channels
+        // that are all `±0.0`, which no group then tests; k-blocks of
+        // whole kernel rows, at least one, so that every group stores
+        // its sums.
+        let rows_per_block = (BLOCK_VALUES / tile.width() / g.kw).max(1);
+        let per_span = match g.kw {
+            ..=16 => (16 / g.kw).min((64 - g.kw) / b.wp + 1),
+            _ => 1,
+        };
         let plane = b.hp * b.wp;
+        let (spans, span_ends) = (&mut self.spans, &mut self.span_ends);
+        spans.clear();
+        span_ends.clear();
+        let mut in_block = 0;
         for ci in 0..b.c {
             let dead = !self.shared
                 && (0..plane).step_by(64).all(|x| {
                     let bits = bits_at(&self.held, ci * plane + x);
                     bits & (u64::MAX >> (64 - (plane - x).min(64))) == 0
                 });
-            if !dead {
-                for ki in 0..g.kh {
-                    let at = (ci * b.hp + ki) * b.wp;
-                    let kk = (ci * g.kh + ki) * g.kw;
-                    self.rows.push(((kk * WIDTH) | (at << 32)) as u64);
+            let mut ki = 0;
+            while !dead && ki < g.kh {
+                if in_block == rows_per_block {
+                    span_ends.push(spans.len());
+                    in_block = 0;
                 }
+                let rows = per_span.min(g.kh - ki).min(rows_per_block - in_block);
+                let (at, kk) = ((ci * b.hp + ki) * b.wp, (ci * g.kh + ki) * g.kw);
+                for kj in (0..g.kw).step_by(16) {
+                    let taps = u64::MAX >> (64 - (g.kw - kj).min(16));
+                    spans.push(Span {
+                        kk: (kk + kj) as u32,
+                        at: (at + kj) as u32,
+                        pattern: (0..rows).fold(0, |p, r| p | taps << (r * b.wp)),
+                    });
+                }
+                (ki, in_block) = (ki + rows, in_block + rows);
             }
         }
-        // At least one block, so that every group stores its sums.
-        let rows_per_block = (BLOCK_STEPS / g.kw).max(1);
-        self.blocks = self.rows.len().div_ceil(rows_per_block).max(1);
+        span_ends.push(spans.len());
+        self.blocks = span_ends.len();
         let Walk {
             groups,
             steps,
             ends,
-            blocks,
             shared,
-            rows,
+            spans,
+            span_ends,
             live,
             ..
         } = self;
         let walking = if *shared { &groups[..1] } else { &groups[..] };
-        // Every step, and 8 spare for the last row's whole-vector store.
+        // Every step, and 16 spare for the last span's whole-vector store.
         steps.clear();
-        steps.reserve(walking.len() * k + 8);
+        steps.reserve(walking.len() * k + 16);
         let out = steps.as_mut_ptr();
-        // Lane `j`: step `j` past a step, as a step.
-        let next = (WIDTH as i64) | (1 << 32);
-        let ramp = _mm512_set_epi64(
-            7 * next,
-            6 * next,
-            5 * next,
-            4 * next,
-            3 * next,
-            2 * next,
-            next,
-            0,
-        );
+        let ramp = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
         let (mut len, mut dropped) = (0, 0);
         ends.clear();
         for group in walking {
             let first = len;
-            for block in 0..*blocks {
-                let block = &rows[(block * rows_per_block).min(rows.len())..];
-                for &row in &block[..rows_per_block.min(block.len())] {
-                    // Bit `kj`: tap `kj` of some pixel of the group may
-                    // hold a value. A short last group also tests the
-                    // pixels after it, which only keeps more steps.
+            let mut start = 0;
+            for &end in span_ends.iter() {
+                for span in &spans[start..end] {
+                    // Bit `kj` of row `r`: tap `kj` of some pixel of the
+                    // group may hold a value. A short last group also
+                    // tests the pixels after it, which only keeps more
+                    // steps.
                     let held = match shared {
                         true => u64::MAX,
-                        false => bits_at(live, group.origin + (row >> 32) as usize),
+                        false => bits_at(live, group.origin + span.at as usize),
                     };
-                    // The row's live steps, 8 at a time: compressed to
-                    // the front of a vector, stored whole, kept as many as
-                    // live. No branch: the pattern is irregular.
-                    let mut v = _mm512_add_epi64(ramp, _mm512_set1_epi64(row as i64));
-                    for kj in (0..g.kw).step_by(8) {
-                        let lanes = (g.kw - kj).min(8);
-                        let bits = if kj < 64 { held >> kj } else { u64::MAX };
-                        let mask = (bits & (0xff >> (8 - lanes))) as __mmask8;
-                        // SAFETY: `len + 8 ≤ capacity`: at most `k` steps
-                        // before this store's, and 8 spare.
-                        _mm512_storeu_si512(
-                            out.add(len).cast(),
-                            _mm512_maskz_compress_epi64(mask, v),
-                        );
-                        len += mask.count_ones() as usize;
-                        v = _mm512_add_epi64(v, _mm512_set1_epi64(8 * next));
-                    }
+                    let mask = _pext_u64(held, span.pattern);
+                    // The span's live steps, compressed to the front of a
+                    // vector, stored whole, kept as many as live. No
+                    // branch: the pattern is irregular.
+                    let v = _mm512_add_epi32(ramp, _mm512_set1_epi32(span.kk as i32));
+                    // SAFETY: `len + 16 ≤ capacity`: at most `k` steps
+                    // before this store's, and 16 spare.
+                    _mm512_storeu_si512(
+                        out.add(len).cast(),
+                        _mm512_maskz_compress_epi32(mask as __mmask16, v),
+                    );
+                    len += mask.count_ones() as usize;
                 }
                 ends.push(len);
+                start = end;
             }
             dropped += (k - (len - first)) * group.width;
         }
@@ -269,19 +383,26 @@ fn bits_at(bits: &[u64], pos: usize) -> u64 {
 
 /// Fills `held` (overwritten) with bit `x` set where `src[x]` is not
 /// `±0.0` (a subnormal or a NaN is a value), and `live` with bit `x` set
-/// where any of `src[x + t·stride]`, `t < PIXELS`, is: the taps at `x` of
-/// a group's pixels, when its first pixel's tap is at `x`.
+/// where any of `src[x + t·stride]`, `t < pixels`, is: the taps at `x` of
+/// a group's pixels, when its first pixel's tap is at `x`. `pixels` must
+/// be a power of two.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F.
 #[target_feature(enable = "avx512f")]
-unsafe fn window_bits(src: &[f32], stride: usize, held: &mut Vec<u64>, live: &mut Vec<u64>) {
+unsafe fn window_bits(
+    src: &[f32],
+    stride: usize,
+    pixels: usize,
+    held: &mut Vec<u64>,
+    live: &mut Vec<u64>,
+) {
     let magnitude = _mm512_set1_epi32(0x7fff_ffff);
     let words = src.len().div_ceil(64);
     // Zero words past the end, so that every shifted read stays inside.
     held.clear();
-    held.resize(words + ((PIXELS - 1) * stride).div_ceil(64) + 2, 0);
+    held.resize(words + ((pixels - 1) * stride).div_ceil(64) + 2, 0);
     for (word, values) in held.iter_mut().zip(src.chunks(64)) {
         for (q, lanes) in values.chunks(16).enumerate() {
             let mask = (u32::MAX >> (16 - lanes.len()) >> 16) as __mmask16;
@@ -290,10 +411,17 @@ unsafe fn window_bits(src: &[f32], stride: usize, held: &mut Vec<u64>, live: &mu
             *word |= u64::from(_mm512_test_epi32_mask(v, magnitude)) << (16 * q);
         }
     }
+    // By doubling: after the pass at `span`, bit `x` covers the taps at
+    // `x, x + stride, …, x + (2·span − 1)·stride`. Each word reads only
+    // itself and words after it, which this pass has not yet written.
     live.clear();
-    live.resize(words + 1, 0);
-    for (w, word) in live.iter_mut().enumerate().take(words) {
-        *word = (0..PIXELS).fold(0, |any, t| any | bits_at(held, 64 * w + t * stride));
+    live.extend_from_slice(held);
+    let mut span = 1;
+    while span < pixels {
+        for w in 0..words {
+            live[w] |= bits_at(live, 64 * w + span * stride);
+        }
+        span *= 2;
     }
 }
 
@@ -314,61 +442,74 @@ pub(crate) fn conv_image(
     bias: &[f32],
     dst: &mut [f32],
 ) {
-    let cols = b.cols();
-    assert!(crate::has_avx512f(), "the lanes route needs AVX-512F");
+    let (cols, width) = (b.cols(), wt.tile.width());
+    assert!(supported(), "the lanes route needs AVX-512F and BMI2");
     assert!(dst.len() == wt.o * cols && wt.k == b.rows());
-    // SAFETY: the CPU supports AVX-512F, checked above.
-    let dropped = unsafe { walk.build(b, src, wt.finite) };
+    // SAFETY: the CPU supports AVX-512F and BMI2, checked above.
+    let dropped = unsafe { walk.build(b, src, wt.finite, wt.tile) };
     qnn_trace::counter!("tensor.conv.fwd.macs_skipped", (dropped * wt.o) as u64);
     let walk = &*walk;
-    par::for_each_chunk_mut(dst, WIDTH * cols, |t, dst| {
+    let column_sums = match wt.tile.z {
+        8 => column_sums::<2, 8>,
+        4 => column_sums::<4, 4>,
+        2 => column_sums::<8, 2>,
+        _ => column_sums::<16, 1>,
+    };
+    par::for_each_chunk_mut(dst, width * cols, |t, dst| {
         TLS_SUMS.with(|sums| {
             let sums = &mut sums.borrow_mut();
-            sums.resize(cols * WIDTH);
-            let column = &wt.data[t * wt.k * WIDTH..][..wt.k * WIDTH];
-            let bias = &bias[t * WIDTH..][..dst.len() / cols];
+            sums.resize(cols * width);
+            let column = &wt.data[t * wt.k * width..][..wt.k * width];
+            let bias = &bias[t * width..][..dst.len() / cols];
             // SAFETY: the CPU supports AVX-512F; `walk` was built over
-            // `src` for `wt.k` steps.
+            // `src` for `wt.k` steps of this tile.
             unsafe {
                 column_sums(walk, column, src, b.geom.stride, sums);
-                transpose(sums, bias, dst);
+                transpose(sums, width, bias, dst);
             }
         })
     });
 }
 
-/// One tile column: every group of `walk`, 8 pixels by the 32 channels of
-/// `wt`, through the k-blocks in order. Pixel `p`'s sums land in
-/// `sums[p·32 ..][..32]`.
+/// One tile column: every group of `walk`, `P` pixels by the `16·Z`
+/// channels of `wt`, through the k-blocks in order. Pixel `p`'s sums land
+/// in `sums[p·16·Z ..][..16·Z]`.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F; `walk` must have been built over `src`
-/// for `wt.len() / 32` steps.
+/// for `wt.len() / (16·Z)` steps of the `P × 16·Z` tile.
 #[target_feature(enable = "avx512f")]
-unsafe fn column_sums(walk: &Walk, wt: &[f32], src: &[f32], stride: usize, sums: &mut [f32]) {
+unsafe fn column_sums<const P: usize, const Z: usize>(
+    walk: &Walk,
+    wt: &[f32],
+    src: &[f32],
+    stride: usize,
+    sums: &mut [f32],
+) {
+    let width = 16 * Z;
     // The last group ends last.
     let end = walk.groups.last().map_or(0, |g| g.first + g.width);
-    assert!(sums.len() >= end * WIDTH);
+    assert!(sums.len() >= end * width);
     for blk in 0..walk.blocks {
         for (gi, group) in walk.groups.iter().enumerate() {
-            let out = sums.as_mut_ptr().add(group.first * WIDTH);
-            let mut acc = [[_mm512_setzero_ps(); 2]; PIXELS];
+            let out = sums.as_mut_ptr().add(group.first * width);
+            let mut acc = [[_mm512_setzero_ps(); Z]; P];
             if blk > 0 {
                 for (t, acc_t) in acc.iter_mut().enumerate().take(group.width) {
                     for (q, a) in acc_t.iter_mut().enumerate() {
-                        *a = _mm512_loadu_ps(out.add(t * WIDTH + q * 16));
+                        *a = _mm512_loadu_ps(out.add(t * width + q * 16));
                     }
                 }
             }
             // A short last group repeats its last pixel in the lanes past
             // its width; those sums are never stored.
-            let dx: [usize; PIXELS] = std::array::from_fn(|t| t.min(group.width - 1) * stride);
+            let dx: [usize; P] = std::array::from_fn(|t| t.min(group.width - 1) * stride);
             let x = src.as_ptr().add(group.origin);
-            for &step in walk.steps(gi, blk) {
-                let w = wt.as_ptr().add(step as u32 as usize);
-                let xp = x.add((step >> 32) as usize);
-                let wv = [_mm512_loadu_ps(w), _mm512_loadu_ps(w.add(16))];
+            for &kk in walk.steps(gi, blk) {
+                let w = wt.as_ptr().add(kk as usize * width);
+                let xp = x.add(walk.taps[kk as usize] as usize);
+                let wv: [__m512; Z] = std::array::from_fn(|q| _mm512_loadu_ps(w.add(16 * q)));
                 for (acc_t, &d) in acc.iter_mut().zip(&dx) {
                     let a = _mm512_set1_ps(*xp.add(d));
                     for (acc_tq, &v) in acc_t.iter_mut().zip(&wv) {
@@ -379,7 +520,7 @@ unsafe fn column_sums(walk: &Walk, wt: &[f32], src: &[f32], stride: usize, sums:
             }
             for (t, acc_t) in acc.iter().enumerate().take(group.width) {
                 for (q, &a) in acc_t.iter().enumerate() {
-                    _mm512_storeu_ps(out.add(t * WIDTH + q * 16), a);
+                    _mm512_storeu_ps(out.add(t * width + q * 16), a);
                 }
             }
         }
@@ -387,16 +528,18 @@ unsafe fn column_sums(walk: &Walk, wt: &[f32], src: &[f32], stride: usize, sums:
 }
 
 /// Writes `dst`, `bias.len()` rows of `cols`, as the transpose of `sums`,
-/// `cols` rows of 32, plus each row's bias: `dst[j·cols + p] =
-/// sums[p·32 + j] + bias[j]`, in 16 × 16 blocks transposed in registers.
+/// `cols` rows of `width`, plus each row's bias: `dst[j·cols + p] =
+/// sums[p·width + j] + bias[j]`, in 16 × 16 blocks transposed in
+/// registers.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F.
 #[target_feature(enable = "avx512f")]
-unsafe fn transpose(sums: &[f32], bias: &[f32], dst: &mut [f32]) {
+unsafe fn transpose(sums: &[f32], width: usize, bias: &[f32], dst: &mut [f32]) {
     let (channels, cols) = (bias.len(), dst.len() / bias.len());
-    assert!(dst.len() == channels * cols && channels <= WIDTH && sums.len() >= cols * WIDTH);
+    assert!(dst.len() == channels * cols && channels <= width && width.is_multiple_of(16));
+    assert!(sums.len() >= cols * width);
     for p in (0..cols).step_by(16) {
         let pixels = (cols - p).min(16);
         let mask = (u32::MAX >> (16 - pixels) >> 16) as __mmask16;
@@ -404,8 +547,8 @@ unsafe fn transpose(sums: &[f32], bias: &[f32], dst: &mut [f32]) {
             let mut rows = [_mm512_setzero_ps(); 16];
             for (i, row) in rows.iter_mut().enumerate().take(pixels) {
                 // SAFETY: row `p + i < cols` of `sums`, channels `c ..
-                // c + 16 ≤ 32`.
-                *row = _mm512_loadu_ps(sums.as_ptr().add((p + i) * WIDTH + c));
+                // c + 16 ≤ width`.
+                *row = _mm512_loadu_ps(sums.as_ptr().add((p + i) * width + c));
             }
             let out = transpose16(rows);
             for (j, &v) in out.iter().enumerate().take((channels - c).min(16)) {
