@@ -46,8 +46,8 @@ pub struct Conv2d {
     /// this — so between mutations, re-quantizing the whole weight tensor
     /// every forward is pure waste on the serving hot path.
     frozen_qw: Option<Tensor>,
-    /// Packed-weight cache for the native quantized fast path, keyed on
-    /// the exact bits of the quantized weights.
+    /// Packed-weight cache for the native quantized fast path: the plan of
+    /// `frozen_qw`, cleared whenever the weights are quantized again.
     plan: PlanCache,
     /// Per-layer packing / gradient buffers, allocated once and reused by
     /// every forward/backward call (see [`ConvScratch`]).
@@ -214,7 +214,11 @@ impl Layer for Conv2d {
         // below); training always re-quantizes the live shadow copy.
         let qw = match (mode, self.frozen_qw.take()) {
             (Mode::Eval, Some(w)) => w,
-            _ => self.effective_weight(),
+            _ => {
+                // New quantized weights: a cached plan packed the old.
+                self.plan.clear();
+                self.effective_weight()
+            }
         };
         self.fused_out_q = false;
         let native_out = if mode == Mode::Eval && native::native_enabled() {

@@ -32,8 +32,8 @@ pub struct Dense {
     /// Eval-mode quantized-weight cache; see the field of the same name on
     /// [`Conv2d`](crate::layers::Conv2d) for the invalidation contract.
     frozen_qw: Option<Tensor>,
-    /// Packed-weight cache for the native quantized fast path, keyed on
-    /// the exact bits of the quantized weights.
+    /// Packed-weight cache for the native quantized fast path: the plan of
+    /// `frozen_qw`, cleared whenever the weights are quantized again.
     plan: PlanCache,
     /// Per-layer GEMM packing buffers, allocated once and reused by every
     /// forward/backward call.
@@ -109,7 +109,11 @@ impl Layer for Dense {
         // below); training always re-quantizes the live shadow copy.
         let qw = match (mode, self.frozen_qw.take()) {
             (Mode::Eval, Some(w)) => w,
-            _ => self.effective_weight(),
+            _ => {
+                // New quantized weights: a cached plan packed the old.
+                self.plan.clear();
+                self.effective_weight()
+            }
         };
         // y = x · Wᵀ + b — the (out, in) weight matrix is the B operand of
         // an NT product, so no transpose is ever materialised.

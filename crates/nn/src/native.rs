@@ -73,30 +73,29 @@ pub fn native_enabled() -> bool {
     }
 }
 
-/// Cached packed weights for one layer, invalidated by comparing the exact
-/// bit pattern of the quantized weights (and the quantizer's identity) —
-/// an SGD step, a swapped quantizer or an injected weight fault all change
-/// the bits and force a repack. `plan == None` caches "known unpackable"
-/// so hopeless formats don't re-run the packer every batch.
+/// Cached packed weights for one layer, packed from the layer's frozen
+/// quantized weights (`frozen_qw`) and kept while the layer reuses them.
+/// The layer clears the cache whenever it quantizes its weights again,
+/// and it does so after every change to them: `params_mut` (an SGD step,
+/// a state load, an injected weight fault) and `set_weight_quantizer` drop
+/// the frozen copy. `plan == None` caches "known unpackable" so hopeless
+/// formats don't re-run the packer every batch.
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
-    src_bits: Vec<u32>,
-    quant_desc: String,
     plan: Option<PackedWeights>,
     populated: bool,
 }
 
 impl PlanCache {
-    /// Drops any cached plan (e.g. when the quantizer is replaced).
+    /// Drops any cached plan: the layer's quantized weights are new.
     pub(crate) fn clear(&mut self) {
-        self.src_bits.clear();
-        self.quant_desc.clear();
         self.plan = None;
         self.populated = false;
     }
 
     /// The plan for quantized weights `qw` (`rows×cols` row-major) under
-    /// quantizer `q`, rebuilding the pack only when the bits changed.
+    /// quantizer `q`, packed on the first call after a [`clear`]
+    /// (`PlanCache::clear`) and reused until the next.
     pub(crate) fn plan_for(
         &mut self,
         q: &dyn Quantizer,
@@ -104,19 +103,7 @@ impl PlanCache {
         cols: usize,
         qw: &[f32],
     ) -> Option<&PackedWeights> {
-        let desc = q.describe();
-        let fresh = self.populated
-            && self.quant_desc == desc
-            && self.src_bits.len() == qw.len()
-            && self
-                .src_bits
-                .iter()
-                .zip(qw.iter())
-                .all(|(&b, &v)| b == v.to_bits());
-        if !fresh {
-            self.src_bits.clear();
-            self.src_bits.extend(qw.iter().map(|v| v.to_bits()));
-            self.quant_desc = desc;
+        if !self.populated {
             self.plan = q
                 .bit_codec()
                 .and_then(|codec| PackedWeights::pack(&codec, rows, cols, qw));
@@ -142,18 +129,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_invalidates_on_bit_change() {
+    fn plan_cache_repacks_only_after_clear() {
         let f = Fixed::new(8, 4).unwrap();
         let q: Arc<dyn Quantizer + Send + Sync> = Arc::new(f);
         let mut cache = PlanCache::default();
         let w = [0.5f32, -0.25, 1.0, 0.0];
         assert!(cache.plan_for(q.as_ref(), 2, 2, &w).is_some());
-        // Same bits → cached plan survives.
-        assert!(cache.plan_for(q.as_ref(), 2, 2, &w).is_some());
-        // Changed bits → repack; off-grid value → plan gone.
+        // No clear → the cached plan stands, whatever is passed.
         let bad = [0.5f32, -0.25, 1.0, 0.1];
+        assert!(cache.plan_for(q.as_ref(), 2, 2, &bad).is_some());
+        // Cleared → repack; an off-grid value → no plan, and that
+        // answer is cached too.
+        cache.clear();
         assert!(cache.plan_for(q.as_ref(), 2, 2, &bad).is_none());
-        // And recovers when bits return to the grid.
+        assert!(cache.plan_for(q.as_ref(), 2, 2, &w).is_none());
+        // And recovers when the weights return to the grid.
+        cache.clear();
         assert!(cache.plan_for(q.as_ref(), 2, 2, &w).is_some());
     }
 }

@@ -162,8 +162,9 @@ pub const MR_I16: usize = 4;
 /// group `g` of panel `p` stores `[b(j,2g), b(j,2g+1)]` for the `NR`
 /// columns `j = p·NR ..`, zero-padded past `n` columns and past `k` for
 /// odd `k`. Packing is cheap (one pass over B) and done **once per weight
-/// tensor** — plans live in the layers' bit-compare-validated PlanCache,
-/// so the cost amortizes across every batched forward and serve request.
+/// tensor** — plans live in the layers' PlanCache beside their frozen
+/// quantized weights, so the cost amortizes across every batched forward
+/// and serve request.
 #[derive(Debug, Clone, Default)]
 pub struct PanelB {
     n: usize,
