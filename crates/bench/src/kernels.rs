@@ -326,6 +326,19 @@ pub fn run_with(quick: bool) -> Json {
     });
     push(entry(&m, Some(2.0 * 2.0 * conv_macs)));
 
+    // The f32 conv zoo-infer spends most on, on the lanes route where the
+    // CPU runs it; ReLU'd inputs, so its zero-step skip runs too.
+    println!("== conv2d ConvNet conv2 (512x(16,7,7) over relu'd (16,14,14), batch 4) ==");
+    let x = random(Shape::d4(4, 16, 14, 14), 6).map(|v| v.max(0.0));
+    let w = random(Shape::d4(512, 16, 7, 7), 7);
+    let bias = Tensor::zeros(Shape::d1(512));
+    let geom = Geometry::square(7, 1, 0);
+    let conv_macs = 4.0 * 512.0 * 16.0 * 49.0 * 64.0;
+    let m = b.run("conv2d/forward_convnet_conv2_batch4", || {
+        black_box(conv2d(black_box(&x), &w, &bias, geom).unwrap());
+    });
+    push(entry(&m, Some(2.0 * conv_macs)));
+
     println!("== pooling ==");
     let p = random(Shape::d4(4, 32, 32, 32), 5);
     let m = b.run("maxpool/3x3s2_batch4", || {
