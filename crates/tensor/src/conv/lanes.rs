@@ -33,10 +33,12 @@
 //! at 2 pixels, 29% at 8 and 23% at the panel route's 32.
 //!
 //! **The walk.** Per image, a bit array marks the taps that hold a value,
-//! OR-ed over a group's `P` pixels, so one read per group and kernel row
-//! gives the row's live steps. Each group's live steps go into a list,
-//! compressed 8 at a time; a loop per run of live steps would mispredict
-//! once per run. Then, per tile column, the groups walk their lists
+//! OR-ed over a group's `P` pixels by doubling. One 64-bit read of it
+//! covers a span of up to 16 steps, kernel rows of one input channel, and
+//! `pext` pulls out their live bits. Each group's live steps go into a
+//! list of 4-byte steps, compressed a span at a time (a loop per run of
+//! live steps would mispredict once per run), and a table gives each
+//! step's tap offset. Then, per tile column, the groups walk their lists
 //! through k-blocks of whole kernel rows, about 32 KiB of `Wᵀ` each, so
 //! the block's `Wᵀ` rows stay in L1 while every group of the image reuses
 //! them; a group's partial sums wait in a pixels × channels buffer between
